@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quant import round_half_away
+from .quant import steered_level
 
 _DTYPE = np.float32
 
@@ -401,7 +401,8 @@ def fake_quant_op(
 ) -> Tensor:
     """Fake-quantize `x` with learnable scale (and optional rounding offsets).
 
-    Forward is the hard round trip: s * clamp(round((x + clip(theta,0,s))/s), qmin, qmax).
+    Forward is the hard round trip: s * clamp(k, qmin, qmax), with k the
+    level `quant.steered_level` picks for x and the offset clip(theta, 0, s).
     Gradients:
       x:     pass-through where the pre-clamp integer is in range, else 0
       theta: same mask, additionally zero where the [0, s] clip is active
@@ -424,13 +425,11 @@ def fake_quant_op(
         raise ValueError(f"scale must be > 0, got {s}")
 
     if theta is not None:
-        theta_eff = np.clip(theta.data, 0.0, s)
-        shifted = x.data + theta_eff
+        k = steered_level(x.data, s, np.clip(theta.data, 0.0, s))
         theta_pass = (theta.data >= 0.0) & (theta.data <= s)
     else:
-        shifted = x.data
+        k = steered_level(x.data, s)
         theta_pass = None
-    k = round_half_away(shifted / s)
     in_range = (k >= q_min) & (k <= q_max)
     k_clamped = np.clip(k, q_min, q_max)
     out = k_clamped * s

@@ -210,13 +210,6 @@ def candidate_thresholds(t_max: float, cfg: SearchConfig) -> np.ndarray:
     return np.unique(grid)
 
 
-def hyperbolic_thresholds(t_max: float, cfg: SearchConfig) -> np.ndarray:
-    """Compatibility sweep t_i = t_max / T / i, i = 1..T (descending, never
-    reaching t_max); kept for comparison against the linear default."""
-    i = np.arange(1, cfg.T + 1, dtype=np.float64)
-    return t_max / cfg.T / i
-
-
 class GridSearchInfo(NamedTuple):
     params: QuantParams
     threshold: float
@@ -229,7 +222,6 @@ def grid_search_detail(
     x: np.ndarray,
     bits: int = 8,
     cfg: SearchConfig = SearchConfig(),
-    sweep: str = "linear",
 ) -> GridSearchInfo:
     """Evaluate every candidate threshold and keep the scale with the lowest
     reconstruction MSE; ties go to the larger threshold."""
@@ -243,17 +235,10 @@ def grid_search_detail(
         p = QuantParams(scale=EPS_SCALE, bits=bits)
         return GridSearchInfo(p, EPS_SCALE, 0.0, 0.0, degenerate=True)
 
-    if sweep == "linear":
-        thresholds = candidate_thresholds(t_max, cfg)
-    elif sweep == "hyperbolic":
-        thresholds = hyperbolic_thresholds(t_max, cfg)
-    else:
-        raise CalibError(f"unknown sweep {sweep!r}")
-
     best = None  # (mse, threshold, params)
     maxmin_mse = None
     maxmin_scale = scale_from_range(-t_max, t_max, bits)
-    for t in thresholds:
+    for t in candidate_thresholds(t_max, cfg):
         p = QuantParams(scale=scale_from_range(-t, t, bits), bits=bits)
         err = x - fake_quant(x, p)
         mse = float(np.mean(err * err))
@@ -273,9 +258,8 @@ def grid_search_scale(
     x: np.ndarray,
     bits: int = 8,
     cfg: SearchConfig = SearchConfig(),
-    sweep: str = "linear",
 ) -> QuantParams:
-    return grid_search_detail(x, bits, cfg, sweep).params
+    return grid_search_detail(x, bits, cfg).params
 
 
 # -- per-layer dispatch ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .calib import CalibError, calibrate_layer
+from .calib import CalibError
 from .config import (
     ConfigError,
     GenConfig,
@@ -25,7 +25,7 @@ from .config import (
     parse_kv_file,
 )
 from .dataset import Dataset, DatasetError, generate_dataset
-from .detector import GridConfig, pillarize, quantizable_layers
+from .detector import GridConfig, pillarize
 from .evalharness import evaluate_model, range_ablation
 from .modelio import ModelIOError, load_model, save_model
 from .pipeline import (
@@ -145,28 +145,35 @@ def _calibration_inputs(args, cfg: PipelineConfig):
     return ds, net, ids, feats
 
 
+def _require_shared_bits(cfg: PipelineConfig) -> None:
+    """The calibration-only arms quantize weights and activations at one width."""
+    if cfg.bits_w != cfg.bits_a:
+        raise ConfigError(
+            f"method {cfg.method} uses one bit-width for weights and activations, "
+            f"got bits_w={cfg.bits_w} and bits_a={cfg.bits_a}"
+        )
+
+
 def cmd_calibrate(args) -> None:
     cfg = _load_cfg(PipelineConfig, args)
     if cfg.method == "lidar-ptq":
         raise ConfigError("calibrate expects method in {maxmin, entropy, maxmin_grid}")
+    _require_shared_bits(cfg)
     ds, net, ids, feats = _calibration_inputs(args, cfg)
     out = _out_dir(args)
     report_path = _guard(out / "calibration_report.txt", args.force)
-    from .pipeline import _inputs_to_layer
-
-    rows = []
-    for name in quantizable_layers(net):
-        layer = net.layer(name)
-        acts = _inputs_to_layer(net, feats, name)
-        cal = calibrate_layer(
-            acts, layer.weight, method=cfg.method, bits=cfg.bits_a, cfg=cfg.search
+    _, rows = run_baseline_calibration(
+        net, feats, method=cfg.method, bits=cfg.bits_a, search=cfg.search
+    )
+    report_path.write_text(
+        "\n".join(
+            f"layer={r['layer']} method={r['method']} w_scale={r['w_scale']:.10g} "
+            f"a_scale={r['a_scale']:.10g} pre_mse={r['a_maxmin_mse']:.10g} "
+            f"post_mse={r['a_mse']:.10g} entropy_fallback={r['entropy_fallback']}"
+            for r in rows
         )
-        rows.append(
-            f"layer={name} method={cfg.method} w_scale={cal.w_params.scale:.10g} "
-            f"a_scale={cal.a_params.scale:.10g} pre_mse={cal.a_maxmin_mse:.10g} "
-            f"post_mse={cal.a_mse:.10g} entropy_fallback={cal.entropy_fallback}"
-        )
-    report_path.write_text("\n".join(rows) + "\n")
+        + "\n"
+    )
     if ds.audit.label_reads:
         raise PipelineError(f"label files were read during calibration: {ds.audit.summary()}")
     print(f"calibration report -> {report_path} (label reads: {ds.audit.label_reads})")
@@ -174,6 +181,8 @@ def cmd_calibrate(args) -> None:
 
 def cmd_quantize(args) -> None:
     cfg = _load_cfg(PipelineConfig, args)
+    if cfg.method in ("maxmin", "entropy"):
+        _require_shared_bits(cfg)
     ds, net, ids, feats = _calibration_inputs(args, cfg)
     out = _out_dir(args)
     model_path = _guard(out / "quantized.ptqf", args.force)

@@ -31,7 +31,6 @@ class PipelineConfig:
     lr_scale: float = 5e-5  # activation/weight scale factors
     lr_theta: float = 5e-3  # rounding offsets
     batch: int = 4
-    granularity: str = "layer"  # "layer" | "block"
     seed: int = 0
     method: str = "lidar-ptq"
     # task-loss weights
@@ -42,26 +41,24 @@ class PipelineConfig:
     search_T: int = 100
     search_alpha: float = 0.01
     search_beta: float = 1.2
-    search_sweep: str = "linear"
     # pseudo-label generation
     score_floor: float = 0.1
     top_k: int = 500
     nms_iou: float = 0.2
     # optimizer switches
     optimize_theta: bool = True
-    freeze_w_scale: bool = False
     snapshot_every: int = 20
     score_frames: int = 16
 
     def __post_init__(self):
+        if self.batch < 1:
+            raise ConfigError("batch must be >= 1")
         if self.calib_frames < self.batch:
             raise ConfigError(
                 f"calib_frames ({self.calib_frames}) must be >= batch ({self.batch})"
             )
         if self.iters_T < 0:
             raise ConfigError("iters_T must be >= 0 (0 = calibration only)")
-        if self.granularity not in ("layer", "block"):
-            raise ConfigError(f"unknown granularity {self.granularity!r}")
         if self.method not in QUANT_METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {QUANT_METHODS}")
         if self.bits_w < 2 or self.bits_a < 2:

@@ -1,13 +1,14 @@
-"""Adam with optional per-parameter learning rates and box projection.
+"""Adam with optional per-parameter learning rates.
 
-The projection keeps rounding-offset parameters inside [0, scale] after every
-step, so their straight-through gradient mask never dies at the boundary.
+Constraints on the parameters (scales above zero, rounding offsets inside
+[0, scale]) are the caller's: `pipeline.run_lidar_ptq` projects them after
+every step, because the offsets' bound moves with the weight scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -50,13 +51,11 @@ def adam_step(
 class Adam:
     """Drives adam_step over a dict of Tensors.
 
-    `lr` may be a float or a per-name dict; `bounds` maps a parameter name to
-    (lo, hi) arrays/scalars it is clipped to after each update.
+    `lr` may be a float or a per-name dict.
     """
 
     params: Dict[str, Tensor]
     lr: object = 1e-3
-    bounds: Dict[str, Tuple] = field(default_factory=dict)
     _states: Dict[str, AdamState] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
@@ -75,9 +74,6 @@ class Adam:
             if p.grad is None:
                 continue
             new = adam_step(p.data, p.grad, self._states[name], self._lr_for(name))
-            if name in self.bounds:
-                lo, hi = self.bounds[name]
-                new = np.clip(new, lo, hi)
             p.data = new.astype(p.data.dtype)
 
     def zero_grad(self) -> None:

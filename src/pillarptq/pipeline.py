@@ -1,11 +1,11 @@
 """End-to-end quantization passes over the detector.
 
 Provides the float baseline trainer (so the repo is self-contained), the
-calibration-only arms, and the full pipeline: grid-search initialization,
-cached float-model outputs turned into pseudo-labels, then per-unit
-optimization of activation/weight scales and rounding offsets with a
-keep-best-iterate rule that guarantees the per-layer reconstruction error
-never ends above its initialization value.
+calibration-only arms, and the full pipeline: cached float-model outputs
+turned into pseudo-labels, then for each quantizable layer in turn a
+grid-search initialization and an optimization of its activation/weight
+scales and rounding offsets, with a keep-best-iterate rule that guarantees
+the layer's reconstruction error never ends above its initialization value.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ import numpy as np
 from . import autodiff as ad
 from . import network
 from .autodiff import Tensor
-from .calib import calibrate_layer, grid_search_detail
+from .calib import _thin, calibrate_layer, grid_search_detail
 from .config import PipelineConfig, TrainConfig
 from .detector import (
     DetectorOutput,
     GridConfig,
     build_detector,
     fp_exempt_layers,
+    head_forward,
     pillarize,
     quantizable_layers,
 )
@@ -108,12 +109,8 @@ def _fp_final_outputs(net: Network, feats: Sequence[np.ndarray]):
     outs = []
     for i in range(0, len(feats), FORWARD_CHUNK):
         xb = np.stack(feats[i : i + FORWARD_CHUNK]).astype(ad.current_dtype())
-        t = ad.as_tensor(xb)
-        for layer in net.layers:
-            t = layer_forward(t, layer)
-        hm = ad.sigmoid(layer_forward(t, net.heads["heatmap"])).data
-        reg = layer_forward(t, net.heads["regression"]).data
-        outs.extend((hm[j], reg[j]) for j in range(hm.shape[0]))
+        hm, reg = head_forward(net, xb)
+        outs.extend(zip(hm.data, reg.data))
     return outs
 
 
@@ -271,42 +268,6 @@ def run_baseline_calibration(
 # -- the full pipeline -------------------------------------------------------------------
 
 
-def _units(net: Network, granularity: str) -> List[List[str]]:
-    names = quantizable_layers(net)
-    if granularity == "layer":
-        return [[n] for n in names]
-    units, i = [], 0
-    while i < len(names):
-        units.append(names[i : i + 2])
-        i += 2
-    return units
-
-
-def _thin_pool(arrs: List[np.ndarray], cap: int = 1 << 21) -> np.ndarray:
-    pooled = np.concatenate([a.ravel() for a in arrs])
-    if pooled.size <= cap:
-        return pooled
-    stride = int(np.ceil(pooled.size / cap))
-    return pooled[::stride]
-
-
-def _fp_chain_inputs(net: Network, unit: List[str], first_inputs: List[np.ndarray]):
-    """Recorded inputs for every layer of the unit: the first comes from the
-    (already partially quantized) prefix, inner ones from the float chain."""
-    per_layer = {unit[0]: first_inputs}
-    cur = first_inputs
-    for name in unit[:-1]:
-        layer = net.layer(name)
-        nxt = []
-        for i in range(0, len(cur), FORWARD_CHUNK):
-            xb = np.stack(cur[i : i + FORWARD_CHUNK])
-            t = layer_forward(Tensor(xb), layer)  # float weights, no overrides
-            nxt.extend(np.ascontiguousarray(t.data[j]) for j in range(t.data.shape[0]))
-        per_layer[unit[unit.index(name) + 1]] = nxt
-        cur = nxt
-    return per_layer
-
-
 def _conv_refs(layer, inputs: List[np.ndarray]) -> List[np.ndarray]:
     """Float conv responses (no bias, no activation) of the recorded inputs."""
     refs = []
@@ -318,71 +279,39 @@ def _conv_refs(layer, inputs: List[np.ndarray]) -> List[np.ndarray]:
     return refs
 
 
-def _unit_param_tensors(qnet, unit, cfg, w_inits, a_inits):
-    params: Dict[str, Tensor] = {}
-    for name in unit:
-        layer = qnet.layer(name)
-        params[f"{name}.s_w"] = Tensor(
-            np.asarray(w_inits[name]), requires_grad=not cfg.freeze_w_scale
-        )
-        params[f"{name}.s_a"] = Tensor(np.asarray(a_inits[name]), requires_grad=True)
-        if cfg.optimize_theta:
-            params[f"{name}.theta"] = Tensor(
-                np.zeros_like(layer.weight), requires_grad=True
-            )
-    return params
-
-
-def _unit_losses(
+def _layer_losses(
     qnet: Network,
-    unit: List[str],
+    layer,
     params: Dict[str, Tensor],
-    batch_idx: np.ndarray,
-    inputs_by_layer,
-    refs_by_layer,
+    x: Tensor,
+    ref: np.ndarray,
     labels: List[PseudoLabels],
     cfg: PipelineConfig,
-    weights: LossWeights,
 ):
-    """Tape forward for one batch: per-layer conv reconstruction terms plus
+    """Tape forward for one batch: the layer's conv reconstruction term plus
     the task loss through the float tail."""
-    recons = {}
-    for name in unit:
-        layer = qnet.layer(name)
-        theta = params.get(f"{name}.theta")
-        w_hat = ad.fake_quant_op(
-            Tensor(layer.weight), params[f"{name}.s_w"], cfg.bits_w, theta=theta
-        )
-        xb = Tensor(np.stack([inputs_by_layer[name][i] for i in batch_idx]))
-        ref = np.stack([refs_by_layer[name][i] for i in batch_idx])
-        q = ad.conv2d(xb, w_hat, None, layer.stride, layer.padding)
-        recons[name] = ad.tsum(pow2(q - ref)) * (1.0 / len(batch_idx))
+    w_hat = ad.fake_quant_op(
+        Tensor(layer.weight), params["s_w"], cfg.bits_w, theta=params.get("theta")
+    )
+    q = ad.conv2d(x, w_hat, None, layer.stride, layer.padding)
+    local = ad.tsum(pow2(q - ref)) * (1.0 / ref.shape[0])
 
-    t = Tensor(np.stack([inputs_by_layer[unit[0]][i] for i in batch_idx]))
-    for name in unit:
-        layer = qnet.layer(name)
-        ov = {
-            "a_scale": params[f"{name}.s_a"],
-            "w_scale": params[f"{name}.s_w"],
-            "a_bits": cfg.bits_a,
-            "w_bits": cfg.bits_w,
-        }
-        if f"{name}.theta" in params:
-            ov["theta"] = params[f"{name}.theta"]
-        t = layer_forward(t, layer, ov)
-    start = qnet.layer_index(unit[-1]) + 1
-    for layer in qnet.layers[start:]:
-        t = layer_forward(t, layer)
+    ov = {
+        "a_scale": params["s_a"],
+        "w_scale": params["s_w"],
+        "a_bits": cfg.bits_a,
+        "w_bits": cfg.bits_w,
+        "theta": params.get("theta"),
+    }
+    t = layer_forward(x, layer, ov)
+    for later in qnet.layers[qnet.layer_index(layer.name) + 1 :]:
+        t = layer_forward(t, later)
     hm = ad.sigmoid(layer_forward(t, qnet.heads["heatmap"]))
     reg = layer_forward(t, qnet.heads["regression"])
-    task = pseudo_label_loss(
-        DetectorOutput(hm, reg), [labels[i] for i in batch_idx], weights
-    )
-    local = None
-    for r in recons.values():
-        local = r if local is None else local + r
+    weights = cfg.loss_weights
+    task = pseudo_label_loss(DetectorOutput(hm, reg), labels, weights)
     total = local * weights.lambda1 + task * weights.lambda2
-    return recons, local, task, total
+    return local, task, total
 
 
 def run_lidar_ptq(
@@ -392,9 +321,9 @@ def run_lidar_ptq(
     grid_cfg: GridConfig = GridConfig(),
     out_dir=None,
 ) -> Tuple[Network, RunLog]:
-    """Grid-search initialization, pseudo-labels from the cached float
-    outputs, then sequential per-unit scale/offset optimization with
-    keep-best admissibility; freezes each unit at int8 before the next."""
+    """Pseudo-labels from the cached float outputs, then for each quantizable
+    layer in order: grid-search initialization, scale/offset optimization with
+    keep-best admissibility, and a freeze at int8 before the next layer."""
     t_start = time.monotonic()
     if any(l.precision != "fp" for l in fp_net.layers):
         raise PipelineError("run_lidar_ptq expects a fully float network")
@@ -408,16 +337,9 @@ def run_lidar_ptq(
 
     qnet = fp_net.copy()
     log = RunLog()
-    weights = cfg.loss_weights
     rng = np.random.default_rng(cfg.seed)
 
-    # Stage 1: grid-search every quantizable layer's weight scale.
-    w_inits: Dict[str, float] = {}
-    for name in quantizable_layers(qnet):
-        info = grid_search_detail(qnet.layer(name).weight, cfg.bits_w, cfg.search, cfg.search_sweep)
-        w_inits[name] = info.params.scale
-
-    # Stage 2: cache float final outputs once; render pseudo-labels once.
+    # Cache float final outputs once; render pseudo-labels once.
     fp_outs = _fp_final_outputs(fp_net, calib_feats)
     if out_dir is not None:
         from pathlib import Path
@@ -441,45 +363,42 @@ def run_lidar_ptq(
     ]
 
     n = len(calib_feats)
-    score_n = min(cfg.score_frames, n)
-    score_idx = np.arange(score_n)
+    score_idx = np.arange(min(cfg.score_frames, n))
 
-    # Stage 3: per-unit optimization, sequential freeze.
-    for unit in _units(qnet, cfg.granularity):
-        unit_name = "+".join(unit)
-        first_inputs = _inputs_to_layer(qnet, calib_feats, unit[0])
-        inputs_by_layer = _fp_chain_inputs(qnet, unit, first_inputs)
-        refs_by_layer = {
-            name: _conv_refs(qnet.layer(name), inputs_by_layer[name]) for name in unit
-        }
-        a_inits = {}
-        for name in unit:
-            pool = _thin_pool(inputs_by_layer[name])
-            a_inits[name] = grid_search_detail(
-                pool, cfg.bits_a, cfg.search, cfg.search_sweep
-            ).params.scale
-        params = _unit_param_tensors(qnet, unit, cfg, w_inits, a_inits)
-        opt_params = {k: p for k, p in params.items() if p.requires_grad}
-        lr = {
-            k: (cfg.lr_theta if k.endswith(".theta") else cfg.lr_scale) for k in opt_params
-        }
-        opt = Adam(opt_params, lr=lr) if opt_params else None
+    for name in quantizable_layers(qnet):
+        layer = qnet.layer(name)
+        inputs = _inputs_to_layer(qnet, calib_feats, name)
+        refs = _conv_refs(layer, inputs)
 
-        def snapshot_score():
-            recons, local, task, total = _unit_losses(
-                qnet, unit, {k: Tensor(p.data) for k, p in params.items()},
-                score_idx, inputs_by_layer, refs_by_layer, labels, cfg, weights,
+        def batch(idx):
+            x = Tensor(np.stack([inputs[i] for i in idx]))
+            return x, np.stack([refs[i] for i in idx]), [labels[i] for i in idx]
+
+        w_init = grid_search_detail(layer.weight, cfg.bits_w, cfg.search).params.scale
+        pooled = _thin(np.concatenate([a.ravel() for a in inputs]))
+        a_init = grid_search_detail(pooled, cfg.bits_a, cfg.search).params.scale
+        params = {
+            "s_w": Tensor(np.asarray(w_init), requires_grad=True),
+            "s_a": Tensor(np.asarray(a_init), requires_grad=True),
+        }
+        if cfg.optimize_theta:
+            params["theta"] = Tensor(np.zeros_like(layer.weight), requires_grad=True)
+        opt = Adam(
+            params, lr={k: cfg.lr_theta if k == "theta" else cfg.lr_scale for k in params}
+        )
+
+        score_batch = batch(score_idx)
+
+        def score():
+            frozen = {k: Tensor(p.data) for k, p in params.items()}
+            return tuple(
+                float(v.data) for v in _layer_losses(qnet, layer, frozen, *score_batch, cfg)
             )
-            per_layer = {k: float(v.data) for k, v in recons.items()}
-            return per_layer, float(local.data), float(task.data), float(total.data)
 
-        init_recon, init_local, init_task, init_total = snapshot_score()
-        best = {
-            "params": {k: p.data.copy() for k, p in params.items()},
-            "recon": dict(init_recon),
-            "total": init_total,
-        }
-        log.log(unit_name, 0, init_local, init_task, init_total)
+        init_local, init_task, init_total = score()
+        best_params = {k: p.data.copy() for k, p in params.items()}
+        best_local, best_total = init_local, init_total
+        log.log(name, 0, init_local, init_task, init_total)
 
         order = rng.permutation(n)
         pos = 0
@@ -489,65 +408,49 @@ def run_lidar_ptq(
                 pos = 0
             batch_idx = order[pos : pos + cfg.batch]
             pos += cfg.batch
-            recons, local, task, total = _unit_losses(
-                qnet, unit, params, batch_idx, inputs_by_layer, refs_by_layer,
-                labels, cfg, weights,
-            )
+            local, task, total = _layer_losses(qnet, layer, params, *batch(batch_idx), cfg)
             vals = (float(local.data), float(task.data), float(total.data))
             if not all(np.isfinite(v) for v in vals):
                 raise PipelineError(
                     f"non-finite loss (local={vals[0]}, task={vals[1]}) "
-                    f"at unit {unit_name}, iteration {it}"
+                    f"at layer {name}, iteration {it}"
                 )
-            log.log(unit_name, it, *vals)
-            if opt is not None:
-                network.backward(total, opt_params)
-                opt.step()
-                for name in unit:
-                    s_w = params[f"{name}.s_w"]
-                    s_a = params[f"{name}.s_a"]
-                    s_w.data = np.maximum(s_w.data, EPS_SCALE)
-                    s_a.data = np.maximum(s_a.data, EPS_SCALE)
-                    th = params.get(f"{name}.theta")
-                    if th is not None:
-                        th.data = np.clip(th.data, 0.0, float(s_w.data))
+            log.log(name, it, *vals)
+            network.backward(total, params)
+            opt.step()
+            # Project after every step: the offsets' box [0, s_w] moves with s_w.
+            for k in ("s_w", "s_a"):
+                params[k].data = np.maximum(params[k].data, EPS_SCALE)
+            if "theta" in params:
+                params["theta"].data = np.clip(
+                    params["theta"].data, 0.0, float(params["s_w"].data)
+                )
             if it % cfg.snapshot_every == 0 or it == cfg.iters_T:
-                recon_s, local_s, task_s, total_s = snapshot_score()
-                admissible = all(recon_s[k] <= init_recon[k] for k in recon_s)
-                if admissible and total_s < best["total"]:
-                    best = {
-                        "params": {k: p.data.copy() for k, p in params.items()},
-                        "recon": dict(recon_s),
-                        "total": total_s,
-                    }
+                local_s, _, total_s = score()
+                if local_s <= init_local and total_s < best_total:
+                    best_params = {k: p.data.copy() for k, p in params.items()}
+                    best_local, best_total = local_s, total_s
 
-        for k, p in params.items():
-            p.data = best["params"][k]
-        for name in unit:
-            layer = qnet.layer(name)
-            s_w = float(params[f"{name}.s_w"].data)
-            s_a = float(params[f"{name}.s_a"].data)
-            layer.w_quant = QuantParams(s_w, cfg.bits_w)
-            layer.a_quant = QuantParams(s_a, cfg.bits_a)
-            th = params.get(f"{name}.theta")
-            if th is not None:
-                layer.theta = RoundingOffsets(
-                    np.clip(th.data, 0.0, s_w).astype(np.float32)
-                )
-            layer.precision = "int8"
-            log.layer_stats[name] = {
-                "unit": unit_name,
-                "pre_mse": init_recon[name],
-                "post_mse": best["recon"][name],
-                "w_scale": s_w,
-                "a_scale": s_a,
-                "z_w": 0,
-                "z_a": 0,
-            }
+        s_w = float(best_params["s_w"])
+        s_a = float(best_params["s_a"])
+        layer.w_quant = QuantParams(s_w, cfg.bits_w)
+        layer.a_quant = QuantParams(s_a, cfg.bits_a)
+        if "theta" in best_params:
+            layer.theta = RoundingOffsets(
+                np.clip(best_params["theta"], 0.0, s_w).astype(np.float32)
+            )
+        layer.precision = "int8"
+        log.layer_stats[name] = {
+            "pre_mse": init_local,
+            "post_mse": best_local,
+            "w_scale": s_w,
+            "a_scale": s_a,
+            "z_w": 0,
+            "z_a": 0,
+        }
 
     log.wall_time = time.monotonic() - t_start
     log.meta["method"] = cfg.method
     log.meta["iters_T"] = cfg.iters_T
-    log.meta["granularity"] = cfg.granularity
     log.meta["seed"] = cfg.seed
     return qnet, log

@@ -75,6 +75,21 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
+def steered_level(x: np.ndarray, scale: float, offset: Optional[np.ndarray] = None) -> np.ndarray:
+    """Integer level of x/scale before the range clamp, optionally steered up
+    by an effective offset in [0, scale].
+
+    round((x + offset)/scale) can land two levels above round(x/scale) through
+    float error (x=0.15, offset=0.1, scale=0.1 gives 3, not 2) or a negative
+    half tie; an offset only chooses between rounding down and up, so the
+    steered level is clamped to [round(x/scale), round(x/scale) + 1].
+    """
+    level = round_half_away(x / scale)
+    if offset is None:
+        return level
+    return np.clip(round_half_away((x + offset) / scale), level, level + 1)
+
+
 def _check_finite(x: np.ndarray) -> None:
     bad = ~np.isfinite(x)
     if bad.any():
@@ -119,20 +134,21 @@ def fake_quant(
     """Quantize-then-dequantize in float (round trip through the integer grid).
 
     With `theta`, the offsets are added to x before scaling so each weight can
-    be nudged across its rounding boundary; theta == 0 reproduces the plain
-    round trip exactly.
+    be nudged across its rounding boundary, by at most one level; theta == 0
+    reproduces the plain round trip exactly.
     """
     arr = np.asarray(x)
     dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
     arr = arr.astype(np.float64, copy=False)
     _check_finite(arr)
+    offset = None
     if theta is not None:
         if theta.theta.shape != arr.shape:
             raise QuantError(
                 f"offset shape {theta.theta.shape} != tensor shape {arr.shape}"
             )
-        arr = arr + theta.effective(p.scale)
-    q = np.clip(round_half_away(arr / p.scale), p.q_min, p.q_max)
+        offset = theta.effective(p.scale)
+    q = np.clip(steered_level(arr, p.scale, offset), p.q_min, p.q_max)
     return (q * p.scale).astype(dtype)
 
 

@@ -280,6 +280,13 @@ class TestFakeQuantOp:
         want = fake_quant(x, QuantParams(0.05, 8), RoundingOffsets(th))
         np.testing.assert_array_equal(out.data, want)
 
+    def test_offset_moves_at_most_one_level(self):
+        # same examples as the quant module's: float error and a negative tie
+        x, th = np.array([0.15, -0.05]), np.array([1.0, 0.1])
+        with ad.using_dtype(F64):
+            out = ad.fake_quant_op(Tensor(x), Tensor(0.1), bits=8, theta=Tensor(th))
+        np.testing.assert_allclose(out.data, [0.2, 0.0], atol=1e-15)
+
     def test_pass_through_gradient_masks_saturated_entries(self):
         with ad.using_dtype(F64):
             x = Tensor(np.array([0.5, 20.0, -20.0]), requires_grad=True)

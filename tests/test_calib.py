@@ -24,7 +24,6 @@ from pillarptq.calib import (
     grid_search_detail,
     grid_search_scale,
     histogram_fixed_range,
-    hyperbolic_thresholds,
     kl_divergence,
     maxmin_range,
     merge_histograms,
@@ -241,14 +240,6 @@ class TestCandidateSweeps:
         t = candidate_thresholds(2.0, SearchConfig(T=1, alpha=0.5, beta=1.0))
         np.testing.assert_allclose(t, [1.0, 2.0])
 
-    def test_hyperbolic_sweep_shape(self):
-        cfg = SearchConfig(T=8)
-        t = hyperbolic_thresholds(4.0, cfg)
-        assert len(t) == 8
-        assert np.all(np.diff(t) < 0)
-        assert t[0] == pytest.approx(4.0 / 8)
-        assert t[-1] == pytest.approx(4.0 / 64)
-
     @pytest.mark.parametrize("kw", [{"T": 0}, {"alpha": 0.0}, {"alpha": 2.0, "beta": 1.0}])
     def test_config_validation(self, kw):
         with pytest.raises(CalibError):
@@ -295,10 +286,6 @@ class TestGridSearch:
             grid_search_scale(np.array([]))
         with pytest.raises(CalibError):
             grid_search_scale(np.array([np.nan]))
-
-    def test_unknown_sweep_rejected(self):
-        with pytest.raises(CalibError):
-            grid_search_detail(np.ones(4), sweep="geometric")
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.lists(st.floats(-100, 100), min_size=8, max_size=64), t_seed=st.integers(0, 10))

@@ -65,7 +65,7 @@ class TestBuildConfig:
         ("false", False), ("0", False), ("No", False),
     ])
     def test_bool_spellings(self, raw, expected):
-        assert build_config(PipelineConfig, {"freeze_w_scale": raw}).freeze_w_scale is expected
+        assert build_config(PipelineConfig, {"optimize_theta": raw}).optimize_theta is expected
 
     def test_bad_bool_rejected(self):
         with pytest.raises(ConfigError, match="boolean"):
@@ -105,12 +105,10 @@ class TestPipelineConfig:
         assert cfg.lr_scale == 5e-5
         assert cfg.lr_theta == 5e-3
         assert cfg.batch == 4
-        assert cfg.granularity == "layer"
         assert cfg.method == "lidar-ptq"
         assert (cfg.alpha_reg, cfg.lambda1, cfg.lambda2) == (0.25, 1.0, 1.0)
         assert (cfg.search_T, cfg.search_alpha, cfg.search_beta) == (100, 0.01, 1.2)
         assert cfg.optimize_theta is True
-        assert cfg.freeze_w_scale is False
 
     def test_method_catalog(self):
         assert QUANT_METHODS == ("lidar-ptq", "maxmin", "entropy", "maxmin_grid")
@@ -120,7 +118,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("kwargs,pattern", [
         (dict(calib_frames=2, batch=4), "calib_frames"),
         (dict(iters_T=-1), "iters_T"),
-        (dict(granularity="tensor"), "granularity"),
+        (dict(batch=0, calib_frames=0), "batch"),
         (dict(method="minmax"), "unknown method"),
         (dict(bits_w=1), "bit-widths"),
         (dict(bits_a=0), "bit-widths"),

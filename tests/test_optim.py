@@ -89,25 +89,6 @@ class TestAdamDriver:
         with pytest.raises(KeyError):
             opt.step()
 
-    def test_bounds_project_after_update(self):
-        t = Tensor(np.array([0.5]), requires_grad=True)
-        opt = Adam({"p": t}, lr=2.0, bounds={"p": (0.0, 1.0)})
-        t.grad = np.array([10.0])
-        opt.step()  # raw update would land near -1.5
-        assert t.data[0] == 0.0
-        t.grad = np.array([-10.0])
-        opt.step()
-        assert t.data[0] <= 1.0
-
-    def test_array_bounds(self):
-        t = Tensor(np.array([0.2, 0.2]), requires_grad=True)
-        hi = np.array([0.25, 5.0])
-        opt = Adam({"p": t}, lr=1.0, bounds={"p": (np.zeros(2), hi)})
-        t.grad = np.array([-1.0, -1.0])
-        opt.step()
-        assert t.data[0] == pytest.approx(0.25)
-        assert t.data[1] == pytest.approx(1.2, rel=1e-6)
-
     def test_none_grad_skipped(self):
         t = Tensor(np.array([1.0]), requires_grad=True)
         opt = Adam({"p": t}, lr=0.1)

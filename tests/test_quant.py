@@ -182,6 +182,15 @@ class TestRoundingOffsets:
         negative = RoundingOffsets(np.array([-5.0]))
         np.testing.assert_array_equal(fake_quant(x, p, negative), fake_quant(x, p))
 
+    def test_offset_moves_one_level_where_float_error_or_a_tie_would_give_two(self):
+        # (0.15 + 0.1) / 0.1 rounds to 3 in float; -0.05 / 0.1 is a negative
+        # half tie, so round-half-away puts it at -1 while -0.05 + 0.1 goes to +1
+        p = QuantParams(scale=0.1, bits=8)
+        x = np.array([0.15, -0.05])
+        np.testing.assert_array_equal(fake_quant(x, p), [0.1, -0.1])
+        steered = fake_quant(x, p, RoundingOffsets(np.array([1.0, 0.1])))
+        np.testing.assert_allclose(steered, [0.2, 0.0], atol=1e-15)
+
     def test_effective_is_monotone_in_raw_theta(self):
         offs = RoundingOffsets(np.array([-1.0, 0.0, 0.1, 0.2, 5.0]))
         eff = offs.effective(scale=0.2)
