@@ -3,12 +3,22 @@
 Three methods: symmetric max-min, entropy (KL) threshold search over an
 absolute-value histogram, and grid search over candidate clipping thresholds
 minimizing reconstruction MSE.
+
+The grid search returns bitwise what a brute-force sweep returns, one
+`fake_quant` pass over the whole tensor per candidate, in O(N log N) plus
+O(min(2^(bits-1) log N, N)) per candidate instead of O(N) per candidate.
+Exact zeros quantize exactly under every symmetric scale, so they are set
+aside. The positive and negative magnitudes are sorted apart (the negative
+side clamps one level further out, at -2^(bits-1)), and each candidate's
+error is ranked from suffix sums over its level boundaries. The few
+candidates the ranking cannot tell apart within its rounding bound are scored
+again with the brute-force formula itself; see `grid_search_detail`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +26,7 @@ from .quant import EPS_SCALE, QuantParams, fake_quant, scale_from_range
 
 DEFAULT_BINS = 2048
 _KL_SMOOTH = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class CalibError(ValueError):
@@ -218,13 +229,104 @@ class GridSearchInfo(NamedTuple):
     degenerate: bool
 
 
+def _direct_mse(x: np.ndarray, nonzero: np.ndarray, p: QuantParams) -> float:
+    """np.mean((x - fake_quant(x, p))**2) for a float64 x, quantizing only
+    the entries `nonzero` marks. A zero's error is exactly 0.0 under every
+    symmetric scale, so the error array, and hence the mean, is bitwise the
+    one the whole-tensor formula builds."""
+    err = np.zeros_like(x)
+    values = x[nonzero]
+    err[nonzero] = values - fake_quant(values, p)
+    return float(np.mean(err * err))
+
+
+def _level_starts(a: np.ndarray, scale: float, top: int) -> np.ndarray:
+    """e[j-1] = how many of the ascending magnitudes `a` round below level j,
+    for j = 1..top, under the level rule of `quant.round_half_away`.
+
+    Level j starts at the smallest float tau with floor(tau/scale + 0.5) >= j.
+    (j - 0.5) * scale lies within a few ulps of it; the nudges below land on
+    it exactly, because the predicate is monotone in tau. Searching for tau
+    rather than correcting an index keeps runs of duplicates exact.
+    """
+    j = np.arange(1, top + 1, dtype=np.float64)
+    tau = (j - 0.5) * scale
+    while True:
+        low = np.floor(tau / scale + 0.5) < j
+        if not low.any():
+            break
+        tau[low] = np.nextafter(tau[low], np.inf)
+    while True:
+        below = np.nextafter(tau, -np.inf)
+        high = np.floor(below / scale + 0.5) >= j
+        if not high.any():
+            break
+        tau[high] = below[high]
+    return np.searchsorted(a, tau)
+
+
+def _shortlist(nonzeros: np.ndarray, scales: Sequence[float], bits: int) -> np.ndarray:
+    """Indices of the candidate scales that can hold the lowest brute-force MSE.
+
+    For ascending magnitudes a_1..a_n that clamp at level M, with levels
+    k_i = min(floor(a_i/s + 0.5), M):
+        SSE(s) = sum a^2 - 2 s U + s^2 V,
+        U = sum_j sum_{i >= e_j} a_i,   V = sum_j (2j - 1)(n - e_j),
+    over j = 1..M, where e_j counts the magnitudes below level j. sum a^2 is
+    the same for every candidate, so candidates rank by D = s^2 V - 2 s U.
+    The suffix sums add positive terms, so D carries a rounding error below
+    (n + M + 16) eps (2 s U + s^2 V), and N times the brute-force mean one
+    below 64 eps (sum a^2 + s^2 V). Every candidate whose D lies within both
+    candidates' bounds, with a 2x margin, of the lowest D is kept: the
+    brute-force winner cannot lie outside.
+
+    A sweep that would cost more per candidate than the N-element brute-force
+    pass (2^(bits-1) log2 N >= N) keeps every candidate instead, so no array
+    of 2^(bits-1) levels is built at wide bit-widths.
+    """
+    n = nonzeros.size
+    q_max = (1 << (bits - 1)) - 1
+    if (q_max + 1) * np.log2(n) >= n:
+        return np.arange(len(scales))
+    halves = []
+    for side, top in ((nonzeros[nonzeros > 0], q_max), (-nonzeros[nonzeros < 0], q_max + 1)):
+        if side.size:
+            a = np.sort(side)
+            suffix = np.append(np.cumsum(a[::-1])[::-1], 0.0)
+            halves.append((a, suffix, top, 2.0 * np.arange(1, top + 1) - 1.0))
+    sum_sq = float(np.dot(nonzeros, nonzeros))
+    rank = np.empty(len(scales))
+    slack = np.empty(len(scales))
+    for c, s in enumerate(scales):
+        two_su = s2v = 0.0
+        for a, suffix, top, odd in halves:
+            e = _level_starts(a, s, top)
+            two_su += 2.0 * s * float(suffix[e].sum())
+            s2v += s * s * float(np.dot(odd, a.size - e))
+        rank[c] = s2v - two_su
+        slack[c] = 2.0 * _EPS * ((n + q_max + 17) * (two_su + s2v) + 64.0 * (sum_sq + s2v))
+    best = int(np.argmin(rank))
+    return np.flatnonzero(rank <= rank[best] + slack + slack[best])
+
+
 def grid_search_detail(
     x: np.ndarray,
     bits: int = 8,
     cfg: SearchConfig = SearchConfig(),
 ) -> GridSearchInfo:
     """Evaluate every candidate threshold and keep the scale with the lowest
-    reconstruction MSE; ties go to the larger threshold."""
+    reconstruction MSE, np.mean((x - fake_quant(x))**2); ties go to the
+    larger threshold.
+
+    The result is bitwise that of scoring every candidate with that formula.
+    `_shortlist` ranks the candidates from sorted suffix sums and keeps each
+    one the ranking's rounding bound cannot rule out, almost always one.
+    Only those, and the max-min scale, are scored with the formula itself
+    (over the nonzeros, see `_direct_mse`), so the winner, its MSE and the
+    max-min MSE are the brute-force values. Cost: a sort of the nonzeros,
+    then per candidate min(2^(bits-1) log N, N), plus one O(N) pass per
+    scored scale.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise CalibError("grid_search_scale: empty tensor")
@@ -235,23 +337,21 @@ def grid_search_detail(
         p = QuantParams(scale=EPS_SCALE, bits=bits)
         return GridSearchInfo(p, EPS_SCALE, 0.0, 0.0, degenerate=True)
 
-    best = None  # (mse, threshold, params)
-    maxmin_mse = None
-    maxmin_scale = scale_from_range(-t_max, t_max, bits)
-    for t in candidate_thresholds(t_max, cfg):
-        p = QuantParams(scale=scale_from_range(-t, t, bits), bits=bits)
-        err = x - fake_quant(x, p)
-        mse = float(np.mean(err * err))
-        if best is None or mse < best[0] or (mse == best[0] and t > best[1]):
-            best = (mse, float(t), p)
-        if p.scale == maxmin_scale:
-            maxmin_mse = mse
-    if maxmin_mse is None:
-        pm = QuantParams(scale=maxmin_scale, bits=bits)
-        err = x - fake_quant(x, pm)
-        maxmin_mse = float(np.mean(err * err))
-    mse, t, p = best
-    return GridSearchInfo(p, t, mse, maxmin_mse, degenerate=False)
+    nonzero = x != 0.0
+    thresholds = candidate_thresholds(t_max, cfg)
+    scales = [scale_from_range(-t, t, bits) for t in thresholds]
+    scored: Dict[float, float] = {}
+
+    def mse(scale: float) -> float:
+        if scale not in scored:
+            scored[scale] = _direct_mse(x, nonzero, QuantParams(scale, bits))
+        return scored[scale]
+
+    shortlist = _shortlist(x[nonzero], scales, bits)
+    best = min(shortlist, key=lambda c: (mse(scales[c]), -thresholds[c]))
+    p = QuantParams(scale=scales[best], bits=bits)
+    maxmin_mse = mse(scale_from_range(-t_max, t_max, bits))
+    return GridSearchInfo(p, float(thresholds[best]), mse(p.scale), maxmin_mse, degenerate=False)
 
 
 def grid_search_scale(
@@ -263,11 +363,6 @@ def grid_search_scale(
 
 
 # -- per-layer dispatch ---------------------------------------------------------------
-
-# Pooled activation samples beyond this count are deterministically thinned
-# before the grid-search MSE loop; full data would make the sweep quadratic
-# in calibration-set size for no measurable change in the chosen scale.
-GRID_SAMPLE_CAP = 1 << 21
 
 METHODS = ("maxmin", "entropy", "maxmin_grid")
 
@@ -285,13 +380,6 @@ def _pool(batches: Iterable[np.ndarray]) -> list:
     if not pooled or sum(b.size for b in pooled) == 0:
         raise CalibError("empty calibration set")
     return pooled
-
-
-def _thin(x: np.ndarray, cap: int = GRID_SAMPLE_CAP) -> np.ndarray:
-    if x.size <= cap:
-        return x
-    stride = int(np.ceil(x.size / cap))
-    return x[::stride]
 
 
 def calibrate_layer(
@@ -344,16 +432,14 @@ def calibrate_layer(
             a_params = QuantParams(scale_from_range(lo, hi, bits), bits)
     else:  # maxmin_grid
         w_params = grid_search_scale(weights, bits, cfg)
-        pooled = _thin(np.concatenate(batches))
-        a_params = grid_search_scale(pooled, bits, cfg)
+        info = grid_search_detail(np.concatenate(batches), bits, cfg)
+        return LayerCalibration(w_params, info.params, False, info.mse, info.maxmin_mse)
 
-    pooled = _thin(np.concatenate(batches))
-    if pooled.size and a_max > 0.0:
-        err = pooled - fake_quant(pooled.astype(np.float64), a_params)
-        a_mse = float(np.mean(err * err))
-        mm = QuantParams(scale_from_range(-a_max, a_max, bits), bits)
-        err = pooled - fake_quant(pooled.astype(np.float64), mm)
-        a_maxmin_mse = float(np.mean(err * err))
-    else:
-        a_mse = a_maxmin_mse = 0.0
+    if a_max == 0.0:
+        return LayerCalibration(w_params, a_params, fallback, 0.0, 0.0)
+    pooled = np.concatenate(batches).astype(np.float64)
+    nonzero = pooled != 0.0
+    a_mse = _direct_mse(pooled, nonzero, a_params)
+    mm = QuantParams(scale_from_range(-a_max, a_max, bits), bits)
+    a_maxmin_mse = a_mse if mm == a_params else _direct_mse(pooled, nonzero, mm)
     return LayerCalibration(w_params, a_params, fallback, a_mse, a_maxmin_mse)

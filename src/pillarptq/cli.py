@@ -159,6 +159,8 @@ def cmd_calibrate(args) -> None:
     if cfg.method == "lidar-ptq":
         raise ConfigError("calibrate expects method in {maxmin, entropy, maxmin_grid}")
     _require_shared_bits(cfg)
+    if cfg.bits_a == 32:
+        raise ConfigError("calibrate needs an integer bit-width; bits=32 is the float model")
     ds, net, ids, feats = _calibration_inputs(args, cfg)
     out = _out_dir(args)
     report_path = _guard(out / "calibration_report.txt", args.force)

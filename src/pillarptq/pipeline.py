@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import network
 from .autodiff import Tensor
-from .calib import _thin, calibrate_layer, grid_search_detail
+from .calib import SearchConfig, calibrate_layer, grid_search_detail
 from .config import PipelineConfig, TrainConfig
 from .detector import (
     DetectorOutput,
@@ -32,7 +32,7 @@ from .detector import (
 )
 from .evalharness import evaluate_model
 from .losses import LossWeights, PseudoLabels, make_pseudo_labels, pseudo_label_loss, pow2
-from .network import Network, layer_forward
+from .network import LayerSpec, Network, layer_forward
 from .optim import Adam
 from .quant import EPS_SCALE, QuantParams, RoundingOffsets
 
@@ -91,18 +91,35 @@ def pillar_features(dataset, frames: Sequence[str], cfg: GridConfig) -> List[np.
     return [pillarize(dataset.point_cloud(f), cfg).features for f in frames]
 
 
-def _inputs_to_layer(net: Network, feats: Sequence[np.ndarray], layer_name: str):
-    """Per-frame activation entering `layer_name` under the current net state."""
-    idx = net.layer_index(layer_name)
-    if idx == 0:
-        return [np.asarray(f, dtype=ad.current_dtype()) for f in feats]
-    prev = net.layers[idx - 1].name
-    out = []
-    for i in range(0, len(feats), FORWARD_CHUNK):
-        xb = np.stack(feats[i : i + FORWARD_CHUNK]).astype(ad.current_dtype())
-        t = network.forward(net, xb, stop_after=prev)
-        out.extend(np.ascontiguousarray(t.data[j]) for j in range(t.data.shape[0]))
-    return out
+def _layer_inputs(net: Network, feats: Sequence[np.ndarray]) -> Iterator[Tuple[LayerSpec, list]]:
+    """Yield each quantizable trunk layer of `net` in order, with the
+    per-frame activations entering it; one forward per trunk layer in all.
+
+    A layer runs on its inputs only once the caller resumes the generator, so
+    a layer the caller froze meanwhile passes on its int8 output. Frames are
+    batched FORWARD_CHUNK at a time, as for `network.forward`, so each input
+    is bitwise what `network.forward(net, chunk, stop_after=<previous layer>)`
+    returns in the net's state at that point.
+    """
+    names = quantizable_layers(net)
+    if not names:
+        return
+    last = net.layer_index(names[-1])
+    chunks = [
+        np.stack(feats[i : i + FORWARD_CHUNK]).astype(ad.current_dtype())
+        for i in range(0, len(feats), FORWARD_CHUNK)
+    ]
+    for idx, layer in enumerate(net.layers[: last + 1]):
+        if layer.name in names:
+            yield layer, [np.ascontiguousarray(c[j]) for c in chunks for j in range(c.shape[0])]
+        if idx < last:
+            chunks = [layer_forward(Tensor(c), layer).data for c in chunks]
+
+
+def _engine_scale(scale: float) -> float:
+    """`scale` rounded to the engine dtype, as run_lidar_ptq's scale Tensors
+    hold it when a layer is frozen."""
+    return float(np.asarray(scale, dtype=ad.current_dtype()))
 
 
 def _fp_final_outputs(net: Network, feats: Sequence[np.ndarray]):
@@ -239,24 +256,31 @@ def run_baseline_calibration(
         return fp_net.copy(), []
     if not calib_feats:
         raise PipelineError("empty calibration set")
-    from .calib import SearchConfig
 
     search = search or SearchConfig()
     qnet = fp_net.copy()
+    # maxmin_grid is run_lidar_ptq's initialization alone: each layer sees the
+    # output of the int8 layers before it and holds its scales at engine
+    # precision, as the `quantize` verb's model does. maxmin and entropy
+    # calibrate every layer on the float net's activations.
+    grid = method == "maxmin_grid"
     rows = []
-    for name in quantizable_layers(qnet):
-        layer = qnet.layer(name)
-        acts = _inputs_to_layer(fp_net, calib_feats, name)
+    for src, acts in _layer_inputs(qnet if grid else fp_net, calib_feats):
+        layer = qnet.layer(src.name)
         cal = calibrate_layer(acts, layer.weight, method=method, bits=bits, cfg=search)
-        layer.w_quant = cal.w_params
-        layer.a_quant = cal.a_params
+        w_params, a_params = cal.w_params, cal.a_params
+        if grid:
+            w_params = QuantParams(_engine_scale(w_params.scale), bits)
+            a_params = QuantParams(_engine_scale(a_params.scale), bits)
+        layer.w_quant = w_params
+        layer.a_quant = a_params
         layer.precision = "int8"
         rows.append(
             {
-                "layer": name,
+                "layer": layer.name,
                 "method": method,
-                "w_scale": cal.w_params.scale,
-                "a_scale": cal.a_params.scale,
+                "w_scale": w_params.scale,
+                "a_scale": a_params.scale,
                 "a_mse": cal.a_mse,
                 "a_maxmin_mse": cal.a_maxmin_mse,
                 "entropy_fallback": cal.entropy_fallback,
@@ -365,9 +389,8 @@ def run_lidar_ptq(
     n = len(calib_feats)
     score_idx = np.arange(min(cfg.score_frames, n))
 
-    for name in quantizable_layers(qnet):
-        layer = qnet.layer(name)
-        inputs = _inputs_to_layer(qnet, calib_feats, name)
+    for layer, inputs in _layer_inputs(qnet, calib_feats):
+        name = layer.name
         refs = _conv_refs(layer, inputs)
 
         def batch(idx):
@@ -375,7 +398,7 @@ def run_lidar_ptq(
             return x, np.stack([refs[i] for i in idx]), [labels[i] for i in idx]
 
         w_init = grid_search_detail(layer.weight, cfg.bits_w, cfg.search).params.scale
-        pooled = _thin(np.concatenate([a.ravel() for a in inputs]))
+        pooled = np.concatenate([a.ravel() for a in inputs])
         a_init = grid_search_detail(pooled, cfg.bits_a, cfg.search).params.scale
         params = {
             "s_w": Tensor(np.asarray(w_init), requires_grad=True),

@@ -2,6 +2,7 @@
 and builds its LiDAR-PTQ job from a dict of config fields; a rename on either
 side fails here instead of at benchmark time."""
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ if str(PERFBENCH) not in sys.path:
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
+from pillarptq import calib, pipeline  # noqa: E402
 from pillarptq.config import PipelineConfig  # noqa: E402
 
 
@@ -24,3 +26,11 @@ def test_ptq_job_config_builds():
     cfg = PipelineConfig(seed=1, **workloads.PTQ)
     for key, value in workloads.PTQ.items():
         assert getattr(cfg, key) == value
+
+
+def test_grid_search_calls_reach_the_traced_span():
+    # layers.py wraps grid_search_detail where pipeline looks it up, and its
+    # counter reads the tensor and the search config from these positions.
+    params = list(inspect.signature(calib.grid_search_detail).parameters)
+    assert params[:3] == ["x", "bits", "cfg"]
+    assert pipeline.grid_search_detail is calib.grid_search_detail

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pillarptq import calib
 from pillarptq.calib import (
     DEFAULT_BINS,
     CalibError,
@@ -92,6 +93,48 @@ def naive_grid_search(x: np.ndarray, bits: int, cfg: SearchConfig):
         if best_mse is None or mse < best_mse or (mse == best_mse and t > best_t):
             best_t, best_s, best_mse = float(t), float(s), mse
     return best_t, best_s, best_mse
+
+
+def brute_force_grid_search(x: np.ndarray, bits: int, cfg: SearchConfig):
+    """One fake_quant pass over the whole tensor per candidate; returns the
+    four fields a grid search reports."""
+    x = np.asarray(x, dtype=np.float64)
+    t_max = float(np.abs(x).max())
+    mse_of = {}
+    best = None
+    for t in candidate_thresholds(t_max, cfg):
+        s = scale_from_range(-t, t, bits)
+        err = x - fake_quant(x, QuantParams(s, bits))
+        mse_of[s] = float(np.mean(err * err))
+        if best is None or mse_of[s] < best[2] or (mse_of[s] == best[2] and t > best[0]):
+            best = (float(t), s, mse_of[s])
+    return best + (mse_of[scale_from_range(-t_max, t_max, bits)],)
+
+
+@st.composite
+def grid_inputs(draw):
+    """Tensors with exact zeros of both signs, duplicates, exact half-level
+    ties of one candidate's scale, and (when all-negative) values at the
+    -2^(bits-1) clamp, which only the negative side reaches."""
+    bits = draw(st.sampled_from([2, 3, 8, 16]))
+    cfg = SearchConfig(
+        T=draw(st.integers(1, 30)),
+        alpha=draw(st.sampled_from([0.01, 0.3, 1.0])),
+        beta=draw(st.sampled_from([1.0, 1.2])),
+    )
+    t_max = draw(st.floats(1e-6, 1e3))
+    x = [t_max * draw(st.sampled_from([1.0, -1.0]))]
+    x += [t_max * v for v in draw(st.lists(st.floats(-1.0, 1.0), max_size=40))]
+    scales = [scale_from_range(-t, t, bits) for t in candidate_thresholds(t_max, cfg)]
+    s = scales[draw(st.integers(0, len(scales) - 1))]
+    top = (1 << (bits - 1)) + 2
+    ties = ((k + 0.5) * s for k in draw(st.lists(st.integers(-top, top), max_size=20)))
+    x += [v for v in ties if abs(v) <= t_max]
+    x += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=10))
+    if draw(st.booleans()):
+        x = [-abs(v) for v in x]
+    x = np.asarray(x * draw(st.sampled_from([1, 8, 100])))
+    return x.astype(draw(st.sampled_from([np.float64, np.float32]))), bits, cfg
 
 
 # -- histograms -----------------------------------------------------------------------
@@ -287,6 +330,41 @@ class TestGridSearch:
         with pytest.raises(CalibError):
             grid_search_scale(np.array([np.nan]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_inputs())
+    def test_property_matches_brute_force_bitwise(self, case):
+        x, bits, cfg = case
+        info = grid_search_detail(x, bits=bits, cfg=cfg)
+        want_t, want_s, want_mse, want_maxmin = brute_force_grid_search(x, bits, cfg)
+        assert info.threshold == want_t
+        assert info.params == QuantParams(want_s, bits)
+        assert info.mse == want_mse
+        assert info.maxmin_mse == want_maxmin
+
+    @pytest.mark.parametrize("bits", [8, 32])
+    def test_scores_few_candidates_in_full(self, rng, monkeypatch, bits):
+        # At 8 bits the sorted sweep rules out all but a handful of the 101
+        # candidates; at 32 bits a level sweep would cost more than a direct
+        # pass, so each candidate is scored directly and no 2^31-level array
+        # is built.
+        x = np.maximum(rng.normal(size=20000), 0.0)
+        cfg = SearchConfig(T=100)
+        calls = []
+
+        def counting(values, p):
+            calls.append(values.size)
+            return fake_quant(values, p)
+
+        monkeypatch.setattr(calib, "fake_quant", counting)
+        info = grid_search_detail(x, bits=bits, cfg=cfg)
+        want_t, want_s, want_mse, want_maxmin = brute_force_grid_search(x, bits, cfg)
+        assert (info.threshold, info.params.scale, info.mse, info.maxmin_mse) == (
+            want_t, want_s, want_mse, want_maxmin
+        )
+        assert max(calls) == np.count_nonzero(x)  # the zeros are never quantized
+        if bits == 8:
+            assert len(calls) <= 4
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.lists(st.floats(-100, 100), min_size=8, max_size=64), t_seed=st.integers(0, 10))
     def test_property_grid_beats_or_ties_maxmin(self, data, t_seed):
@@ -348,6 +426,21 @@ class TestCalibrateLayer:
         res = calibrate_layer(acts, rng.normal(size=(2, 2, 1, 1)), method="maxmin")
         err = acts[0] - fake_quant(acts[0], res.a_params)
         assert res.a_mse == pytest.approx(float(np.mean(err**2)), rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["maxmin", "entropy", "maxmin_grid"])
+    def test_reported_mses_are_the_whole_tensor_formula(self, rng, method):
+        acts = [np.maximum(rng.normal(0, 1, (4, 30, 30)), 0.0).astype(np.float32) for _ in range(2)]
+        w = rng.normal(size=(2, 4, 3, 3))
+        res = calibrate_layer(acts, w, method=method, cfg=SearchConfig(T=20))
+        pooled = np.concatenate([a.ravel() for a in acts]).astype(np.float64)
+        a_max = float(np.abs(pooled).max())
+
+        def mse(p):
+            err = pooled - fake_quant(pooled, p)
+            return float(np.mean(err * err))
+
+        assert res.a_mse == mse(res.a_params)
+        assert res.a_maxmin_mse == mse(QuantParams(scale_from_range(-a_max, a_max, 8)))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(CalibError):

@@ -72,3 +72,28 @@ def test_calibration_arms_reject_mixed_bit_widths(
     assert code == 2
     assert "error[config]" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_calibrate_rejects_the_float_width(tiny_dataset, model_path, tmp_path, capsys):
+    code = _run(
+        "calibrate", tiny_dataset, model_path, tmp_path, "method=maxmin", "bits_w=32", "bits_a=32"
+    )
+    assert code == 2
+    assert "error[config]: calibrate needs an integer bit-width" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_maxmin_grid_report_shows_the_quantized_scales(
+    tiny_dataset, tiny_net, model_path, tmp_path
+):
+    report, quantized = tmp_path / "calibrate", tmp_path / "quantize"
+    assert _run("calibrate", tiny_dataset, model_path, report, "method=maxmin_grid") == 0
+    assert _run("quantize", tiny_dataset, model_path, quantized, "method=maxmin_grid") == 0
+    qnet = load_model(quantized / "quantized.ptqf")
+    rows = (report / "calibration_report.txt").read_text().splitlines()
+    assert len(rows) == len(quantizable_layers(tiny_net))
+    for r in rows:
+        fields = dict(kv.split("=", 1) for kv in r.split())
+        layer = qnet.layer(fields["layer"])
+        assert fields["w_scale"] == f"{layer.w_quant.scale:.10g}"
+        assert fields["a_scale"] == f"{layer.a_quant.scale:.10g}"

@@ -6,12 +6,22 @@ whole module runs in seconds; each check holds at any job size.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from pillarptq import autodiff as ad
+from pillarptq import network
+from pillarptq.calib import calibrate_layer
 from pillarptq.config import PipelineConfig
 from pillarptq.detector import fp_exempt_layers, quantizable_layers
 from pillarptq.modelio import save_model
-from pillarptq.pipeline import PipelineError, run_baseline_calibration, run_lidar_ptq
+from pillarptq.pipeline import (
+    FORWARD_CHUNK,
+    PipelineError,
+    _layer_inputs,
+    run_baseline_calibration,
+    run_lidar_ptq,
+)
 
 SMALL = PipelineConfig(
     calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
@@ -95,6 +105,27 @@ class TestLidarPTQ:
         qnet, _ = small_job
         with pytest.raises(PipelineError, match="fully float"):
             run_lidar_ptq(qnet, tiny_calib_feats, SMALL, grid_cfg)
+
+
+def test_layer_inputs_match_forward_on_a_partly_frozen_net(tiny_net, tiny_calib_feats):
+    # Three chunks of frames, the last one short; the first quantizable layer
+    # is frozen at int8 once its inputs are seen, so later layers see its
+    # int8 output, as in run_lidar_ptq.
+    net = tiny_net.copy()
+    feats = list(tiny_calib_feats) * 5
+    seen = []
+    for layer, inputs in _layer_inputs(net, feats):
+        prev = net.layers[net.layer_index(layer.name) - 1].name
+        want = []
+        for i in range(0, len(feats), FORWARD_CHUNK):
+            xb = np.stack(feats[i : i + FORWARD_CHUNK]).astype(ad.current_dtype())
+            want.extend(network.forward(net, xb, stop_after=prev).data)
+        assert [a.tobytes() for a in inputs] == [w.tobytes() for w in want]
+        if not seen:
+            cal = calibrate_layer(inputs, layer.weight, method="maxmin")
+            layer.w_quant, layer.a_quant, layer.precision = cal.w_params, cal.a_params, "int8"
+        seen.append(layer.name)
+    assert seen == quantizable_layers(net)
 
 
 class TestBaselineCalibration:
