@@ -27,7 +27,7 @@ from .calib import (
     maxmin_range,
     merge_histograms,
 )
-from .network import LayerSpec, Network, NetworkError, fold_batchnorm
+from .network import LayerSpec, Network, NetworkError
 from .detector import (
     Box3D,
     DetectorOutput,

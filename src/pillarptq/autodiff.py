@@ -1,10 +1,25 @@
 """Reverse-mode tape over numpy arrays.
 
 Covers exactly the ops the detector and the quantization losses need:
-elementwise arithmetic, relu/sigmoid/log/abs/clip, sum/mean reductions,
-2-D convolution (im2col + BLAS matmul), and a fake-quantization node with
+elementwise arithmetic, relu/sigmoid/log/abs/clip, a sum reduction, 2-D
+convolution (im2col + BLAS matmul), and a fake-quantization node with
 straight-through gradients for the input, the scale, and the per-weight
 rounding offsets.
+
+A vjp may return None for a parent that needs no gradient (`requires_grad`
+False); `Tensor.backward` skips it. `conv2d` and `mul` do so, so a constant
+weight, bias or mask costs no gradient GEMM or product.
+
+Convolution builds its patch matrix in one copy: the strided windows are
+viewed as (C, kh, kw, B, Ho, Wo) and reshaped straight into the (C*kh*kw,
+B*Ho*Wo) GEMM operand. Its adjoint scatter-adds w.T @ g into a (C, B, Hp, Wp)
+buffer and returns the cropped buffer as a (B, C, H, W) view. Outputs and
+gradients are bitwise those of a per-sample (B, C*kh*kw, Ho*Wo) im2col (the
+reference in tests/test_autodiff.py): the GEMMs read the same operands in the
+same layout, and every input cell receives its patch gradients in the same
+(i, j) order. The exception is a 1x1 output map, where the per-sample patch
+matrix is a column-major view and BLAS may sum in another order; the two agree
+to rounding there, and the detector has no such layer.
 
 Engine math runs in `current_dtype()` (float32 by default; tests switch to
 float64 via `using_dtype`).
@@ -178,8 +193,8 @@ def mul(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return Tensor._from_op(out, (a, b), vjp)
@@ -261,60 +276,15 @@ def tsum(a) -> Tensor:
     return Tensor._from_op(out, (a,), vjp)
 
 
-def tmean(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size
-    out = np.asarray(a.data.mean())
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
-
-    return Tensor._from_op(out, (a,), vjp)
-
-
-def tsum_axes(a, axes) -> Tensor:
-    """Sum over `axes`, keeping the reduced dimensions as size 1."""
-    a = as_tensor(a)
-    axes = tuple(int(ax) for ax in axes)
-    out = a.data.sum(axis=axes, keepdims=True)
-
-    def vjp(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return Tensor._from_op(out, (a,), vjp)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
-
-    return Tensor._from_op(out, (a,), vjp)
-
-
-def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate (B, C, H, W) tensors along the channel axis."""
-    parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
-
-    def vjp(g):
-        grads, at = [], 0
-        for n in sizes:
-            grads.append(g[:, at : at + n])
-            at += n
-        return tuple(grads)
-
-    return Tensor._from_op(out, tuple(parts), vjp)
-
-
 # -- convolution -------------------------------------------------------------------
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """(B, C, H, W) -> (B, C*kh*kw, Ho*Wo) patch matrix."""
+    """(B, C, H, W) -> (C*kh*kw, B*Ho*Wo) patch matrix, in one copy.
+
+    The windows are an `as_strided` view already ordered (C, kh, kw, B, Ho,
+    Wo), so the one reshape lays them out as the GEMM operand.
+    """
     b, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -323,33 +293,38 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
-        shape=(b, c, kh, kw, ho, wo),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        shape=(c, kh, kw, b, ho, wo),
+        strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
         writeable=False,
     )
-    return windows.reshape(b, c * kh * kw, ho * wo), ho, wo
+    return windows.reshape(c * kh * kw, b * ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int):
-    """Adjoint of _im2col: scatter-add patch gradients back onto the input."""
+    """Adjoint of _im2col: scatter-add the (C*kh*kw, B*Ho*Wo) patch gradient
+    back onto the input, returned as a (B, C, H, W) view of a (C, B, ...) buffer."""
     b, c, h, w = x_shape
     hp, wp = h + 2 * pad, w + 2 * pad
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    out = np.zeros((b, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(b, c, kh, kw, ho, wo)
+    out = np.zeros((c, b, hp, wp), dtype=cols.dtype)
+    cols = cols.reshape(c, kh, kw, b, ho, wo)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += cols[
-                :, :, i, j
-            ]
-    if pad:
-        out = out[:, :, pad : hp - pad, pad : wp - pad]
-    return out
+            out[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += cols[:, i, j]
+    return out[:, :, pad : hp - pad, pad : wp - pad].transpose(1, 0, 2, 3)
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 2-D cross-correlation: (B,Cin,H,W) x (Cout,Cin,kh,kw) -> (B,Cout,Ho,Wo)."""
+    """Batched 2-D cross-correlation: (B,Cin,H,W) x (Cout,Cin,kh,kw) -> (B,Cout,Ho,Wo).
+
+    One BLAS call, (Cout, K) @ (K, B*P) with K = Cin*kh*kw and P = Ho*Wo, on
+    the patch matrix `_im2col` builds in its single copy. The vjp returns None
+    for each of x, weight and bias that needs no gradient, and the patch
+    matrix is kept for the backward pass only when the weight needs one.
+    Outputs and gradients are bitwise the per-sample im2col's: the same GEMM
+    operands and the same scatter-add order (see the module docstring).
+    """
     x, weight = as_tensor(x), as_tensor(weight)
     if bias is not None:
         bias = as_tensor(bias)
@@ -362,29 +337,27 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             f"channel mismatch: input {x.data.shape} vs weight {weight.data.shape}"
         )
     cout, cin, kh, kw = weight.data.shape
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+    flat, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     w2 = weight.data.reshape(cout, cin * kh * kw)
     bsz = x.data.shape[0]
-    # One BLAS call: (cout, K) @ (K, B*P)
-    flat = cols.transpose(1, 0, 2).reshape(cin * kh * kw, bsz * ho * wo)
     out = (w2 @ flat).reshape(cout, bsz, ho * wo).transpose(1, 0, 2)
     out = out.reshape(bsz, cout, ho, wo)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
+    # The patch matrix is needed again only for the weight gradient.
+    patches = flat if weight.requires_grad else None
 
     def vjp(g):
         gflat = g.reshape(bsz, cout, ho * wo)
         gout = gflat.transpose(1, 0, 2).reshape(cout, bsz * ho * wo)
-        gw = gout @ flat.T
-        gx = None
+        gx = gw = gb = None
         if x.requires_grad:
-            gcols = (w2.T @ gout).reshape(cin * kh * kw, bsz, ho * wo).transpose(1, 0, 2)
-            gx = _col2im(gcols, x.data.shape, kh, kw, stride, padding)
-        gb = gflat.sum(axis=(0, 2)) if bias is not None else None
-        grads = [gx, gw.reshape(weight.data.shape)]
-        if bias is not None:
-            grads.append(gb)
-        return tuple(grads)
+            gx = _col2im(w2.T @ gout, x.data.shape, kh, kw, stride, padding)
+        if patches is not None:
+            gw = (gout @ patches.T).reshape(weight.data.shape)
+        if bias is not None and bias.requires_grad:
+            gb = gflat.sum(axis=(0, 2))
+        return (gx, gw) if bias is None else (gx, gw, gb)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._from_op(out, parents, vjp)

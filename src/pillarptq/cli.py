@@ -146,11 +146,16 @@ def _calibration_inputs(args, cfg: PipelineConfig):
 
 
 def _require_shared_bits(cfg: PipelineConfig) -> None:
-    """The calibration-only arms quantize weights and activations at one width."""
+    """The calibration-only arms quantize weights and activations at one
+    integer width; bits=32 would leave every layer float."""
     if cfg.bits_w != cfg.bits_a:
         raise ConfigError(
             f"method {cfg.method} uses one bit-width for weights and activations, "
             f"got bits_w={cfg.bits_w} and bits_a={cfg.bits_a}"
+        )
+    if cfg.bits_a == 32:
+        raise ConfigError(
+            f"method {cfg.method} needs an integer bit-width; bits=32 is the float model"
         )
 
 
@@ -159,8 +164,6 @@ def cmd_calibrate(args) -> None:
     if cfg.method == "lidar-ptq":
         raise ConfigError("calibrate expects method in {maxmin, entropy, maxmin_grid}")
     _require_shared_bits(cfg)
-    if cfg.bits_a == 32:
-        raise ConfigError("calibrate needs an integer bit-width; bits=32 is the float model")
     ds, net, ids, feats = _calibration_inputs(args, cfg)
     out = _out_dir(args)
     report_path = _guard(out / "calibration_report.txt", args.force)

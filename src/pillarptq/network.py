@@ -1,10 +1,8 @@
-"""Conv layers with attached fake-quantizers, batch-norm folding, and
-forward/backward over an ordered layer stack.
+"""Conv layers with attached fake-quantizers, and forward/backward over an
+ordered layer stack.
 
 A layer in "int8" mode fake-quantizes its input and its weights before the
-convolution; "fp" mode ignores all quantization state. Batch-norm is always
-folded into weight/bias before quantization starts, so LayerSpec never
-carries live BN parameters.
+convolution; "fp" mode ignores all quantization state.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ class NetworkError(ValueError):
 
 @dataclass
 class LayerSpec:
-    """One conv layer (BN pre-folded) plus its per-layer quantization state."""
+    """One conv layer plus its per-layer quantization state."""
 
     name: str
     weight: np.ndarray  # (out_ch, in_ch, kh, kw)
@@ -192,16 +190,6 @@ def forward(net: Network, x, stop_after: Optional[str] = None) -> Tensor:
     return t
 
 
-def forward_collect(net: Network, x) -> Dict[str, np.ndarray]:
-    """Trunk forward capturing every layer's (post-activation) output."""
-    t = ad.as_tensor(x)
-    acts: Dict[str, np.ndarray] = {}
-    for layer in net.layers:
-        t = layer_forward(t, layer)
-        acts[layer.name] = t.data
-    return acts
-
-
 def backward(loss: Tensor, params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
     """Reverse-mode gradients of a scalar loss for the designated parameters."""
     on_trace = set()
@@ -219,35 +207,3 @@ def backward(loss: Tensor, params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
         p.zero_grad()
     loss.backward()
     return {name: p.grad for name, p in params.items()}
-
-
-# -- batch-norm folding ---------------------------------------------------------------
-
-
-def fold_batchnorm(
-    conv_w: np.ndarray,
-    conv_b: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    mean: np.ndarray,
-    var: np.ndarray,
-    eps: float = 1e-5,
-):
-    """Fold a per-channel batch-norm into the preceding conv's weight and bias.
-
-    w' = w * gamma / sqrt(var + eps)   (per output channel)
-    b' = (b - mean) * gamma / sqrt(var + eps) + beta
-    """
-    conv_w = np.asarray(conv_w)
-    out_ch = conv_w.shape[0]
-    for nm, arr in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
-        arr = np.asarray(arr)
-        if arr.shape != (out_ch,):
-            raise NetworkError(f"fold_batchnorm: {nm} shape {arr.shape} != ({out_ch},)")
-    var = np.asarray(var)
-    if (var < 0).any():
-        raise NetworkError("fold_batchnorm: negative variance")
-    factor = np.asarray(gamma) / np.sqrt(var + eps)
-    w = conv_w * factor.reshape(-1, 1, 1, 1)
-    b = (np.asarray(conv_b) - np.asarray(mean)) * factor + np.asarray(beta)
-    return w.astype(conv_w.dtype), b.astype(conv_w.dtype)

@@ -6,6 +6,8 @@ step is not drowned by float32 noise.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pillarptq.autodiff as ad
 from pillarptq.autodiff import Tensor
@@ -173,37 +175,6 @@ class TestGradientsAgainstFiniteDifferences:
         x = np.array([-2.0, -0.4, 0.3, 1.8])
         check_op(lambda a: ad.tsum(ad.clip(a, -1.0, 1.0)), [x])
 
-    def test_tsum_tmean(self, rng):
-        check_op(lambda a: ad.tsum(a), [rng.normal(size=(2, 5))])
-        check_op(lambda a: ad.tmean(a), [rng.normal(size=(2, 5))])
-
-    def test_tsum_axes_keeps_reduced_dims(self, rng):
-        x = rng.normal(size=(2, 3, 4, 5))
-        with ad.using_dtype(F64):
-            out = ad.tsum_axes(Tensor(x), (0, 2, 3))
-            assert out.shape == (1, 3, 1, 1)
-            np.testing.assert_allclose(
-                out.data, x.sum(axis=(0, 2, 3), keepdims=True)
-            )
-        check_op(
-            lambda a: ad.tsum(ad.mul(ad.tsum_axes(a, (0, 2, 3)), ad.tsum_axes(a, (0, 2, 3)))),
-            [x * 0.1],
-        )
-
-    def test_reshape(self, rng):
-        check_op(
-            lambda a: ad.tsum(ad.pow_const(ad.reshape(a, (6,)), 2.0)),
-            [rng.normal(size=(2, 3))],
-        )
-
-    def test_concat_channels(self, rng):
-        a = rng.normal(size=(1, 2, 3, 3))
-        b = rng.normal(size=(1, 1, 3, 3))
-        check_op(
-            lambda t1, t2: ad.tsum(ad.pow_const(ad.concat_channels([t1, t2]), 2.0)),
-            [a, b],
-        )
-
     def test_sigmoid_saturates_without_overflow(self):
         x = Tensor(np.array([-1000.0, 1000.0]))
         with np.errstate(over="raise"):
@@ -260,6 +231,176 @@ class TestConv2d:
         with ad.using_dtype(F64):
             out = ad.conv2d(Tensor(x), Tensor(w), None, 1, 0)
         np.testing.assert_allclose(out.data, naive_conv2d(x, w, None, 1, 0), rtol=1e-12)
+
+
+# -- the per-sample im2col conv, the reference the library conv must match bitwise ---
+
+
+def ref_im2col(x, kh, kw, stride, pad):
+    """(B, C, H, W) -> (B, C*kh*kw, Ho*Wo) patch matrix."""
+    b, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(b, c, kh, kw, ho, wo),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+    return windows.reshape(b, c * kh * kw, ho * wo), ho, wo
+
+
+def ref_col2im(cols, x_shape, kh, kw, stride, pad):
+    b, c, h, w = x_shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    out = np.zeros((b, c, hp, wp), dtype=cols.dtype)
+    cols = cols.reshape(b, c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += cols[
+                :, :, i, j
+            ]
+    if pad:
+        out = out[:, :, pad : hp - pad, pad : wp - pad]
+    return out
+
+
+def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
+    x, weight = ad.as_tensor(x), ad.as_tensor(weight)
+    if bias is not None:
+        bias = ad.as_tensor(bias)
+    cout, cin, kh, kw = weight.data.shape
+    cols, ho, wo = ref_im2col(x.data, kh, kw, stride, padding)
+    w2 = weight.data.reshape(cout, cin * kh * kw)
+    bsz = x.data.shape[0]
+    flat = cols.transpose(1, 0, 2).reshape(cin * kh * kw, bsz * ho * wo)
+    out = (w2 @ flat).reshape(cout, bsz, ho * wo).transpose(1, 0, 2)
+    out = out.reshape(bsz, cout, ho, wo)
+    if bias is not None:
+        out = out + bias.data.reshape(1, cout, 1, 1)
+
+    def vjp(g):
+        gflat = g.reshape(bsz, cout, ho * wo)
+        gout = gflat.transpose(1, 0, 2).reshape(cout, bsz * ho * wo)
+        gw = gout @ flat.T
+        gx = None
+        if x.requires_grad:
+            gcols = (w2.T @ gout).reshape(cin * kh * kw, bsz, ho * wo).transpose(1, 0, 2)
+            gx = ref_col2im(gcols, x.data.shape, kh, kw, stride, padding)
+        gb = gflat.sum(axis=(0, 2)) if bias is not None else None
+        grads = [gx, gw.reshape(weight.data.shape)]
+        if bias is not None:
+            grads.append(gb)
+        return tuple(grads)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._from_op(out, parents, vjp)
+
+
+def assert_bitwise(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def run_conv(conv, arrays, needs_grad, upstream, stride, pad):
+    """Output and x/w/b gradients of sum(conv(...) * upstream)."""
+    tensors = [
+        None if a is None else Tensor(a, requires_grad=r) for a, r in zip(arrays, needs_grad)
+    ]
+    out = conv(*tensors, stride, pad)
+    if out.requires_grad:
+        ad.tsum(ad.mul(out, Tensor(upstream))).backward()
+    return out.data, [None if t is None else t.grad for t in tensors]
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from([1, 3]))
+    stride, pad = draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, 1]))
+    lo = max(1, k - 2 * pad)
+    h, w = draw(st.integers(lo, 9)), draw(st.integers(lo, 9))
+    b, cin, cout = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return dict(
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        shape=(b, cin, h, w),
+        w_shape=(cout, cin, k, k),
+        stride=stride,
+        pad=pad,
+        # a (C, B, H, W) buffer seen as (B, C, H, W): the layout of a conv's input gradient
+        transposed_input=draw(st.booleans()),
+        with_bias=draw(st.booleans()),
+        needs_grad=draw(st.tuples(st.booleans(), st.booleans(), st.booleans())),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=conv_cases())
+def test_conv_matches_the_per_sample_im2col_bitwise(case):
+    rng = np.random.default_rng(case["seed"])
+    dtype, (b, cin, h, w) = case["dtype"], case["shape"]
+    if case["transposed_input"]:
+        x = rng.normal(size=(cin, b, h, w)).astype(dtype).transpose(1, 0, 2, 3)
+    else:
+        x = rng.normal(size=(b, cin, h, w)).astype(dtype)
+    weight = rng.normal(size=case["w_shape"]).astype(dtype)
+    bias = rng.normal(size=case["w_shape"][0]).astype(dtype) if case["with_bias"] else None
+    stride, pad = case["stride"], case["pad"]
+    ho = (h + 2 * pad - weight.shape[2]) // stride + 1
+    wo = (w + 2 * pad - weight.shape[3]) // stride + 1
+    upstream = rng.normal(size=(b, weight.shape[0], ho, wo)).astype(dtype)
+    args = ((x, weight, bias), case["needs_grad"], upstream, stride, pad)
+    with ad.using_dtype(dtype):
+        want_out, want_grads = run_conv(ref_conv2d, *args)
+        got_out, got_grads = run_conv(ad.conv2d, *args)
+    if ho * wo == 1:
+        # The reference's patch matrix is then a column-major view, so BLAS may
+        # sum in another order: equal to rounding, not bitwise.
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(got_out, want_out, rtol=tol, atol=tol)
+        for got, want in zip(got_grads, want_grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+        return
+    assert_bitwise(got_out, want_out)
+    for got, want in zip(got_grads, want_grads):
+        assert_bitwise(got, want)
+
+
+def test_conv_vjp_skips_constant_weight_and_bias(rng):
+    x = rng.normal(size=(3, 2, 5, 5))
+    w, b = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4)
+    upstream = rng.normal(size=(3, 4, 3, 3))
+    with ad.using_dtype(F64):
+        tensors = Tensor(x, requires_grad=True), Tensor(w), Tensor(b)
+        gx, gw, gb = ad.conv2d(*tensors, 2, 1)._vjp(upstream)
+        want_gx = ref_conv2d(*tensors, 2, 1)._vjp(upstream)[0]
+        args = ((x, w, b), (True, False, False), upstream, 2, 1)
+        _, want = run_conv(ref_conv2d, *args)
+        _, got = run_conv(ad.conv2d, *args)
+    assert gw is None and gb is None
+    assert_bitwise(gx, want_gx)
+    assert_bitwise(got[0], want[0])
+
+
+def test_mul_vjp_skips_constant_parent():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = Tensor(np.array([3.0, 4.0]))
+    ga, gc = ad.mul(a, c)._vjp(np.ones(2))
+    np.testing.assert_array_equal(ga, [3.0, 4.0])
+    assert gc is None
+    gc, ga = ad.mul(c, a)._vjp(np.ones(2))
+    assert gc is None
+    np.testing.assert_array_equal(ga, [3.0, 4.0])
 
 
 # -- straight-through fake quantization ----------------------------------------------------

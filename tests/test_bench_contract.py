@@ -13,7 +13,7 @@ if str(PERFBENCH) not in sys.path:
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
-from pillarptq import calib, pipeline  # noqa: E402
+from pillarptq import autodiff, calib, pipeline  # noqa: E402
 from pillarptq.config import PipelineConfig  # noqa: E402
 
 
@@ -34,3 +34,9 @@ def test_grid_search_calls_reach_the_traced_span():
     params = list(inspect.signature(calib.grid_search_detail).parameters)
     assert params[:3] == ["x", "bits", "cfg"]
     assert pipeline.grid_search_detail is calib.grid_search_detail
+
+
+def test_conv_weight_is_where_the_gmac_counter_reads_it():
+    # layers._conv_gmac reads the weight as the second positional argument.
+    params = list(inspect.signature(autodiff.conv2d).parameters)
+    assert params[:5] == ["x", "weight", "bias", "stride", "padding"]

@@ -75,12 +75,16 @@ def test_calibration_arms_reject_mixed_bit_widths(
 
 
 def test_calibrate_rejects_the_float_width(tiny_dataset, model_path, tmp_path, capsys):
-    code = _run(
-        "calibrate", tiny_dataset, model_path, tmp_path, "method=maxmin", "bits_w=32", "bits_a=32"
-    )
-    assert code == 2
-    assert "error[config]: calibrate needs an integer bit-width" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    # calibrate and the calibration-only quantize arms share one rule
+    for verb, method in [("calibrate", "maxmin"), ("quantize", "maxmin"), ("quantize", "entropy")]:
+        out = tmp_path / f"{verb}-{method}"
+        code = _run(
+            verb, tiny_dataset, model_path, out, f"method={method}", "bits_w=32", "bits_a=32"
+        )
+        assert code == 2, (verb, method)
+        err = capsys.readouterr().err
+        assert f"error[config]: method {method} needs an integer bit-width" in err
+        assert not out.exists()
 
 
 def test_maxmin_grid_report_shows_the_quantized_scales(

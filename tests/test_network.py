@@ -1,4 +1,4 @@
-"""Layer/network container tests plus batch-norm folding against a direct oracle."""
+"""Layer/network container tests."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,7 @@ from pillarptq.network import (
     Network,
     NetworkError,
     backward,
-    fold_batchnorm,
     forward,
-    forward_collect,
     layer_forward,
     quantized_weight,
 )
@@ -184,9 +182,10 @@ class TestForward:
     def test_stop_after_matches_collect(self, rng):
         net = self.build()
         x = rng.normal(size=(1, 3, 6, 6)).astype(np.float32)
-        acts = forward_collect(net, x)
-        np.testing.assert_array_equal(acts["c0"], forward(net, x, stop_after="c0").data)
-        np.testing.assert_array_equal(acts["c1"], forward(net, x).data)
+        c0 = layer_forward(Tensor(x), net.layers[0])
+        c1 = layer_forward(c0, net.layers[1])
+        np.testing.assert_array_equal(c0.data, forward(net, x, stop_after="c0").data)
+        np.testing.assert_array_equal(c1.data, forward(net, x).data)
         with pytest.raises(NetworkError):
             forward(net, x, stop_after="zz")
 
@@ -200,48 +199,3 @@ class TestForward:
             backward(loss, {"w": w, "stray": stray})
         grads = backward(loss, {"w": w})
         assert grads["w"].shape == w.data.shape
-
-
-# -- batch-norm folding -----------------------------------------------------------------------
-
-
-class TestFoldBatchnorm:
-    def test_folded_conv_equals_conv_then_norm(self, rng):
-        for trial in range(10):
-            r = np.random.default_rng(trial)
-            cout, cin = int(r.integers(1, 6)), int(r.integers(1, 5))
-            k = int(r.choice([1, 3]))
-            w = r.normal(0, 1, (cout, cin, k, k))
-            b = r.normal(0, 1, cout)
-            gamma = r.normal(1, 0.3, cout)
-            beta = r.normal(0, 0.5, cout)
-            mean = r.normal(0, 1, cout)
-            var = np.abs(r.normal(1, 0.5, cout))
-            eps = 1e-5
-
-            wf, bf = fold_batchnorm(w, b, gamma, beta, mean, var, eps)
-            x = r.normal(0, 2, (2, cin, 5, 5))
-            with ad.using_dtype(np.float64):
-                raw = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), 1, k // 2).data
-                folded = ad.conv2d(Tensor(x), Tensor(wf), Tensor(bf), 1, k // 2).data
-            normed = (
-                gamma.reshape(1, -1, 1, 1)
-                * (raw - mean.reshape(1, -1, 1, 1))
-                / np.sqrt(var.reshape(1, -1, 1, 1) + eps)
-                + beta.reshape(1, -1, 1, 1)
-            )
-            np.testing.assert_allclose(folded, normed, atol=1e-10)
-
-    def test_identity_norm_is_a_no_op(self):
-        w = np.ones((2, 1, 1, 1))
-        b = np.array([0.5, -0.5])
-        wf, bf = fold_batchnorm(w, b, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), 0.0)
-        np.testing.assert_allclose(wf, w)
-        np.testing.assert_allclose(bf, b)
-
-    def test_rejects_bad_shapes_and_negative_variance(self):
-        w, b = np.ones((2, 1, 1, 1)), np.zeros(2)
-        with pytest.raises(NetworkError):
-            fold_batchnorm(w, b, np.ones(3), np.zeros(2), np.zeros(2), np.ones(2))
-        with pytest.raises(NetworkError):
-            fold_batchnorm(w, b, np.ones(2), np.zeros(2), np.zeros(2), -np.ones(2))
