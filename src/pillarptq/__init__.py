@@ -6,12 +6,10 @@ from .quant import (
     EPS_SCALE,
     QuantError,
     QuantParams,
-    RoundingOffsets,
     dequantize,
     fake_quant,
     quantize,
     round_half_away,
-    round_trip_error_bound,
     scale_from_range,
 )
 from .calib import (
@@ -22,10 +20,8 @@ from .calib import (
     calibrate_layer,
     entropy_threshold,
     grid_search_detail,
-    grid_search_scale,
     kl_divergence,
     maxmin_range,
-    merge_histograms,
 )
 from .network import LayerSpec, Network, NetworkError
 from .detector import (
@@ -45,11 +41,9 @@ from .losses import (
     PseudoLabels,
     focal_loss,
     l1_reg_loss,
-    local_recon_loss,
     make_pseudo_labels,
     pseudo_label_loss,
     render_targets,
-    total_loss,
 )
 from .scenegen import SceneSpec, generate_scene
 from .dataset import Dataset, FileAudit, generate_dataset, load_point_cloud, save_point_cloud

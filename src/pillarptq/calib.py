@@ -51,8 +51,7 @@ class SearchConfig:
 @dataclass
 class Histogram:
     bin_counts: np.ndarray  # int64, length N
-    bin_width: float
-    origin: float = 0.0  # left edge of bin 0
+    bin_width: float  # bin 0 starts at 0
 
     def __post_init__(self):
         self.bin_counts = np.asarray(self.bin_counts, dtype=np.int64)
@@ -102,26 +101,6 @@ def build_histogram(x: np.ndarray, n_bins: int = DEFAULT_BINS) -> Histogram:
         )
     counts, edges = np.histogram(np.abs(x), bins=n_bins, range=(0.0, hi))
     return Histogram(counts.astype(np.int64), bin_width=float(edges[1] - edges[0]))
-
-
-def histogram_fixed_range(x: np.ndarray, n_bins: int, hi: float) -> Histogram:
-    """Histogram of |x| over a caller-fixed [0, hi]; lets per-batch histograms share bins."""
-    if not hi > 0:
-        raise CalibError(f"histogram range must be > 0, got {hi}")
-    counts, edges = np.histogram(np.abs(np.asarray(x)), bins=n_bins, range=(0.0, hi))
-    return Histogram(counts.astype(np.int64), bin_width=float(edges[1] - edges[0]))
-
-
-def merge_histograms(a: Histogram, b: Histogram) -> Histogram:
-    """Sum counts of two histograms over the identical binning."""
-    if a.n_bins != b.n_bins:
-        raise CalibError(f"bin-count mismatch: {a.n_bins} vs {b.n_bins}")
-    if not (
-        np.isclose(a.bin_width, b.bin_width, rtol=1e-12)
-        and np.isclose(a.origin, b.origin, rtol=1e-12, atol=1e-300)
-    ):
-        raise CalibError("histograms use different bin geometry; cannot merge")
-    return Histogram(a.bin_counts + b.bin_counts, a.bin_width, a.origin)
 
 
 # -- entropy calibration --------------------------------------------------------------
@@ -192,7 +171,7 @@ def entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
     nonzero = np.flatnonzero(h.bin_counts)
     if nonzero.size == 1 and nonzero[0] < levels:
         # Everything sits in one low bin: a KL scan is meaningless, cover it.
-        t = h.origin + (int(nonzero[0]) + 1) * h.bin_width
+        t = (int(nonzero[0]) + 1) * h.bin_width
         return EntropyResult(t, (-t, t), fallback=True)
 
     counts = h.bin_counts
@@ -202,7 +181,7 @@ def entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
         kl = kl_divergence(ref, cand)
         if kl < best_kl:
             best_kl, best_i = kl, i
-    t = h.origin + (best_i + 0.5) * h.bin_width
+    t = (best_i + 0.5) * h.bin_width
     return EntropyResult(t, (-t, t), fallback=False)
 
 
@@ -329,9 +308,9 @@ def grid_search_detail(
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
-        raise CalibError("grid_search_scale: empty tensor")
+        raise CalibError("grid_search_detail: empty tensor")
     if not np.isfinite(x).all():
-        raise CalibError("grid_search_scale: non-finite values")
+        raise CalibError("grid_search_detail: non-finite values")
     t_max = float(np.abs(x).max())
     if t_max == 0.0:
         p = QuantParams(scale=EPS_SCALE, bits=bits)
@@ -352,14 +331,6 @@ def grid_search_detail(
     p = QuantParams(scale=scales[best], bits=bits)
     maxmin_mse = mse(scale_from_range(-t_max, t_max, bits))
     return GridSearchInfo(p, float(thresholds[best]), mse(p.scale), maxmin_mse, degenerate=False)
-
-
-def grid_search_scale(
-    x: np.ndarray,
-    bits: int = 8,
-    cfg: SearchConfig = SearchConfig(),
-) -> QuantParams:
-    return grid_search_detail(x, bits, cfg).params
 
 
 # -- per-layer dispatch ---------------------------------------------------------------
@@ -419,19 +390,13 @@ def calibrate_layer(
             # they say nothing about where to clip; with sparse BEV maps they
             # would otherwise swamp bin 0 and drag the threshold to the
             # smallest candidate.
-            hist = None
-            for b in batches:
-                nz = b[b != 0.0]
-                if nz.size == 0:
-                    continue
-                part = histogram_fixed_range(nz, n_bins, a_max)
-                hist = part if hist is None else merge_histograms(hist, part)
-            res = entropy_threshold(hist, bits)
+            nonzeros = np.concatenate([b[b != 0.0] for b in batches])
+            res = entropy_threshold(build_histogram(nonzeros, n_bins), bits)
             fallback = res.fallback
             lo, hi = res.quant_range
             a_params = QuantParams(scale_from_range(lo, hi, bits), bits)
     else:  # maxmin_grid
-        w_params = grid_search_scale(weights, bits, cfg)
+        w_params = grid_search_detail(weights, bits, cfg).params
         info = grid_search_detail(np.concatenate(batches), bits, cfg)
         return LayerCalibration(w_params, info.params, False, info.mse, info.maxmin_mse)
 

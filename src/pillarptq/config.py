@@ -186,12 +186,3 @@ def build_config(cls, mapping: Dict[str, str]):
         raise
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-
-def load_config(cls, path=None, overrides: Dict[str, str] = None):
-    mapping: Dict[str, str] = {}
-    if path is not None:
-        mapping.update(parse_kv_file(path))
-    if overrides:
-        mapping.update(overrides)
-    return build_config(cls, mapping)

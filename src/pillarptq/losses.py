@@ -1,6 +1,7 @@
 """Loss stack for scale fine-tuning: pseudo-labels rendered from the float
 model's detections, penalty-reduced focal loss on the center heatmap, masked
-L1 on box regression, and the local conv-reconstruction term.
+L1 on box regression, and the weights that combine them with the local
+conv-reconstruction term (computed in `pipeline._layer_losses`).
 
 No ground-truth label ever enters this module's pipeline path; the float
 model's own post-NMS detections are the only supervision.
@@ -9,8 +10,8 @@ model's own post-NMS detections are the only supervision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -214,32 +215,3 @@ def pseudo_label_loss(q_out: DetectorOutput, labels, w: LossWeights) -> Tensor:
     cls = focal_loss(hm, hm_t)
     reg_l = l1_reg_loss(reg, reg_t, mask)
     return cls + reg_l * w.alpha_reg
-
-
-def local_recon_loss(
-    w_fp: np.ndarray,
-    w_hat,
-    inputs,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """Batch-mean squared Frobenius gap between the float conv and the
-    quantized conv of the same recorded inputs: mean_b ||W*I_b - What*I_b||^2."""
-    w_fp = np.asarray(w_fp)
-    w_hat_t = ad.as_tensor(w_hat)
-    x = ad.as_tensor(inputs)
-    if w_hat_t.data.shape != w_fp.shape:
-        raise ValueError(f"weight shapes differ: {w_fp.shape} vs {w_hat_t.data.shape}")
-    if x.data.ndim != 4 or x.data.shape[1] != w_fp.shape[1]:
-        raise ValueError(f"input {x.data.shape} incompatible with weight {w_fp.shape}")
-    ref = ad.conv2d(x.detach(), Tensor(w_fp), None, stride, padding).data
-    quant = ad.conv2d(x, w_hat_t, None, stride, padding)
-    diff = quant - ref
-    return ad.tsum(pow2(diff)) * (1.0 / x.data.shape[0])
-
-
-def total_loss(local, task, w: LossWeights) -> Tensor:
-    """lambda1 * reconstruction + lambda2 * task."""
-    local = ad.as_tensor(local)
-    task = ad.as_tensor(task)
-    return local * w.lambda1 + task * w.lambda2

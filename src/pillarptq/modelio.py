@@ -4,17 +4,22 @@ the layer stack with its quantization state.
 The format is deliberately dumb: explicit little-endian records, float32
 weight blobs, float64 scales. Identical networks serialize to identical
 bytes, which is what the determinism guarantee rests on.
+
+An int8 layer's weight blob is the weight its forward convolves with:
+rounding offsets are folded in when a layer is frozen and never written.
+Files from older writers may still carry an offsets record after the
+quantizers (flag 4); the reader folds it into the weight with
+`network.freeze`, so such a layer predicts as it did when it was saved.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
 import numpy as np
 
-from .network import LayerSpec, Network
-from .quant import QuantParams, RoundingOffsets
+from .network import LayerSpec, Network, freeze
+from .quant import QuantParams
 
 MAGIC = b"PTQF"
 VERSION = 1
@@ -39,8 +44,6 @@ def _pack_layer(layer: LayerSpec, role: int) -> bytes:
         flags |= _FLAG_WQ
     if layer.a_quant is not None:
         flags |= _FLAG_AQ
-    if layer.theta is not None:
-        flags |= _FLAG_THETA
     out = [
         struct.pack("<H", len(name)),
         name,
@@ -64,8 +67,6 @@ def _pack_layer(layer: LayerSpec, role: int) -> bytes:
     for q in (layer.w_quant, layer.a_quant):
         if q is not None:
             out.append(struct.pack("<diB", q.scale, q.zero_point, q.bits))
-    if layer.theta is not None:
-        out.append(np.ascontiguousarray(layer.theta.theta, dtype="<f4").tobytes())
     return b"".join(out)
 
 
@@ -104,11 +105,6 @@ def _read_layer(r: _Reader):
     if flags & _FLAG_AQ:
         scale, zp, bits = r.unpack("<diB")
         a_quant = QuantParams(scale, bits, zp)
-    theta = None
-    if flags & _FLAG_THETA:
-        theta = RoundingOffsets(
-            np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape).copy()
-        )
     layer = LayerSpec(
         name=name,
         weight=w,
@@ -118,9 +114,13 @@ def _read_layer(r: _Reader):
         activation=_ACT_INV[act],
         w_quant=w_quant,
         a_quant=a_quant,
-        theta=theta,
         precision=_PREC_INV[prec],
     )
+    if flags & _FLAG_THETA:
+        if layer.precision != "int8" or w_quant is None:
+            raise ModelIOError(f"{name}: rounding offsets on a layer that is not int8")
+        offsets = np.frombuffer(r.take(4 * w.size), dtype="<f4").reshape(shape)
+        freeze(layer, w_quant, a_quant, offsets)
     return layer, role
 
 

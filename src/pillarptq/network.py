@@ -2,7 +2,11 @@
 ordered layer stack.
 
 A layer in "int8" mode fake-quantizes its input and its weights before the
-convolution; "fp" mode ignores all quantization state.
+convolution; "fp" mode ignores all quantization state. `freeze` puts a layer
+in int8 mode and replaces its weight by the dequantized weight the int8
+forward convolves with, any learned rounding offsets folded in: offsets are
+optimizer state and never outlive the freeze. On a frozen weight the
+forward's own weight fake-quant changes nothing, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .quant import QuantError, QuantParams, RoundingOffsets, fake_quant
+from .quant import QuantError, QuantParams
 
 
 class NetworkError(ValueError):
@@ -33,7 +37,6 @@ class LayerSpec:
     activation: str = "relu"  # "relu" | "none"
     w_quant: Optional[QuantParams] = None
     a_quant: Optional[QuantParams] = None
-    theta: Optional[RoundingOffsets] = None
     precision: str = "fp"  # "fp" | "int8"
 
     def __post_init__(self):
@@ -49,14 +52,6 @@ class LayerSpec:
             raise NetworkError(f"{self.name}: unknown activation {self.activation!r}")
         if self.precision not in ("fp", "int8"):
             raise NetworkError(f"{self.name}: unknown precision {self.precision!r}")
-        if self.theta is not None:
-            if self.w_quant is None:
-                raise NetworkError(f"{self.name}: rounding offsets require w_quant")
-            if self.theta.theta.shape != self.weight.shape:
-                raise NetworkError(
-                    f"{self.name}: offsets shape {self.theta.theta.shape} "
-                    f"!= weight shape {self.weight.shape}"
-                )
 
     @property
     def out_ch(self) -> int:
@@ -67,12 +62,7 @@ class LayerSpec:
         return self.weight.shape[1]
 
     def copy(self) -> "LayerSpec":
-        return replace(
-            self,
-            weight=self.weight.copy(),
-            bias=self.bias.copy(),
-            theta=RoundingOffsets(self.theta.theta.copy()) if self.theta else None,
-        )
+        return replace(self, weight=self.weight.copy(), bias=self.bias.copy())
 
 
 @dataclass
@@ -122,19 +112,38 @@ class Network:
 # -- forward ------------------------------------------------------------------------
 
 
-def quantized_weight(layer: LayerSpec) -> np.ndarray:
-    """The dequantized weight a frozen int8 layer effectively convolves with."""
-    if layer.w_quant is None:
-        return layer.weight
-    return fake_quant(layer.weight, layer.w_quant, layer.theta)
+def freeze(
+    layer: LayerSpec,
+    w_quant: QuantParams,
+    a_quant: Optional[QuantParams],
+    offsets: Optional[np.ndarray] = None,
+) -> None:
+    """Put `layer` in int8 mode with these quantizers, its weight replaced by
+    the dequantized weight the int8 forward convolves with.
+
+    `offsets` are per-weight rounding offsets, as `autodiff.fake_quant_op`
+    takes them (clipped into [0, scale] there); they are folded into the
+    weight, which then lies on the w_quant grid in the engine dtype.
+    """
+    w = ad.fake_quant_op(
+        Tensor(layer.weight),
+        Tensor(w_quant.scale),
+        w_quant.bits,
+        None if offsets is None else Tensor(offsets),
+    )
+    layer.weight = w.data
+    layer.w_quant = w_quant
+    layer.a_quant = a_quant
+    layer.precision = "int8"
 
 
 def conv2d(x: Tensor, layer: LayerSpec, overrides: Optional[dict] = None) -> Tensor:
     """Layer convolution (plus bias), honoring the layer's precision mode.
 
-    `overrides` supplies live Tensors {"w_scale", "a_scale", "theta"} while a
-    layer's quantization parameters are being optimized; without it, frozen
-    QuantParams / offsets from the LayerSpec are used.
+    `overrides` supplies live Tensors while a layer's quantization parameters
+    are being optimized: "a_scale" (with "a_bits") for the input quantizer and
+    "weight" for the fake-quantized weight. Without them the frozen
+    QuantParams of the LayerSpec are used.
     """
     x = ad.as_tensor(x)
     if x.data.ndim != 4:
@@ -156,16 +165,10 @@ def conv2d(x: Tensor, layer: LayerSpec, overrides: Optional[dict] = None) -> Ten
     elif layer.a_quant is not None:
         x = ad.fake_quant_op(x, Tensor(layer.a_quant.scale), layer.a_quant.bits)
 
-    if "w_scale" in ov:
-        w_bits = ov.get("w_bits", layer.w_quant.bits if layer.w_quant else 8)
-        w = ad.fake_quant_op(
-            Tensor(layer.weight), ov["w_scale"], w_bits, theta=ov.get("theta")
-        )
+    if "weight" in ov:
+        w = ov["weight"]
     elif layer.w_quant is not None:
-        theta = Tensor(layer.theta.theta) if layer.theta is not None else None
-        w = ad.fake_quant_op(
-            Tensor(layer.weight), Tensor(layer.w_quant.scale), layer.w_quant.bits, theta=theta
-        )
+        w = ad.fake_quant_op(Tensor(layer.weight), Tensor(layer.w_quant.scale), layer.w_quant.bits)
     else:
         raise QuantError(f"{layer.name}: int8 precision but no weight quantizer set")
     return ad.conv2d(x, w, Tensor(layer.bias), layer.stride, layer.padding)

@@ -6,6 +6,10 @@ turned into pseudo-labels, then for each quantizable layer in turn a
 grid-search initialization and an optimization of its activation/weight
 scales and rounding offsets, with a keep-best-iterate rule that guarantees
 the layer's reconstruction error never ends above its initialization value.
+
+Every arm ends a layer with `network.freeze`. The offsets exist only while
+they are optimized: the freeze folds the kept ones into the layer's weight,
+so a quantized model holds the weights it convolves with and no offsets.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .evalharness import evaluate_model
 from .losses import LossWeights, PseudoLabels, make_pseudo_labels, pseudo_label_loss, pow2
 from .network import LayerSpec, Network, layer_forward
 from .optim import Adam
-from .quant import EPS_SCALE, QuantParams, RoundingOffsets
+from .quant import EPS_SCALE, QuantParams
 
 FORWARD_CHUNK = 16
 
@@ -272,9 +276,7 @@ def run_baseline_calibration(
         if grid:
             w_params = QuantParams(_engine_scale(w_params.scale), bits)
             a_params = QuantParams(_engine_scale(a_params.scale), bits)
-        layer.w_quant = w_params
-        layer.a_quant = a_params
-        layer.precision = "int8"
+        network.freeze(layer, w_params, a_params)
         rows.append(
             {
                 "layer": layer.name,
@@ -314,19 +316,19 @@ def _layer_losses(
 ):
     """Tape forward for one batch: the layer's conv reconstruction term plus
     the task loss through the float tail."""
-    w_hat = ad.fake_quant_op(
-        Tensor(layer.weight), params["s_w"], cfg.bits_w, theta=params.get("theta")
-    )
-    q = ad.conv2d(x, w_hat, None, layer.stride, layer.padding)
+
+    def w_hat():
+        return ad.fake_quant_op(
+            Tensor(layer.weight), params["s_w"], cfg.bits_w, theta=params.get("theta")
+        )
+
+    q = ad.conv2d(x, w_hat(), None, layer.stride, layer.padding)
     local = ad.tsum(pow2(q - ref)) * (1.0 / ref.shape[0])
 
-    ov = {
-        "a_scale": params["s_a"],
-        "w_scale": params["s_w"],
-        "a_bits": cfg.bits_a,
-        "w_bits": cfg.bits_w,
-        "theta": params.get("theta"),
-    }
+    # Each path quantizes the weight in a node of its own: one shared node
+    # would add the two paths' weight gradients before the scale's vjp, which
+    # rounds differently.
+    ov = {"a_scale": params["s_a"], "a_bits": cfg.bits_a, "weight": w_hat()}
     t = layer_forward(x, layer, ov)
     for later in qnet.layers[qnet.layer_index(layer.name) + 1 :]:
         t = layer_forward(t, later)
@@ -456,13 +458,12 @@ def run_lidar_ptq(
 
         s_w = float(best_params["s_w"])
         s_a = float(best_params["s_a"])
-        layer.w_quant = QuantParams(s_w, cfg.bits_w)
-        layer.a_quant = QuantParams(s_a, cfg.bits_a)
-        if "theta" in best_params:
-            layer.theta = RoundingOffsets(
-                np.clip(best_params["theta"], 0.0, s_w).astype(np.float32)
-            )
-        layer.precision = "int8"
+        network.freeze(
+            layer,
+            QuantParams(s_w, cfg.bits_w),
+            QuantParams(s_a, cfg.bits_a),
+            best_params.get("theta"),
+        )
         log.layer_stats[name] = {
             "pre_mse": init_local,
             "post_mse": best_local,

@@ -3,6 +3,11 @@
 All functions are pure and operate on numpy arrays; the quantize/dequantize
 pair simulates integer arithmetic in float so the rest of the toolkit can
 measure and optimize quantization error without integer kernels.
+
+Rounding offsets are optimizer state: `steered_level` is the level rule that
+`autodiff.fake_quant_op` applies while they are learned, and
+`network.freeze` folds them into the weight, so no offsets are kept on a
+layer, passed to `fake_quant` or written to a model file.
 """
 
 from __future__ import annotations
@@ -48,25 +53,6 @@ class QuantParams:
     @property
     def q_max(self) -> int:
         return (1 << (self.bits - 1)) - 1
-
-
-@dataclass(frozen=True)
-class RoundingOffsets:
-    """Per-weight additive offsets steering round-up vs round-down.
-
-    Values are stored raw; the effective offset is clipped into [0, scale]
-    at read time, so offset/scale always lands in [0, 1].
-    """
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.theta)
-        arr.setflags(write=False)
-        object.__setattr__(self, "theta", arr)
-
-    def effective(self, scale: float) -> np.ndarray:
-        return np.clip(self.theta, 0.0, scale)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -126,35 +112,11 @@ def scale_from_range(x_min: float, x_max: float, bits: int) -> float:
     return (float(x_max) - float(x_min)) / (2 ** int(bits) - 1)
 
 
-def fake_quant(
-    x: np.ndarray,
-    p: QuantParams,
-    theta: Optional[RoundingOffsets] = None,
-) -> np.ndarray:
-    """Quantize-then-dequantize in float (round trip through the integer grid).
-
-    With `theta`, the offsets are added to x before scaling so each weight can
-    be nudged across its rounding boundary, by at most one level; theta == 0
-    reproduces the plain round trip exactly.
-    """
+def fake_quant(x: np.ndarray, p: QuantParams) -> np.ndarray:
+    """Quantize-then-dequantize in float (round trip through the integer grid)."""
     arr = np.asarray(x)
     dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
     arr = arr.astype(np.float64, copy=False)
     _check_finite(arr)
-    offset = None
-    if theta is not None:
-        if theta.theta.shape != arr.shape:
-            raise QuantError(
-                f"offset shape {theta.theta.shape} != tensor shape {arr.shape}"
-            )
-        offset = theta.effective(p.scale)
-    q = np.clip(steered_level(arr, p.scale, offset), p.q_min, p.q_max)
+    q = np.clip(round_half_away(arr / p.scale), p.q_min, p.q_max)
     return (q * p.scale).astype(dtype)
-
-
-def round_trip_error_bound(x: np.ndarray, p: QuantParams) -> float:
-    """Max |x - fake_quant(x)| over the tensor; <= scale/2 for in-range x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return 0.0
-    return float(np.max(np.abs(x - fake_quant(x, p))))

@@ -13,7 +13,7 @@ if str(PERFBENCH) not in sys.path:
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
-from pillarptq import autodiff, calib, pipeline  # noqa: E402
+from pillarptq import autodiff, calib, modelio, pipeline  # noqa: E402
 from pillarptq.config import PipelineConfig  # noqa: E402
 
 
@@ -40,3 +40,22 @@ def test_conv_weight_is_where_the_gmac_counter_reads_it():
     # layers._conv_gmac reads the weight as the second positional argument.
     params = list(inspect.signature(autodiff.conv2d).parameters)
     assert params[:5] == ["x", "weight", "bias", "stride", "padding"]
+
+
+def test_frozen_model_survives_the_save_load_round_trip(
+    tiny_net, tiny_calib_feats, grid_cfg, tmp_path
+):
+    # workloads.job_failures counts a job as failed when model_round_trip
+    # returns None; a frozen LiDAR-PTQ model must save, load and save again
+    # to the same bytes, and hold no offsets record.
+    cfg = PipelineConfig(
+        calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
+    )
+    qnet, _ = pipeline.run_lidar_ptq(tiny_net, tiny_calib_feats, cfg, grid_cfg)
+    blob = workloads.model_round_trip(qnet, tmp_path)
+    assert blob is not None
+    plain = qnet.copy()
+    for layer in plain.layers:
+        layer.weight = tiny_net.layer(layer.name).weight
+    modelio.save_model(tmp_path / "unfolded.ptqf", plain)
+    assert len(blob) == (tmp_path / "unfolded.ptqf").stat().st_size

@@ -23,11 +23,8 @@ from pillarptq.calib import (
     candidate_thresholds,
     entropy_threshold,
     grid_search_detail,
-    grid_search_scale,
-    histogram_fixed_range,
     kl_divergence,
     maxmin_range,
-    merge_histograms,
 )
 from pillarptq.quant import EPS_SCALE, QuantParams, fake_quant, scale_from_range
 
@@ -168,19 +165,13 @@ class TestHistogram:
         assert DEFAULT_BINS == 2048
 
     def test_merge_equals_histogram_of_concatenation(self, rng):
+        # per-batch histograms over the pooled range add up to the one
+        # histogram entropy calibration builds over the pooled values
         a, b = rng.normal(size=300), rng.normal(size=200)
+        whole = build_histogram(np.concatenate([a, b]), 32)
         hi = float(max(np.abs(a).max(), np.abs(b).max()))
-        merged = merge_histograms(
-            histogram_fixed_range(a, 32, hi), histogram_fixed_range(b, 32, hi)
-        )
-        whole = histogram_fixed_range(np.concatenate([a, b]), 32, hi)
-        np.testing.assert_array_equal(merged.bin_counts, whole.bin_counts)
-
-    def test_merge_rejects_mismatched_geometry(self):
-        a = histogram_fixed_range(np.ones(10), 16, 2.0)
-        b = histogram_fixed_range(np.ones(10), 16, 3.0)
-        with pytest.raises(CalibError):
-            merge_histograms(a, b)
+        parts = [np.histogram(np.abs(v), bins=32, range=(0.0, hi))[0] for v in (a, b)]
+        np.testing.assert_array_equal(parts[0] + parts[1], whole.bin_counts)
 
 
 # -- range estimators -----------------------------------------------------------------
@@ -326,9 +317,9 @@ class TestGridSearch:
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(CalibError):
-            grid_search_scale(np.array([]))
+            grid_search_detail(np.array([]))
         with pytest.raises(CalibError):
-            grid_search_scale(np.array([np.nan]))
+            grid_search_detail(np.array([np.nan]))
 
     @settings(max_examples=300, deadline=None)
     @given(case=grid_inputs())
@@ -403,6 +394,38 @@ class TestCalibrateLayer:
         r1 = calibrate_layer([base], rng.normal(size=(2, 2, 1, 1)), method="entropy")
         r2 = calibrate_layer([padded], rng.normal(size=(2, 2, 1, 1)), method="entropy")
         assert r1.a_params.scale == pytest.approx(r2.a_params.scale, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        sizes=st.lists(st.integers(0, 400), min_size=1, max_size=4),
+        zero_frac=st.sampled_from([0.0, 0.5, 0.95]),
+        n_bins=st.sampled_from([160, 256]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_entropy_pools_like_per_batch_histograms(
+        self, dtype, sizes, zero_frac, n_bins, seed
+    ):
+        # reference: one histogram per batch over the shared [0, a_max],
+        # summed, as entropy calibration used to build it
+        r = np.random.default_rng(seed)
+        acts = [
+            (np.maximum(r.standard_t(3, n), 0.0) * (r.uniform(size=n) >= zero_frac)).astype(dtype)
+            for n in sizes
+        ]
+        acts[-1] = np.append(acts[-1], dtype(r.uniform(0.5, 20.0)))  # a nonzero somewhere
+        res = calibrate_layer(acts, np.ones((1, 1, 1, 1)), method="entropy", n_bins=n_bins)
+        a_max = max(float(np.abs(a).max()) if a.size else 0.0 for a in acts)
+        counts, width = np.zeros(n_bins, np.int64), None
+        for a in acts:
+            nz = a[a != 0.0]
+            if nz.size:
+                c, edges = np.histogram(np.abs(nz), bins=n_bins, range=(0.0, a_max))
+                counts += c
+                width = float(edges[1] - edges[0])
+        want = entropy_threshold(Histogram(counts, width), bits=8)
+        assert res.entropy_fallback == want.fallback
+        assert res.a_params == QuantParams(scale_from_range(*want.quant_range, 8), 8)
 
     def test_all_zero_activations(self):
         w = np.ones((2, 2, 1, 1))

@@ -1,8 +1,11 @@
 """Config parsing and validation: key=value text, type coercion, unknown-key
 rejection, and the pinned defaults the rest of the suite relies on."""
 
+from argparse import Namespace
+
 import pytest
 
+from pillarptq.cli import _load_cfg
 from pillarptq.config import (
     ConfigError,
     GenConfig,
@@ -10,7 +13,6 @@ from pillarptq.config import (
     QUANT_METHODS,
     TrainConfig,
     build_config,
-    load_config,
     parse_kv_file,
     parse_kv_text,
 )
@@ -84,16 +86,20 @@ class TestBuildConfig:
         assert cfg.seed == 3
         assert cfg.bits_w == PipelineConfig().bits_w
 
+    # The CLI loads a config file, then applies key=value overrides and --seed.
+
     def test_load_config_overrides_beat_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("iters_T=50\nbatch=2\n")
-        cfg = load_config(PipelineConfig, p, overrides={"iters_T": "9"})
+        args = Namespace(config=str(p), overrides=["iters_T=9"], seed=None)
+        cfg = _load_cfg(PipelineConfig, args)
         assert cfg.iters_T == 9
         assert cfg.batch == 2
 
     def test_load_config_without_file(self):
-        cfg = load_config(TrainConfig, overrides={"epochs": "3"})
+        cfg = _load_cfg(TrainConfig, Namespace(config=None, overrides=["epochs=3"], seed=4))
         assert cfg.epochs == 3
+        assert cfg.seed == 4
 
 
 class TestPipelineConfig:

@@ -1,5 +1,6 @@
 """Loss-function tests: focal/L1 against plain-numpy references, target rendering,
-and the reconstruction objective."""
+and the per-layer objective of LiDAR-PTQ (`pipeline._layer_losses`): the local
+reconstruction term and its weighting against the task loss."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 import pillarptq.autodiff as ad
 from pillarptq.autodiff import Tensor
+from pillarptq.config import PipelineConfig
 from pillarptq.detector import Box3D, DetectorOutput, GridConfig, REG_CHANNELS
 from pillarptq.losses import (
     HEATMAP_CLAMP,
@@ -17,12 +19,11 @@ from pillarptq.losses import (
     focal_loss,
     gaussian_radius,
     l1_reg_loss,
-    local_recon_loss,
     make_pseudo_labels,
     pseudo_label_loss,
     render_targets,
-    total_loss,
 )
+from pillarptq.pipeline import _conv_refs, _layer_inputs, _layer_losses
 
 
 def numpy_focal(pred: np.ndarray, target: np.ndarray) -> float:
@@ -206,41 +207,72 @@ class TestCompositeLosses:
         assert a == pytest.approx(b, rel=1e-6)
         assert a == pytest.approx(c, rel=1e-6)
 
-    def test_total_loss_weighting(self):
-        w = LossWeights(lambda1=2.0, lambda2=0.5)
-        out = total_loss(Tensor(np.asarray(3.0)), Tensor(np.asarray(4.0)), w)
-        assert float(out.data) == pytest.approx(8.0)
+    def test_total_loss_weighting(self, first_layer):
+        net, layer, inputs = first_layer
+        cfg = PipelineConfig(lambda1=2.0, lambda2=0.5)
+        _, (local, task, total) = layer_losses(net, layer, inputs, cfg)
+        want = 2.0 * float(local.data) + 0.5 * float(task.data)
+        assert float(total.data) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.fixture()
+def first_layer(tiny_net, tiny_calib_feats):
+    """A copy of the tiny detector, its first quantizable layer and two of
+    that layer's calibration inputs."""
+    net = tiny_net.copy()
+    layer, inputs = next(_layer_inputs(net, tiny_calib_feats))
+    return net, layer, inputs[:2]
+
+
+def maxmin_scale(w):
+    return float(np.abs(w).max()) / 127.5
+
+
+def layer_losses(net, layer, inputs, cfg=PipelineConfig(), s_w=None):
+    """(params, (local, task, total)) of one taped step on `inputs`, at weight
+    scale `s_w` (default: max-min), against empty pseudo-labels."""
+    s_w = maxmin_scale(layer.weight) if s_w is None else s_w
+    params = {"s_w": Tensor(s_w, requires_grad=True), "s_a": Tensor(0.05, requires_grad=True)}
+    x = Tensor(np.stack(inputs))
+    ref = np.stack(_conv_refs(layer, inputs))
+    labels = [render_targets([], GridConfig()) for _ in inputs]
+    return params, _layer_losses(net, layer, params, x, ref, labels, cfg)
 
 
 class TestLocalReconLoss:
-    def test_zero_when_weights_identical(self, rng):
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        out = local_recon_loss(w, Tensor(w), Tensor(x), stride=1, padding=1)
-        assert float(out.data) == 0.0
+    def test_zero_when_weights_identical(self, first_layer):
+        # a weight already on the grid quantizes to itself
+        net, layer, inputs = first_layer
+        s_w = maxmin_scale(layer.weight)
+        layer.weight = ad.fake_quant_op(Tensor(layer.weight), Tensor(s_w), 8).data
+        _, (local, _, _) = layer_losses(net, layer, inputs, s_w=s_w)
+        assert float(local.data) == 0.0
 
-    def test_matches_direct_frobenius_gap(self, rng):
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        w_hat = w + rng.normal(0, 0.01, w.shape).astype(np.float32)
-        x = rng.normal(size=(3, 3, 6, 6)).astype(np.float32)
-        got = float(local_recon_loss(w, Tensor(w_hat), Tensor(x), 1, 1).data)
-        a = ad.conv2d(Tensor(x), Tensor(w), None, 1, 1).data
-        b = ad.conv2d(Tensor(x), Tensor(w_hat), None, 1, 1).data
-        assert got == pytest.approx(((a - b) ** 2).sum() / 3, rel=1e-4)
+    def test_matches_direct_frobenius_gap(self, first_layer):
+        net, layer, inputs = first_layer
+        params, (local, _, _) = layer_losses(net, layer, inputs)
+        x = Tensor(np.stack(inputs))
+        w_hat = ad.fake_quant_op(Tensor(layer.weight), params["s_w"], 8)
+        a = ad.conv2d(x, Tensor(layer.weight), None, layer.stride, layer.padding).data
+        b = ad.conv2d(x, w_hat, None, layer.stride, layer.padding).data
+        want = ((a.astype(np.float64) - b) ** 2).sum() / len(inputs)
+        assert float(local.data) > 0.0
+        assert float(local.data) == pytest.approx(want, rel=1e-4)
 
-    def test_gradient_reaches_quantized_weight_only(self, rng):
-        w = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
-        w_hat = Tensor(w + 0.01, requires_grad=True)
-        x = Tensor(rng.normal(size=(1, 2, 5, 5)).astype(np.float32), requires_grad=True)
-        local_recon_loss(w, w_hat, x, 1, 1).backward()
-        assert w_hat.grad is not None and np.abs(w_hat.grad).sum() > 0
+    def test_gradient_reaches_quantized_weight_only(self, first_layer):
+        # the local term compares float and quantized convs of the same
+        # float input: only the weight scale is on its trace
+        net, layer, inputs = first_layer
+        params, (local, _, _) = layer_losses(net, layer, inputs)
+        local.backward()
+        assert params["s_w"].grad is not None and np.abs(params["s_w"].grad).sum() > 0
+        assert params["s_a"].grad is None
 
-    def test_shape_validation(self, rng):
-        w = np.zeros((2, 2, 3, 3))
+    def test_shape_validation(self, first_layer):
+        net, layer, inputs = first_layer
+        wrong = [np.zeros((layer.in_ch + 1, *inputs[0].shape[1:]), np.float32)] * 2
         with pytest.raises(ValueError):
-            local_recon_loss(w, Tensor(np.zeros((2, 2, 1, 1))), Tensor(np.zeros((1, 2, 4, 4))))
-        with pytest.raises(ValueError):
-            local_recon_loss(w, Tensor(w), Tensor(np.zeros((1, 3, 4, 4))))
+            layer_losses(net, layer, wrong)
 
 
 class TestMakePseudoLabels:

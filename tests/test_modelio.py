@@ -1,22 +1,29 @@
 """Binary model format: round trips, byte determinism, corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from pillarptq.detector import GridConfig, build_detector
+from pillarptq import autodiff as ad
+from pillarptq import modelio
+from pillarptq.autodiff import Tensor
+from pillarptq.detector import GridConfig, build_detector, head_forward
 from pillarptq.modelio import ModelIOError, load_model, save_model
-from pillarptq.quant import QuantParams, RoundingOffsets
+from pillarptq.network import freeze
+from pillarptq.quant import QuantParams
+
+QUANTIZED = ("conv1", "conv2")
+
+
+def some_offsets(layer):
+    return np.random.default_rng(3).uniform(-0.002, 0.013, layer.weight.shape).astype(np.float32)
 
 
 def quantize_some_layers(net):
-    for name in ("conv1", "conv2"):
+    for name in QUANTIZED:
         layer = net.layer(name)
-        layer.w_quant = QuantParams(0.011, 8)
-        layer.a_quant = QuantParams(0.07, 8)
-        layer.theta = RoundingOffsets(
-            np.random.default_rng(3).uniform(0, 0.011, layer.weight.shape).astype(np.float32)
-        )
-        layer.precision = "int8"
+        freeze(layer, QuantParams(0.011, 8), QuantParams(0.07, 8), some_offsets(layer))
     return net
 
 
@@ -33,10 +40,6 @@ def assert_nets_equal(a, b):
         )
         assert la.w_quant == lb.w_quant
         assert la.a_quant == lb.a_quant
-        if la.theta is None:
-            assert lb.theta is None
-        else:
-            np.testing.assert_array_equal(la.theta.theta, lb.theta.theta)
 
 
 class TestRoundTrip:
@@ -47,9 +50,18 @@ class TestRoundTrip:
         assert_nets_equal(net, load_model(p))
 
     def test_quantized_network_with_offsets(self, tmp_path, grid_cfg):
+        # the offsets are folded at freeze time: the file holds the frozen
+        # weights and no offsets record, and reads back as it was
         net = quantize_some_layers(build_detector(grid_cfg, seed=1))
         p = tmp_path / "q.ptqf"
         save_model(p, net)
+        plain = build_detector(grid_cfg, seed=1)
+        for name in QUANTIZED:
+            plain.layer(name).w_quant = QuantParams(0.011, 8)
+            plain.layer(name).a_quant = QuantParams(0.07, 8)
+            plain.layer(name).precision = "int8"
+        save_model(tmp_path / "plain.ptqf", plain)
+        assert p.stat().st_size == (tmp_path / "plain.ptqf").stat().st_size
         got = load_model(p)
         assert_nets_equal(net, got)
         assert got.layer("conv1").precision == "int8"
@@ -127,3 +139,99 @@ class TestBehaviorPreservation:
         b = detector_forward(got, grid)
         np.testing.assert_array_equal(a.heatmap, b.heatmap)
         np.testing.assert_array_equal(a.regression, b.regression)
+
+
+# -- files that carry rounding offsets ---------------------------------------------------
+
+
+def legacy_bytes(net, offsets):
+    """PTQF bytes as older writers saved them: each layer in `offsets` keeps
+    its unfolded weight, sets flag 4 and appends its float32 offsets record.
+    Without offsets this is exactly what save_model writes."""
+    roles = [(l, modelio._ROLE_TRUNK) for l in net.layers] + [
+        (net.heads["heatmap"], modelio._ROLE_HEATMAP),
+        (net.heads["regression"], modelio._ROLE_REG),
+    ]
+    out = modelio.MAGIC + struct.pack("<HHHHH", modelio.VERSION, *net.input_spec, len(roles))
+    for layer, role in roles:
+        rec = bytearray(modelio._pack_layer(layer, role))
+        if layer.name in offsets:
+            rec[2 + len(layer.name) + 5] |= 4
+            rec += np.ascontiguousarray(offsets[layer.name], dtype="<f4").tobytes()
+        out += rec
+    return bytes(out)
+
+
+def old_forward(net, offsets, x):
+    """The forward of a net whose int8 layers steer their weights by offsets
+    on every call, as models with offsets used to run."""
+
+    def run(layer, t):
+        if layer.precision == "int8":
+            t = ad.fake_quant_op(t, Tensor(layer.a_quant.scale), layer.a_quant.bits)
+            theta = offsets.get(layer.name)
+            w = ad.fake_quant_op(
+                Tensor(layer.weight),
+                Tensor(layer.w_quant.scale),
+                layer.w_quant.bits,
+                theta=None if theta is None else Tensor(theta),
+            )
+        else:
+            w = Tensor(layer.weight)
+        t = ad.conv2d(t, w, Tensor(layer.bias), layer.stride, layer.padding)
+        return ad.relu(t) if layer.activation == "relu" else t
+
+    t = Tensor(x)
+    for layer in net.layers:
+        t = run(layer, t)
+    return ad.sigmoid(run(net.heads["heatmap"], t)).data, run(net.heads["regression"], t).data
+
+
+class TestLegacyOffsets:
+    def unfolded(self, grid_cfg):
+        net = build_detector(grid_cfg, seed=5)
+        offsets = {}
+        for name in QUANTIZED:
+            layer = net.layer(name)
+            layer.w_quant = QuantParams(0.011, 8)
+            layer.a_quant = QuantParams(0.07, 8)
+            layer.precision = "int8"
+            offsets[name] = some_offsets(layer)
+        return net, offsets
+
+    def test_writer_layout_matches_save_model(self, tmp_path, grid_cfg):
+        net, _ = self.unfolded(grid_cfg)
+        p = tmp_path / "now.ptqf"
+        save_model(p, net)
+        assert legacy_bytes(net, {}) == p.read_bytes()
+
+    def test_offsets_record_loads_folded_and_predicts_as_before(self, tmp_path, grid_cfg, rng):
+        net, offsets = self.unfolded(grid_cfg)
+        p = tmp_path / "old.ptqf"
+        p.write_bytes(legacy_bytes(net, offsets))
+        got = load_model(p)
+        for name in QUANTIZED:
+            layer = got.layer(name)
+            steered = ad.fake_quant_op(
+                Tensor(net.layer(name).weight), Tensor(0.011), 8, theta=Tensor(offsets[name])
+            )
+            assert layer.precision == "int8" and layer.w_quant == QuantParams(0.011, 8)
+            assert layer.weight.tobytes() == steered.data.tobytes()
+        x = np.abs(rng.normal(size=(2, *net.input_spec))).astype(np.float32)
+        hm, reg = old_forward(net, offsets, x)
+        hm_got, reg_got = head_forward(got, x)
+        assert hm_got.data.tobytes() == hm.tobytes()
+        assert reg_got.data.tobytes() == reg.tobytes()
+        # re-saving writes the folded weights and no offsets record
+        save_model(tmp_path / "again.ptqf", got)
+        assert load_model(tmp_path / "again.ptqf").layer("conv1").weight.tobytes() == (
+            got.layer("conv1").weight.tobytes()
+        )
+        assert (tmp_path / "again.ptqf").stat().st_size == len(legacy_bytes(net, {}))
+
+    def test_offsets_record_on_a_float_layer_is_refused(self, tmp_path, grid_cfg):
+        net, _ = self.unfolded(grid_cfg)
+        p = tmp_path / "odd.ptqf"
+        p.write_bytes(legacy_bytes(net, {"conv0": np.zeros_like(net.layer("conv0").weight)}))
+        with pytest.raises(ModelIOError, match="not int8"):
+            load_model(p)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pillarptq.autodiff as ad
 from pillarptq.autodiff import Tensor
@@ -11,11 +13,11 @@ from pillarptq.network import (
     NetworkError,
     backward,
     forward,
+    freeze,
     layer_forward,
-    quantized_weight,
 )
 from pillarptq.network import conv2d as layer_conv2d
-from pillarptq.quant import QuantError, QuantParams, RoundingOffsets, fake_quant
+from pillarptq.quant import QuantError, QuantParams, fake_quant
 
 
 def make_layer(name="c0", out_ch=4, in_ch=3, k=3, seed=0, **kw):
@@ -47,26 +49,23 @@ class TestLayerSpec:
         with pytest.raises(NetworkError):
             make_layer(precision="int4")
 
-    def test_offsets_require_weight_quantizer(self):
-        with pytest.raises(NetworkError):
-            make_layer(theta=RoundingOffsets(np.zeros((4, 3, 3, 3))))
-
     def test_offsets_shape_checked(self):
-        with pytest.raises(NetworkError):
-            make_layer(
-                w_quant=QuantParams(0.01),
-                theta=RoundingOffsets(np.zeros((1, 1, 1, 1))),
-            )
+        # freeze refuses offsets that do not match the weight, and a refused
+        # freeze leaves the layer as it was
+        layer = make_layer()
+        w = layer.weight.copy()
+        with pytest.raises(ValueError):
+            freeze(layer, QuantParams(0.01), None, np.zeros((1, 1, 1, 1)))
+        np.testing.assert_array_equal(layer.weight, w)
+        assert layer.precision == "fp" and layer.w_quant is None
 
     def test_copy_is_deep(self):
-        layer = make_layer(
-            w_quant=QuantParams(0.01),
-            theta=RoundingOffsets(np.zeros((4, 3, 3, 3))),
-        )
+        layer = make_layer(w_quant=QuantParams(0.01))
         dup = layer.copy()
         dup.weight[0, 0, 0, 0] = 99.0
+        dup.bias[0] = 99.0
         assert layer.weight[0, 0, 0, 0] != 99.0
-        assert dup.theta.theta is not layer.theta.theta
+        assert layer.bias[0] != 99.0
 
 
 class TestNetwork:
@@ -134,24 +133,22 @@ class TestQuantizedForward:
             layer_conv2d(Tensor(rng.normal(size=(1, 3, 4, 4))), layer)
 
     def test_quantized_weight_honors_offsets(self):
-        layer = make_layer(w_quant=QuantParams(0.01))
-        base = quantized_weight(layer)
-        np.testing.assert_array_equal(base, fake_quant(layer.weight, layer.w_quant))
-        up = RoundingOffsets(np.full(layer.weight.shape, 1.0))
-        steered = quantized_weight(
-            LayerSpec(
-                "c0", layer.weight, layer.bias, padding=1,
-                w_quant=layer.w_quant, theta=up,
-            )
-        )
-        assert (steered >= base).all() and (steered > base).any()
+        w_quant = QuantParams(0.01)
+        base, steered = make_layer(), make_layer()
+        freeze(base, w_quant, QuantParams(0.05))
+        want = ad.fake_quant_op(Tensor(make_layer().weight), Tensor(w_quant.scale), 8)
+        np.testing.assert_array_equal(base.weight, want.data)
+        assert base.precision == "int8" and base.a_quant == QuantParams(0.05)
+        freeze(steered, w_quant, None, np.full(steered.weight.shape, 1.0))
+        assert (steered.weight >= base.weight).all() and (steered.weight > base.weight).any()
 
     def test_override_scales_receive_gradients(self, rng):
         layer = make_layer(w_quant=QuantParams(0.01), a_quant=QuantParams(0.05))
         x = Tensor(rng.normal(size=(1, 3, 4, 4)))
         w_s = Tensor(0.01, requires_grad=True)
         a_s = Tensor(0.05, requires_grad=True)
-        out = layer_conv2d(x, layer, overrides={"w_scale": w_s, "a_scale": a_s})
+        w_hat = ad.fake_quant_op(Tensor(layer.weight), w_s, 8)
+        out = layer_conv2d(x, layer, overrides={"weight": w_hat, "a_scale": a_s})
         grads = backward(ad.tsum(ad.pow_const(out, 2.0)), {"w": w_s, "a": a_s})
         assert np.isfinite(grads["w"]).all() and np.abs(grads["w"]).sum() > 0
         assert np.isfinite(grads["a"]).all()
@@ -199,3 +196,52 @@ class TestForward:
             backward(loss, {"w": w, "stray": stray})
         grads = backward(loss, {"w": w})
         assert grads["w"].shape == w.data.shape
+
+
+# -- freezing ------------------------------------------------------------------------------
+
+
+@st.composite
+def fold_cases(draw):
+    """A weight, a scale and offsets, with exact half ties, clamped levels and
+    offsets on both sides of [0, scale]."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    bits = draw(st.integers(2, 8))
+    # a power-of-two scale makes (k + 1/2) * scale exact: a drawn tie is a tie
+    scale = draw(
+        st.one_of(st.sampled_from([2.0**e for e in range(-8, 3)]), st.floats(1e-3, 4.0))
+    )
+    kernel = draw(st.sampled_from([(1, 1), (3, 3)]))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), *kernel)
+    n = int(np.prod(shape))
+    top = 1 << (bits - 1)
+    levels = draw(st.lists(st.integers(-top - 2, top + 1), min_size=n, max_size=n))
+    ties = st.sampled_from([0.0, 0.5, -0.5])
+    fracs = draw(st.lists(st.one_of(ties, st.floats(-0.5, 0.5)), min_size=n, max_size=n))
+    offsets = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 3.0)), min_size=n, max_size=n
+        )
+    )
+    w = ((np.asarray(levels) + np.asarray(fracs)) * scale).reshape(shape).astype(dtype)
+    theta = (np.asarray(offsets) * scale).reshape(shape).astype(dtype)
+    return dtype, bits, scale, w, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fold_cases())
+def test_property_freeze_folds_offsets_exactly(case):
+    dtype, bits, scale, w, theta = case
+    w_quant = QuantParams(scale, bits)
+    with ad.using_dtype(dtype):
+        steered = ad.fake_quant_op(Tensor(w), Tensor(scale), bits, theta=Tensor(theta)).data
+        layer = LayerSpec("c", w, np.zeros(w.shape[0], dtype))
+        freeze(layer, w_quant, None, theta)
+        assert layer.weight.dtype == dtype
+        assert layer.weight.tobytes() == steered.tobytes()
+        # the frozen forward's own weight fake-quant changes nothing ...
+        again = ad.fake_quant_op(Tensor(layer.weight), Tensor(scale), bits).data
+        assert again.tobytes() == steered.tobytes()
+        # ... and neither does a second freeze
+        freeze(layer, w_quant, None)
+        assert layer.weight.tobytes() == steered.tobytes()

@@ -11,6 +11,7 @@ import pytest
 
 from pillarptq import autodiff as ad
 from pillarptq import network
+from pillarptq.autodiff import Tensor
 from pillarptq.calib import calibrate_layer
 from pillarptq.config import PipelineConfig
 from pillarptq.detector import fp_exempt_layers, quantizable_layers
@@ -22,6 +23,7 @@ from pillarptq.pipeline import (
     run_baseline_calibration,
     run_lidar_ptq,
 )
+from pillarptq.quant import round_half_away
 
 SMALL = PipelineConfig(
     calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
@@ -42,6 +44,12 @@ def _saved_bytes(net, path):
     return path.read_bytes()
 
 
+def _nearest(w_fp, layer):
+    """The weight `layer`'s quantizer makes of w_fp without offsets."""
+    q = layer.w_quant
+    return ad.fake_quant_op(Tensor(w_fp), Tensor(q.scale), q.bits).data
+
+
 class TestLidarPTQ:
     def test_quantizable_layers_end_int8_and_never_worse(self, small_job, tiny_net):
         qnet, log = small_job
@@ -50,8 +58,14 @@ class TestLidarPTQ:
         for name in names:
             layer = qnet.layer(name)
             assert layer.precision == "int8"
-            theta = layer.theta.theta
-            assert (theta >= 0.0).all() and (theta <= layer.w_quant.scale).all()
+            # the kept offsets are folded in: the weight lies on its grid, at
+            # most one level above the float weight's nearest level
+            assert _nearest(layer.weight, layer).tobytes() == layer.weight.tobytes()
+            q = layer.w_quant
+            s_w = float(np.float32(q.scale))
+            level = round_half_away(layer.weight / s_w)
+            base = np.clip(round_half_away(tiny_net.layer(name).weight / s_w), q.q_min, q.q_max)
+            assert (level >= base).all() and (level <= np.minimum(base + 1, q.q_max)).all()
             s = log.layer_stats[name]
             assert s["post_mse"] <= s["pre_mse"]
             assert layer.w_quant.scale == s["w_scale"]
@@ -83,8 +97,10 @@ class TestLidarPTQ:
     def test_without_offsets_theta_stays_unset(self, tiny_net, tiny_calib_feats, grid_cfg):
         qnet, log = _run(tiny_net, tiny_calib_feats, grid_cfg, optimize_theta=False)
         for name in quantizable_layers(tiny_net):
-            assert qnet.layer(name).precision == "int8"
-            assert qnet.layer(name).theta is None
+            layer = qnet.layer(name)
+            assert layer.precision == "int8"
+            want = _nearest(tiny_net.layer(name).weight, layer)
+            assert layer.weight.tobytes() == want.tobytes()
             s = log.layer_stats[name]
             assert s["post_mse"] <= s["pre_mse"]
 
@@ -123,7 +139,7 @@ def test_layer_inputs_match_forward_on_a_partly_frozen_net(tiny_net, tiny_calib_
         assert [a.tobytes() for a in inputs] == [w.tobytes() for w in want]
         if not seen:
             cal = calibrate_layer(inputs, layer.weight, method="maxmin")
-            layer.w_quant, layer.a_quant, layer.precision = cal.w_params, cal.a_params, "int8"
+            network.freeze(layer, cal.w_params, cal.a_params)
         seen.append(layer.name)
     assert seen == quantizable_layers(net)
 
@@ -141,6 +157,8 @@ class TestBaselineCalibration:
             assert layer.precision == "int8"
             assert layer.w_quant.scale == r["w_scale"]
             assert layer.a_quant.scale == r["a_scale"]
+            want = _nearest(tiny_net.layer(r["layer"]).weight, layer)
+            assert layer.weight.tobytes() == want.tobytes()
         for name in fp_exempt_layers(tiny_net) & {l.name for l in qnet.layers}:
             assert qnet.layer(name).precision == "fp"
 

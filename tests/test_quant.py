@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pillarptq import autodiff as ad
+from pillarptq.autodiff import Tensor
 from pillarptq.quant import (
     EPS_SCALE,
     QuantError,
     QuantParams,
-    RoundingOffsets,
     dequantize,
     fake_quant,
     quantize,
     round_half_away,
-    round_trip_error_bound,
     scale_from_range,
+    steered_level,
 )
 
 
@@ -145,7 +146,7 @@ class TestFakeQuant:
     def test_error_bound_half_step_in_range(self, rng):
         p = QuantParams(scale=0.1, bits=8)
         x = rng.uniform(-12.0, 12.0, size=2000)  # inside +-12.7 representable span
-        assert round_trip_error_bound(x, p) <= 0.05 + 1e-15
+        assert np.max(np.abs(x - fake_quant(x, p))) <= 0.05 + 1e-15
 
     def test_preserves_float32_dtype(self):
         p = QuantParams(scale=0.1, bits=8)
@@ -154,57 +155,55 @@ class TestFakeQuant:
 
     def test_empty_input(self):
         p = QuantParams(scale=0.1, bits=8)
-        assert round_trip_error_bound(np.array([]), p) == 0.0
+        assert fake_quant(np.array([]), p).shape == (0,)
 
 
 # -- rounding offsets -----------------------------------------------------------------
+# Offsets are optimizer state: `steered_level` is their level rule, and
+# `autodiff.fake_quant_op` clips them into [0, scale] before applying it.
+
+
+def offset_round_trip(x, scale, theta, bits=8):
+    with ad.using_dtype(np.float64):
+        return ad.fake_quant_op(Tensor(x), Tensor(scale), bits, theta=Tensor(theta)).data
 
 
 class TestRoundingOffsets:
     def test_zero_offsets_reproduce_nearest_rounding(self, rng):
         x = rng.normal(0, 1, size=(16, 3, 3))
-        p = QuantParams(scale=0.02, bits=8)
-        theta = RoundingOffsets(np.zeros_like(x))
-        np.testing.assert_array_equal(fake_quant(x, p, theta), fake_quant(x, p))
+        np.testing.assert_array_equal(
+            steered_level(x, 0.02, np.zeros_like(x)), round_half_away(x / 0.02)
+        )
 
     def test_offset_can_push_weight_up_one_level(self):
-        p = QuantParams(scale=0.25, bits=8)
-        x = np.array([0.30])  # nearest level is 0.25
-        up = RoundingOffsets(np.array([0.20]))
-        assert fake_quant(x, p, up)[0] == pytest.approx(0.50)
+        x = np.array([0.30])  # nearest level is 1 (0.25)
+        np.testing.assert_array_equal(steered_level(x, 0.25, np.array([0.20])), [2.0])
 
     def test_raw_offsets_clip_into_zero_scale_box(self):
-        p = QuantParams(scale=0.25, bits=8)
         x = np.array([0.30])
         # effective offset saturates at the scale: at most one extra level
-        huge = RoundingOffsets(np.array([1e9]))
-        assert fake_quant(x, p, huge)[0] == pytest.approx(0.50)
-        negative = RoundingOffsets(np.array([-5.0]))
-        np.testing.assert_array_equal(fake_quant(x, p, negative), fake_quant(x, p))
+        assert offset_round_trip(x, 0.25, np.array([1e9]))[0] == pytest.approx(0.50)
+        np.testing.assert_array_equal(
+            offset_round_trip(x, 0.25, np.array([-5.0])), fake_quant(x, QuantParams(0.25))
+        )
 
     def test_offset_moves_one_level_where_float_error_or_a_tie_would_give_two(self):
         # (0.15 + 0.1) / 0.1 rounds to 3 in float; -0.05 / 0.1 is a negative
         # half tie, so round-half-away puts it at -1 while -0.05 + 0.1 goes to +1
-        p = QuantParams(scale=0.1, bits=8)
         x = np.array([0.15, -0.05])
-        np.testing.assert_array_equal(fake_quant(x, p), [0.1, -0.1])
-        steered = fake_quant(x, p, RoundingOffsets(np.array([1.0, 0.1])))
-        np.testing.assert_allclose(steered, [0.2, 0.0], atol=1e-15)
+        np.testing.assert_array_equal(steered_level(x, 0.1), [1.0, -1.0])
+        np.testing.assert_array_equal(steered_level(x, 0.1, np.array([0.1, 0.1])), [2.0, 0.0])
 
     def test_effective_is_monotone_in_raw_theta(self):
-        offs = RoundingOffsets(np.array([-1.0, 0.0, 0.1, 0.2, 5.0]))
-        eff = offs.effective(scale=0.2)
-        np.testing.assert_allclose(eff, [0.0, 0.0, 0.1, 0.2, 0.2])
+        x = np.full(5, 0.33)
+        raw = offset_round_trip(x, 0.2, np.array([-1.0, 0.0, 0.1, 0.2, 5.0]))
+        clipped = offset_round_trip(x, 0.2, np.array([0.0, 0.0, 0.1, 0.2, 0.2]))
+        np.testing.assert_array_equal(raw, clipped)
+        assert (np.diff(raw) >= 0).all()
 
     def test_shape_mismatch_raises(self):
-        p = QuantParams(scale=0.1, bits=8)
-        with pytest.raises(QuantError):
-            fake_quant(np.zeros(4), p, RoundingOffsets(np.zeros(5)))
-
-    def test_offsets_are_read_only(self):
-        offs = RoundingOffsets(np.zeros(3))
         with pytest.raises(ValueError):
-            offs.theta[0] = 1.0
+            offset_round_trip(np.zeros(4), 0.1, np.zeros(5))
 
 
 # -- properties -----------------------------------------------------------------------
@@ -243,9 +242,12 @@ def test_property_fake_quant_is_idempotent(x, scale):
 def test_property_offset_never_moves_more_than_one_level(x, theta):
     p = QuantParams(scale=0.1, bits=8)
     arr = np.array(x)
-    base = quantize(arr, p)
-    steered = fake_quant(arr, p, RoundingOffsets(np.full(arr.shape, theta)))
-    diff = np.abs(steered / p.scale - base)
+    offsets = np.full(arr.shape, theta)
+    base = round_half_away(arr / p.scale)
+    level = steered_level(arr, p.scale, np.clip(offsets, 0.0, p.scale))
+    assert np.all((level >= base) & (level <= base + 1))
+    steered = offset_round_trip(arr, p.scale, offsets)
+    diff = np.abs(steered / p.scale - quantize(arr, p))
     assert np.all(diff <= 1 + 1e-6)
 
 
