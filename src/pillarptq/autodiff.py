@@ -114,12 +114,23 @@ class Tensor:
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
                 continue
+            handed_out = [node.grad]
             for parent, g in zip(node._parents, node._vjp(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                # A vjp's own array (not the incoming gradient, which `add`
+                # passes on, nor one handed to another parent) becomes the first
+                # gradient buffer if laid out as zeros_like(parent.data) would be.
+                own = not any(np.may_share_memory(g, h) for h in handed_out)
+                d = parent.data
+                if parent.grad is not None:
+                    parent.grad += g
+                elif own and (g.shape, g.strides, g.dtype) == (d.shape, d.strides, d.dtype):
+                    parent.grad = g
+                else:
+                    parent.grad = np.zeros_like(d)
+                    parent.grad += g
+                handed_out.append(g)
 
     # -- operators ---------------------------------------------------------------
 

@@ -8,6 +8,7 @@ label file.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,18 +60,24 @@ def save_point_cloud(path, pc: PointCloud) -> None:
 
 
 def load_point_cloud(path, audit: Optional[FileAudit] = None) -> PointCloud:
+    """Read a PCL1 file; a short file or bytes after the last point raise
+    DatasetError. The size is checked before the point buffer is allocated."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != PCL_MAGIC:
-            raise DatasetError(f"{path}: bad magic {magic!r}")
-        (count,) = struct.unpack("<I", f.read(4))
-        raw = f.read(count * 16)
-    if len(raw) != count * 16:
-        raise DatasetError(f"{path}: truncated (expected {count} points)")
-    pts = np.frombuffer(raw, dtype="<f4").reshape(count, 4)
+        header = f.read(8)
+        if header[:4] != PCL_MAGIC or len(header) != 8:
+            raise DatasetError(f"{path}: bad magic or short header {header!r}")
+        (count,) = struct.unpack("<I", header[4:])
+        size = os.fstat(f.fileno()).st_size - 8
+        if size < count * 16:
+            raise DatasetError(f"{path}: truncated (expected {count} points)")
+        if size > count * 16:
+            raise DatasetError(f"{path}: bytes after the last of {count} points")
+        raw = bytearray(size)
+        if f.readinto(raw) != size:
+            raise DatasetError(f"{path}: truncated (expected {count} points)")
     if audit is not None:
         audit.record("pcl", path)
-    return PointCloud(pts.copy())
+    return PointCloud(np.frombuffer(raw, dtype="<f4").reshape(count, 4))
 
 
 # -- label text format ----------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Miniature pillar-based BEV detector: pillarization, a small conv backbone
 with center-heatmap and box-regression heads, peak decoding, and BEV NMS.
 
+Pillarization, decoding and NMS are array code; Python touches a box only to
+build or read its Box3D. They return bit for bit what the per-point and
+per-box code they replaced did (tests/test_stream_reference.py keeps it as the
+reference), since `Box3D ==` is how the benchmark compares streamed boxes.
+
 The pillar encoder is hand-crafted and stays full precision. Channels 0-1
 carry absolute x/y means, so activation magnitude grows with distance from
 the sensor; far objects therefore stress the quantization range exactly the
@@ -10,8 +15,8 @@ way large outdoor scenes do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +31,11 @@ REG_CHANNELS = 8  # dx, dy, z, log h, log w, log l, sin yaw, cos yaw
 
 
 def wrap_angle(a):
-    """Normalize angles to (-pi, pi]."""
+    """Normalize angles to (-pi, pi]. A Python float or int takes a scalar path
+    whose `%` is `np.mod`'s fmod-and-adjust, so both paths agree bit for bit."""
+    if isinstance(a, (int, float)):
+        r = (float(a) + math.pi) % (2.0 * math.pi) - math.pi
+        return math.pi if r == -math.pi else r
     r = np.mod(np.asarray(a, dtype=np.float64) + np.pi, 2.0 * np.pi) - np.pi
     r = np.where(r == -np.pi, np.pi, r)
     return float(r) if np.isscalar(a) or np.ndim(a) == 0 else r
@@ -125,7 +134,10 @@ PILLAR_CHANNELS = 6
 
 def pillarize(pc: PointCloud, cfg: GridConfig) -> PillarGrid:
     """Scatter points into BEV pillars with a fixed 6-channel mean encoder:
-    (mean x, mean y, mean z, mean r, saturating count, mean |x|+|y|)."""
+    (mean x, mean y, mean z, mean r, saturating count, mean |x|+|y|).
+
+    `bincount` sums its weights in float64 in point order, so only x and y
+    are widened up front (for |x|+|y|); the other columns go in as float32."""
     h, w = cfg.h_bev, cfg.w_bev
     feats = np.zeros((PILLAR_CHANNELS, h, w), dtype=np.float32)
     occ = np.zeros((h, w), dtype=bool)
@@ -134,28 +146,20 @@ def pillarize(pc: PointCloud, cfg: GridConfig) -> PillarGrid:
         ix = np.floor((pts[:, 0] - cfg.x_min) / cfg.voxel_size).astype(np.int64)
         iy = np.floor((pts[:, 1] - cfg.y_min) / cfg.voxel_size).astype(np.int64)
         keep = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-        if keep.any():
-            ix, iy = ix[keep], iy[keep]
-            kept = pts[keep].astype(np.float64)
-            flat = iy * w + ix
-            counts = np.bincount(flat, minlength=h * w).astype(np.float64)
-            occ_flat = counts > 0
-            denom = np.maximum(counts, 1.0)
-            cols = [
-                kept[:, 0],
-                kept[:, 1],
-                kept[:, 2],
-                kept[:, 3],
-                None,  # count channel, filled below
-                np.abs(kept[:, 0]) + np.abs(kept[:, 1]),
-            ]
-            for c, vals in enumerate(cols):
-                if vals is None:
-                    continue
-                acc = np.bincount(flat, weights=vals, minlength=h * w)
-                feats[c] = (acc / denom).reshape(h, w).astype(np.float32)
-            feats[4] = np.minimum(counts / COUNT_NORM, 1.0).reshape(h, w).astype(np.float32)
-            occ = occ_flat.reshape(h, w)
+        if not keep.all():
+            ix, iy = np.compress(keep, ix), np.compress(keep, iy)
+            pts = np.compress(keep, pts, axis=0)
+    if pts.shape[0]:
+        flat = iy * w + ix
+        counts = np.bincount(flat, minlength=h * w).astype(np.float64)
+        denom = np.maximum(counts, 1.0)
+        x, y = pts[:, 0].astype(np.float64), pts[:, 1].astype(np.float64)
+        cols = {0: x, 1: y, 2: pts[:, 2], 3: pts[:, 3], 5: np.abs(x) + np.abs(y)}
+        for c, vals in cols.items():
+            acc = np.bincount(flat, weights=vals, minlength=h * w)
+            feats[c] = (acc / denom).reshape(h, w)
+        feats[4] = np.minimum(counts / COUNT_NORM, 1.0).reshape(h, w)
+        occ = (counts > 0).reshape(h, w)
     return PillarGrid(feats, occ, cfg.voxel_size, (cfg.x_min, cfg.x_max, cfg.y_min, cfg.y_max))
 
 
@@ -250,15 +254,11 @@ def detector_forward(net: Network, grid: PillarGrid) -> DetectorOutput:
 
 
 def _local_peaks(hm: np.ndarray) -> np.ndarray:
-    """Cells that are >= all 8 neighbors (3x3 max-pool equality test)."""
+    """Cells that are >= all 8 neighbors (a separable 3x3 max-pool equality test)."""
+    h, w = hm.shape[1:]
     pad = np.pad(hm, ((0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
-    neigh = np.stack(
-        [
-            pad[:, i : i + hm.shape[1], j : j + hm.shape[2]]
-            for i in range(3)
-            for j in range(3)
-        ]
-    ).max(axis=0)
+    rows = np.maximum(np.maximum(pad[:, :, :w], pad[:, :, 1 : w + 1]), pad[:, :, 2:])
+    neigh = np.maximum(np.maximum(rows[:, :h], rows[:, 1 : h + 1]), rows[:, 2:])
     return hm >= neigh
 
 
@@ -269,69 +269,62 @@ def decode_boxes(
     max_boxes: int = 500,
 ) -> List[Box3D]:
     """Heatmap peaks above the floor, best-first, turned into boxes."""
-    hm = np.asarray(out.heatmap, dtype=np.float64)
-    reg = np.asarray(out.regression, dtype=np.float64)
+    hm, reg = np.asarray(out.heatmap), np.asarray(out.regression)
     if hm.ndim != 3 or reg.shape[0] != REG_CHANNELS or hm.shape[1:] != reg.shape[1:]:
         raise ValueError(f"bad output shapes {hm.shape} / {reg.shape}")
-    stride = cfg.h_bev // hm.shape[1]
-    cell = cfg.voxel_size * stride
-    peaks = _local_peaks(hm) & (hm >= score_floor)
-    cls_idx, iy, ix = np.nonzero(peaks)
+    cell = cfg.voxel_size * (cfg.h_bev // hm.shape[1])
+    # Peak test in the head's dtype (max and >= are exact); the floor and
+    # everything after it in float64.
+    cls_idx, iy, ix = np.nonzero(_local_peaks(hm))
+    scores = hm[cls_idx, iy, ix].astype(np.float64)
+    above = scores >= score_floor
+    cls_idx, iy, ix, scores = cls_idx[above], iy[above], ix[above], scores[above]
     if cls_idx.size == 0:
         return []
-    scores = hm[cls_idx, iy, ix]
-    cx = cfg.x_min + (ix + 0.5) * cell
-    cy = cfg.y_min + (iy + 0.5) * cell
+    cx, cy = cfg.x_min + (ix + 0.5) * cell, cfg.y_min + (iy + 0.5) * cell
     order = np.lexsort((cy, cx, -scores))[:max_boxes]
-    boxes = []
-    for i in order:
-        r = reg[:, iy[i], ix[i]]
-        boxes.append(
-            Box3D(
-                x=float(cx[i] + r[0] * cell),
-                y=float(cy[i] + r[1] * cell),
-                z=float(r[2]),
-                h=float(np.exp(np.clip(r[3], -8, 8))),
-                w=float(np.exp(np.clip(r[4], -8, 8))),
-                l=float(np.exp(np.clip(r[5], -8, 8))),
-                yaw=float(np.arctan2(r[6], r[7])),
-                cls=int(cls_idx[i]),
-                score=float(scores[i]),
-            )
-        )
-    return boxes
+    r = reg[:, iy[order], ix[order]].astype(np.float64)
+    x, y = cx[order] + r[0] * cell, cy[order] + r[1] * cell
+    h, w, l = np.exp(np.clip(r[3:6], -8, 8))
+    yaw = np.arctan2(r[6], r[7])
+    cols = (x, y, r[2], h, w, l, yaw, cls_idx[order], scores[order])
+    return [Box3D(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
-def iou_bev(a: Box3D, b: Box3D) -> float:
-    ax0, ay0, ax1, ay1 = a.footprint()
-    bx0, by0, bx1, by1 = b.footprint()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
+def _footprints(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(N, 4) BEV extents x0, y0, x1, y1, as `Box3D.footprint` computes them."""
+    x, y, l, w = np.array([(b.x, b.y, b.l, b.w) for b in boxes], dtype=np.float64).reshape(-1, 4).T
+    return np.stack([x - l / 2.0, y - w / 2.0, x + l / 2.0, y + w / 2.0], axis=1)
+
+
+def iou_matrix(a: Sequence[Box3D], b: Sequence[Box3D]) -> np.ndarray:
+    """(len(a), len(b)) axis-aligned BEV IoU of footprints; yaw is ignored."""
+    fa = _footprints(a)
+    fb = fa if b is a else _footprints(b)
+    ax0, ay0, ax1, ay1 = (c[:, None] for c in fa.T)
+    bx0, by0, bx1, by1 = fb.T
+    iw = np.clip(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0, None)
+    ih = np.clip(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0, None)
     inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter / union
+    return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
+
+
+def score_order(boxes: Sequence[Box3D]) -> List[int]:
+    """Indices by (score desc, x asc, y asc), ties kept in input order."""
+    keys = np.array([(b.score, b.x, b.y) for b in boxes], dtype=np.float64).reshape(-1, 3)
+    return np.lexsort((keys[:, 2], keys[:, 1], -keys[:, 0])).tolist()
 
 
 def nms_bev(boxes: List[Box3D], iou_threshold: float = 0.2) -> List[Box3D]:
     """Greedy suppression by (score desc, x asc, y asc) at axis-aligned IoU."""
-    if not boxes:
-        return []
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, boxes[i].x, boxes[i].y))
-    fp = np.asarray([boxes[i].footprint() for i in order], dtype=np.float64)
-    x0, y0, x1, y1 = fp.T
-    area = (x1 - x0) * (y1 - y0)
-    idx = np.arange(len(order))
-    alive = np.ones(len(order), dtype=bool)
+    ranked = [boxes[i] for i in score_order(boxes)]
+    # Row i holds the boxes that kept box i would suppress: ranked after it
+    # and at or above the threshold.
+    spared = ~np.triu(iou_matrix(ranked, ranked) >= iou_threshold, 1)
+    alive = np.ones(len(ranked), dtype=bool)
     kept: List[Box3D] = []
-    for i in idx:
-        if not alive[i]:
-            continue
-        kept.append(boxes[order[i]])
-        iw = np.clip(np.minimum(x1[i], x1) - np.maximum(x0[i], x0), 0.0, None)
-        ih = np.clip(np.minimum(y1[i], y1) - np.maximum(y0[i], y0), 0.0, None)
-        inter = iw * ih
-        iou = inter / (area[i] + area - inter)
-        alive &= ~((iou >= iou_threshold) & (idx > i))
+    for i, box in enumerate(ranked):
+        if alive[i]:
+            kept.append(box)
+            alive &= spared[i]
     return kept

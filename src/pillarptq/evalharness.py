@@ -1,6 +1,9 @@
 """BEV detection metrics: greedy IoU matching, 101-point interpolated AP,
 range-bucketed AP, and the multi-model range-ablation table.
 
+Matching builds one pred x GT IoU matrix per scene (detector.iou_matrix, the
+helper NMS uses) and matches exactly as the per-pair loop it replaced did.
+
 Yaw is not folded into AP (no heading weighting); its mean absolute error
 over true positives is reported as a separate field.
 """
@@ -10,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,9 +22,10 @@ from .detector import (
     GridConfig,
     decode_boxes,
     detector_forward,
-    iou_bev,
+    iou_matrix,
     nms_bev,
     pillarize,
+    score_order,
     wrap_angle,
 )
 from .network import Network
@@ -78,40 +82,30 @@ def _match_scene(
     preds: Sequence[Box3D], gts: Sequence[Box3D], iou_thresh: float, buckets
 ) -> Tuple[List[_Match], np.ndarray]:
     """Greedy score-ordered one-to-one matching; returns per-pred records and
-    a matched flag per GT."""
+    a matched flag per GT. Each pred takes the free same-class GT of highest
+    IoU at or above the threshold (and above 0), the first such GT on ties."""
     matched = np.zeros(len(gts), dtype=bool)
     records: List[_Match] = []
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, preds[i].x, preds[i].y))
-    for pi in order:
-        p = preds[pi]
-        best_iou, best_j = 0.0, -1
-        for j, g in enumerate(gts):
-            if matched[j] or g.cls != p.cls:
-                continue
-            iou = iou_bev(p, g)
-            if iou >= iou_thresh and iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0:
-            matched[best_j] = True
-            g = gts[best_j]
-            records.append(
-                _Match(
-                    cls=p.cls,
-                    score=p.score,
-                    tp=True,
-                    bucket=_bucket_of(g.range_from_origin(), buckets),
-                    yaw_err=abs(wrap_angle(p.yaw - g.yaw)),
-                )
+    ranked = [preds[i] for i in score_order(preds)]
+    ious = iou_matrix(ranked, gts)
+    same_cls = np.array([p.cls for p in ranked])[:, None] == np.array([g.cls for g in gts])
+    eligible = same_cls & (ious >= iou_thresh) & (ious > 0.0)
+    has_candidate = eligible.any(axis=1).tolist()
+    for k, p in enumerate(ranked):
+        g = None
+        if has_candidate[k] and (free := eligible[k] & ~matched).any():
+            j = int(np.argmax(np.where(free, ious[k], -np.inf)))
+            matched[j] = True
+            g = gts[j]
+        records.append(
+            _Match(
+                cls=p.cls,
+                score=p.score,
+                tp=g is not None,
+                bucket=_bucket_of((p if g is None else g).range_from_origin(), buckets),
+                yaw_err=0.0 if g is None else abs(wrap_angle(p.yaw - g.yaw)),
             )
-        else:
-            records.append(
-                _Match(
-                    cls=p.cls,
-                    score=p.score,
-                    tp=False,
-                    bucket=_bucket_of(p.range_from_origin(), buckets),
-                )
-            )
+        )
     return records, matched
 
 
@@ -145,47 +139,37 @@ def evaluate(
             f"scene count mismatch: {len(preds_per_scene)} preds vs {len(gts_per_scene)} gts"
         )
     records: List[_Match] = []
-    gt_class_counts: Dict[int, int] = {}
-    gt_cb_counts: Dict[Tuple[int, int], int] = {}
+    gt_cls: List[int] = []
+    gt_bucket: List[int] = []
     fn = 0
     for preds, gts in zip(preds_per_scene, gts_per_scene):
         recs, matched = _match_scene(preds, gts, iou_thresh, buckets)
         records.extend(recs)
         fn += int((~matched).sum())
-        for g in gts:
-            gt_class_counts[g.cls] = gt_class_counts.get(g.cls, 0) + 1
-            key = (g.cls, _bucket_of(g.range_from_origin(), buckets))
-            gt_cb_counts[key] = gt_cb_counts.get(key, 0) + 1
+        gt_cls.extend(g.cls for g in gts)
+        gt_bucket.extend(_bucket_of(g.range_from_origin(), buckets) for g in gts)
 
-    classes = sorted(gt_class_counts)
-    ap_per_class = {}
-    for c in classes:
-        sel = [r for r in records if r.cls == c]
-        ap_per_class[c] = _ap_101(
-            np.asarray([r.score for r in sel]),
-            np.asarray([r.tp for r in sel]),
-            gt_class_counts[c],
-        )
+    cls, bucket, score, tps = (
+        np.array([getattr(r, k) for r in records]) for k in ("cls", "bucket", "score", "tp")
+    )
+    gt_cls_arr, gt_bucket_arr = np.array(gt_cls), np.array(gt_bucket)
+    classes = sorted(set(gt_cls))
+    ap_per_class = {
+        c: _ap_101(score[cls == c], tps[cls == c], int((gt_cls_arr == c).sum())) for c in classes
+    }
     mean_ap = float(np.mean([ap_per_class[c] for c in classes])) if classes else 0.0
 
     bucket_ap = {}
     for bi, (lo, hi) in enumerate(buckets):
         aps = []
         for c in classes:
-            n_gt = gt_cb_counts.get((c, bi), 0)
-            if n_gt == 0:
-                continue
-            sel = [r for r in records if r.cls == c and r.bucket == bi]
-            aps.append(
-                _ap_101(
-                    np.asarray([r.score for r in sel]),
-                    np.asarray([r.tp for r in sel]),
-                    n_gt,
-                )
-            )
+            n_gt = int(((gt_cls_arr == c) & (gt_bucket_arr == bi)).sum())
+            if n_gt:
+                sel = (cls == c) & (bucket == bi)
+                aps.append(_ap_101(score[sel], tps[sel], n_gt))
         bucket_ap[bucket_name(lo, hi)] = float(np.mean(aps)) if aps else float("nan")
 
-    tp = sum(1 for r in records if r.tp)
+    tp = int(tps.sum())
     fp = len(records) - tp
     yaw_errs = [r.yaw_err for r in records if r.tp]
     return EvalReport(
@@ -195,7 +179,7 @@ def evaluate(
         tp=tp,
         fp=fp,
         fn=fn,
-        n_gt=sum(gt_class_counts.values()),
+        n_gt=len(gt_cls),
         yaw_mae=float(np.mean(yaw_errs)) if yaw_errs else float("nan"),
     )
 

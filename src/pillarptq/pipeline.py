@@ -255,7 +255,13 @@ def run_baseline_calibration(
     bits: int = 8,
     search=None,
 ) -> Tuple[Network, List[dict]]:
-    """Apply one calibrator to every quantizable layer; no optimization."""
+    """Apply one calibrator to every quantizable layer; no optimization.
+
+    The arms capture their inputs two ways, on purpose. maxmin and entropy are
+    TensorRT-style baselines: every layer calibrates on the float net's
+    activations. maxmin_grid is run_lidar_ptq's initialization alone, so like
+    LiDAR-PTQ each layer sees the output of the int8 layers before it, and it
+    holds its scales at engine precision, as the `quantize` verb's model does."""
     if bits == 32:
         return fp_net.copy(), []
     if not calib_feats:
@@ -263,10 +269,6 @@ def run_baseline_calibration(
 
     search = search or SearchConfig()
     qnet = fp_net.copy()
-    # maxmin_grid is run_lidar_ptq's initialization alone: each layer sees the
-    # output of the int8 layers before it and holds its scales at engine
-    # precision, as the `quantize` verb's model does. maxmin and entropy
-    # calibrate every layer on the float net's activations.
     grid = method == "maxmin_grid"
     rows = []
     for src, acts in _layer_inputs(qnet if grid else fp_net, calib_feats):

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .detector import Box3D, PointCloud, iou_bev
+from .detector import Box3D, PointCloud, iou_matrix
 
 
 class SceneGenError(RuntimeError):
@@ -124,7 +124,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> Tuple[PointCloud, List[Box3D]]
         placed = False
         for _ in range(200):
             cand = _sample_box(rng, spec)
-            if all(iou_bev(cand, b) == 0.0 for b in boxes):
+            if not iou_matrix([cand], boxes).any():
                 boxes.append(cand)
                 placed = True
                 break

@@ -130,6 +130,31 @@ class TestTapeMechanics:
             loss.backward()
             np.testing.assert_allclose(x.grad, [3.0 + 18.0 * 2.0])
 
+    def test_shared_incoming_gradient_gets_its_own_buffers(self):
+        # `add` hands its incoming gradient to both parents unchanged; each
+        # parent's first gradient becomes its buffer, so later accumulation
+        # into one must not leak into the other or into the add node.
+        with ad.using_dtype(F64):
+            x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            a, b = ad.mul(x, 3.0), ad.mul(x, 5.0)
+            s = ad.add(a, b)
+            loss = ad.tsum(ad.add(s, ad.mul(a, a)))  # 8x + 9x^2
+            loss.backward()
+            np.testing.assert_array_equal(s.grad, [1.0, 1.0])
+            np.testing.assert_array_equal(a.grad, 1.0 + 2.0 * a.data)
+            np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+            np.testing.assert_array_equal(x.grad, 8.0 + 18.0 * x.data)
+            buffers = [t.grad for t in (x, a, b, s)]
+            assert not any(
+                np.may_share_memory(p, q) for i, p in enumerate(buffers) for q in buffers[i + 1 :]
+            )
+
+    def test_same_tensor_twice_in_add_counts_both_paths(self):
+        with ad.using_dtype(F64):
+            x = Tensor(np.array([1.5]), requires_grad=True)
+            ad.tsum(ad.add(x, x)).backward()
+            np.testing.assert_array_equal(x.grad, [2.0])
+
 
 # -- elementwise and reduction gradients -------------------------------------------------
 

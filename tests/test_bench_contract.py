@@ -12,6 +12,7 @@ if str(PERFBENCH) not in sys.path:
 
 import layers  # noqa: E402
 import workloads  # noqa: E402
+from spans import Tracer  # noqa: E402
 
 from pillarptq import autodiff, calib, modelio, pipeline  # noqa: E402
 from pillarptq.config import PipelineConfig  # noqa: E402
@@ -59,3 +60,27 @@ def test_frozen_model_survives_the_save_load_round_trip(
         layer.weight = tiny_net.layer(layer.name).weight
     modelio.save_model(tmp_path / "unfolded.ptqf", plain)
     assert len(blob) == (tmp_path / "unfolded.ptqf").stat().st_size
+
+
+def test_traced_detect_pass_fills_the_stream_counters(tiny_net, tiny_dataset):
+    # A refactor of the detect stream must keep its per-layer counters live:
+    # every stage reports work, and each decoded box is one NMS candidate.
+    frames = tiny_dataset.frames("val")
+    gts = [tiny_dataset.labels(f) for f in frames]
+    net = tiny_net.copy()
+    net.heads["heatmap"].bias[:] = 2.0  # enough peaks to decode on every frame
+    tracer = Tracer()
+    with tracer:
+        layers.instrument(tracer)
+        workloads.detect_pass(net, tiny_dataset, frames, gts, tracer)
+    agg = tracer.aggregate()
+    for span, counter in [
+        ("detector.pillarize", "points"),
+        ("detector.decode_boxes", "peaks"),
+        ("detector.nms_bev", "candidates"),
+        ("evalharness.evaluate", "iou_pairs"),
+        ("dataset.point_cloud", "bytes"),
+    ]:
+        assert agg[span][counter] > 0, f"{span}.{counter} is zero"
+    assert agg["detector.decode_boxes"]["peaks"] == agg["detector.nms_bev"]["candidates"]
+    assert agg["detector.pillarize"]["calls"] == len(frames)

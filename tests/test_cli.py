@@ -101,3 +101,20 @@ def test_maxmin_grid_report_shows_the_quantized_scales(
         layer = qnet.layer(fields["layer"])
         assert fields["w_scale"] == f"{layer.w_quant.scale:.10g}"
         assert fields["a_scale"] == f"{layer.a_quant.scale:.10g}"
+
+
+def test_point_cloud_with_trailing_bytes_exits_3(tiny_dataset, model_path, tmp_path, capsys):
+    # A val frame with bytes after its last point must fail the run, not load
+    # with points missing.
+    import shutil
+
+    from pillarptq.dataset import Dataset
+
+    root = tmp_path / "ds"
+    shutil.copytree(tiny_dataset.root, root)
+    ds = Dataset(root)
+    pcl = root / ds.entries[ds.frames("val")[0]].pcl_path
+    pcl.write_bytes(pcl.read_bytes() + b"\x00" * 16)
+    argv = ["evaluate", "--data", str(root), "--model", str(model_path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert "after the last" in capsys.readouterr().err

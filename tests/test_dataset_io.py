@@ -44,6 +44,33 @@ class TestPointCloudFormat:
             load_point_cloud(p)
 
 
+    def test_bytes_after_the_last_point_rejected(self, tmp_path):
+        # A hand-made file: header for 2 points, then 3 points' worth of data.
+        p = tmp_path / "long.pcl"
+        p.write_bytes(b"PCL1" + (2).to_bytes(4, "little") + np.ones(12, "<f4").tobytes())
+        with pytest.raises(DatasetError, match="after the last"):
+            load_point_cloud(p)
+
+    def test_huge_point_count_rejected_before_allocating(self, tmp_path):
+        # A header that claims 2**32 - 1 points over a 16-byte body.
+        p = tmp_path / "huge.pcl"
+        p.write_bytes(b"PCL1" + (2**32 - 1).to_bytes(4, "little") + bytes(16))
+        with pytest.raises(DatasetError, match="truncated"):
+            load_point_cloud(p)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        p = tmp_path / "short.pcl"
+        p.write_bytes(b"PCL1" + b"\x02\x00")
+        with pytest.raises(DatasetError):
+            load_point_cloud(p)
+
+    def test_loaded_points_are_writable_float32(self, tmp_path, rng):
+        p = tmp_path / "w.pcl"
+        save_point_cloud(p, PointCloud(rng.normal(size=(5, 4)).astype(np.float32)))
+        pts = load_point_cloud(p).points
+        assert pts.dtype == np.float32 and pts.flags.writeable
+
+
 class TestLabelFormat:
     def test_round_trip(self, tmp_path):
         boxes = [

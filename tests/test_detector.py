@@ -18,7 +18,7 @@ from pillarptq.detector import (
     detector_forward,
     fp_exempt_layers,
     head_forward,
-    iou_bev,
+    iou_matrix,
     nms_bev,
     pillarize,
     quantizable_layers,
@@ -228,20 +228,20 @@ class TestIoUAndNMS:
         return Box3D(x, y, 0.0, 1.0, w, l, 0.0, cls, score)
 
     def test_identical_boxes(self):
-        assert iou_bev(self.box(0, 0), self.box(0, 0)) == pytest.approx(1.0)
+        assert iou_matrix([self.box(0, 0)], [self.box(0, 0)])[0, 0] == pytest.approx(1.0)
 
     def test_disjoint_boxes(self):
-        assert iou_bev(self.box(0, 0), self.box(10, 0)) == 0.0
+        assert iou_matrix([self.box(0, 0)], [self.box(10, 0)])[0, 0] == 0.0
 
     def test_hand_computed_overlap(self):
         # [-2,2]x[-1,1] vs [-1.5,2.5]x[-1,1]: inter 7, union 9
-        got = iou_bev(self.box(0, 0), self.box(0.5, 0))
+        got = iou_matrix([self.box(0, 0)], [self.box(0.5, 0)])[0, 0]
         assert got == pytest.approx(7.0 / 9.0)
 
     def test_yaw_is_ignored(self):
         a = Box3D(0, 0, 0, 1, 2, 4, 0.0, 0)
         b = Box3D(0, 0, 0, 1, 2, 4, 1.2, 0)
-        assert iou_bev(a, b) == pytest.approx(1.0)
+        assert iou_matrix([a], [b])[0, 0] == pytest.approx(1.0)
 
     def test_nms_suppresses_overlaps_keeps_best(self):
         boxes = [

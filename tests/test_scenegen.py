@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pillarptq.detector import iou_bev
+from pillarptq.detector import iou_matrix
 from pillarptq.scenegen import DEFAULT_SIZES, SceneSpec, generate_scene
 
 
@@ -57,7 +57,7 @@ class TestGenerateScene:
                 assert spec.min_range <= a.range_from_origin() <= spec.sensor_range
                 assert a.cls in (0, 1)
                 for b in boxes[i + 1 :]:
-                    assert iou_bev(a, b) == 0.0
+                    assert iou_matrix([a], [b])[0, 0] == 0.0
 
     def test_every_box_collects_points(self, grid_cfg):
         # each labeled object must have at least one return inside its footprint
