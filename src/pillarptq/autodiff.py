@@ -120,15 +120,15 @@ class Tensor:
                     continue
                 # A vjp's own array (not the incoming gradient, which `add`
                 # passes on, nor one handed to another parent) becomes the first
-                # gradient buffer if laid out as zeros_like(parent.data) would be.
+                # gradient buffer if laid out as zeros_like(parent.data) would be,
+                # so later sums over parent.grad run in the same order.
                 own = not any(np.may_share_memory(g, h) for h in handed_out)
-                d = parent.data
                 if parent.grad is not None:
                     parent.grad += g
-                elif own and (g.shape, g.strides, g.dtype) == (d.shape, d.strides, d.dtype):
+                elif own and _zeros_like_layout(g, parent.data):
                     parent.grad = g
                 else:
-                    parent.grad = np.zeros_like(d)
+                    parent.grad = np.zeros_like(parent.data)
                     parent.grad += g
                 handed_out.append(g)
 
@@ -160,6 +160,20 @@ class Tensor:
         if isinstance(k, Tensor):
             raise TypeError("division by a Tensor is not supported; use mul + reciprocal constants")
         return mul(self, 1.0 / float(k))
+
+
+def _zeros_like_layout(g: np.ndarray, d: np.ndarray) -> bool:
+    """True when g is laid out as np.zeros_like(d) would be: d's shape, dtype
+    and strides, where those strides tile memory without gaps, overlaps or
+    negative steps (the case in which zeros_like keeps d's element order)."""
+    if (g.shape, g.strides, g.dtype) != (d.shape, d.strides, d.dtype):
+        return False
+    step = d.itemsize
+    for stride, n in sorted((s, n) for s, n in zip(d.strides, d.shape) if n > 1):
+        if stride != step:
+            return False
+        step *= n
+    return True
 
 
 def as_tensor(x) -> Tensor:

@@ -30,15 +30,11 @@ COUNT_NORM = 16.0
 REG_CHANNELS = 8  # dx, dy, z, log h, log w, log l, sin yaw, cos yaw
 
 
-def wrap_angle(a):
-    """Normalize angles to (-pi, pi]. A Python float or int takes a scalar path
-    whose `%` is `np.mod`'s fmod-and-adjust, so both paths agree bit for bit."""
-    if isinstance(a, (int, float)):
-        r = (float(a) + math.pi) % (2.0 * math.pi) - math.pi
-        return math.pi if r == -math.pi else r
-    r = np.mod(np.asarray(a, dtype=np.float64) + np.pi, 2.0 * np.pi) - np.pi
-    r = np.where(r == -np.pi, np.pi, r)
-    return float(r) if np.isscalar(a) or np.ndim(a) == 0 else r
+def wrap_angle(a: float) -> float:
+    """Normalize an angle to (-pi, pi]. Python's float `%` is `np.mod`'s
+    fmod-and-adjust, so this equals the numpy form bit for bit."""
+    r = (float(a) + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if r == -math.pi else r
 
 
 @dataclass
@@ -292,9 +288,8 @@ def decode_boxes(
 
 
 def _footprints(boxes: Sequence[Box3D]) -> np.ndarray:
-    """(N, 4) BEV extents x0, y0, x1, y1, as `Box3D.footprint` computes them."""
-    x, y, l, w = np.array([(b.x, b.y, b.l, b.w) for b in boxes], dtype=np.float64).reshape(-1, 4).T
-    return np.stack([x - l / 2.0, y - w / 2.0, x + l / 2.0, y + w / 2.0], axis=1)
+    """(N, 4) BEV extents x0, y0, x1, y1 from `Box3D.footprint`."""
+    return np.array([b.footprint() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def iou_matrix(a: Sequence[Box3D], b: Sequence[Box3D]) -> np.ndarray:

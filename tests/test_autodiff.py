@@ -149,6 +149,27 @@ class TestTapeMechanics:
                 np.may_share_memory(p, q) for i, p in enumerate(buffers) for q in buffers[i + 1 :]
             )
 
+    def test_first_gradient_buffer_has_the_zeros_like_layout(self):
+        # A vjp's own array is taken as the buffer only when zeros_like would
+        # lay it out the same way; a gapped gradient of a gapped parent is
+        # copied into a packed buffer instead.
+        with ad.using_dtype(F64):
+            for cols in (3, 6):
+                x = Tensor(np.arange(24.0).reshape(4, 6)[:, :cols], requires_grad=True)
+                seen = []
+
+                def vjp(g, cols=cols):
+                    gx = np.zeros((4, 6))[:, :cols]
+                    gx += 2.0 * g
+                    seen.append(gx)
+                    return (gx,)
+
+                y = Tensor._from_op(2.0 * x.data, [x], vjp)
+                ad.tsum(y).backward()
+                np.testing.assert_array_equal(x.grad, np.full((4, cols), 2.0))
+                assert x.grad.strides == np.zeros_like(x.data).strides
+                assert (x.grad is seen[0]) == (cols == 6)
+
     def test_same_tensor_twice_in_add_counts_both_paths(self):
         with ad.using_dtype(F64):
             x = Tensor(np.array([1.5]), requires_grad=True)
