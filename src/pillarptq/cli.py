@@ -287,6 +287,10 @@ def cmd_compare(args) -> None:
 def cmd_ablate_range(args) -> None:
     ds = _open_dataset(args)
     models = _parse_models(args.models)
+    if args.baseline not in models:
+        raise ConfigError(
+            f"--baseline {args.baseline!r} names none of --models ({', '.join(models)})"
+        )
     out = _out_dir(args)
     path = _guard(out / "range_table.json", args.force)
     variants = {name: load_model(p) for name, p in models.items()}

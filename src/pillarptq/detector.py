@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .network import LayerSpec, Network, NetworkError, layer_forward
+from .network import LayerSpec, Network, NetworkError, run
 
 # Saturating cap for the pillar point-count feature.
 COUNT_NORM = 16.0
@@ -227,22 +225,12 @@ def quantizable_layers(net: Network) -> List[str]:
     return [l.name for l in net.layers if l.name not in exempt]
 
 
-def head_forward(net: Network, feats: Tensor) -> Tuple[Tensor, Tensor]:
-    """Trunk + heads on a batched (B, 6, H, W) tensor; heatmap is post-sigmoid."""
-    t = ad.as_tensor(feats)
-    for layer in net.layers:
-        t = layer_forward(t, layer)
-    hm = ad.sigmoid(layer_forward(t, net.heads["heatmap"]))
-    reg = layer_forward(t, net.heads["regression"])
-    return hm, reg
-
-
 def detector_forward(net: Network, grid: PillarGrid) -> DetectorOutput:
     if grid.features.shape[0] != net.input_spec[0]:
         raise NetworkError(
             f"grid has {grid.features.shape[0]} channels, net expects {net.input_spec[0]}"
         )
-    hm, reg = head_forward(net, grid.features[None])
+    hm, reg = run(net, grid.features[None], heads=True)
     return DetectorOutput(heatmap=hm.data[0], regression=reg.data[0])
 
 

@@ -1,5 +1,5 @@
-"""Conv layers with attached fake-quantizers, and forward/backward over an
-ordered layer stack.
+"""Conv layers with attached fake-quantizers, and `run`, the one forward over
+an ordered layer stack.
 
 A layer in "int8" mode fake-quantizes its input and its weights before the
 convolution; "fp" mode ignores all quantization state. `freeze` puts a layer
@@ -7,6 +7,11 @@ in int8 mode and replaces its weight by the dequantized weight the int8
 forward convolves with, any learned rounding offsets folded in: offsets are
 optimizer state and never outlive the freeze. On a frozen weight the
 forward's own weight fake-quant changes nothing, bit for bit.
+
+`run` serves every caller: float training (live weights and biases), layer
+input capture (one trunk layer at a time), the task loss of scale
+optimization (from the layer being quantized, its live fake-quantized weight
+passed in, through the float tail to the heads) and detection.
 """
 
 from __future__ import annotations
@@ -137,13 +142,12 @@ def freeze(
     layer.precision = "int8"
 
 
-def conv2d(x: Tensor, layer: LayerSpec, overrides: Optional[dict] = None) -> Tensor:
+def conv2d(x: Tensor, layer: LayerSpec, weights: Optional[dict] = None) -> Tensor:
     """Layer convolution (plus bias), honoring the layer's precision mode.
 
-    `overrides` supplies live Tensors while a layer's quantization parameters
-    are being optimized: "a_scale" (with "a_bits") for the input quantizer and
-    "weight" for the fake-quantized weight. Without them the frozen
-    QuantParams of the LayerSpec are used.
+    A live weight in `weights` (see `run`) is convolved as given, with no
+    quantizer; otherwise an int8 layer fake-quantizes its input and weight
+    with its frozen QuantParams.
     """
     x = ad.as_tensor(x)
     if x.data.ndim != 4:
@@ -153,44 +157,48 @@ def conv2d(x: Tensor, layer: LayerSpec, overrides: Optional[dict] = None) -> Ten
             f"{layer.name}: input shape {x.data.shape} incompatible with "
             f"weight shape {layer.weight.shape}"
         )
-    ov = overrides or {}
-    quantized = layer.precision == "int8" or ov
-    if not quantized:
+    weights = weights or {}
+    w = weights.get(f"{layer.name}.w")
+    if w is None:
         w = Tensor(layer.weight)
-        return ad.conv2d(x, w, Tensor(layer.bias), layer.stride, layer.padding)
-
-    if "a_scale" in ov:
-        a_bits = ov.get("a_bits", layer.a_quant.bits if layer.a_quant else 8)
-        x = ad.fake_quant_op(x, ov["a_scale"], a_bits)
-    elif layer.a_quant is not None:
-        x = ad.fake_quant_op(x, Tensor(layer.a_quant.scale), layer.a_quant.bits)
-
-    if "weight" in ov:
-        w = ov["weight"]
-    elif layer.w_quant is not None:
-        w = ad.fake_quant_op(Tensor(layer.weight), Tensor(layer.w_quant.scale), layer.w_quant.bits)
-    else:
-        raise QuantError(f"{layer.name}: int8 precision but no weight quantizer set")
-    return ad.conv2d(x, w, Tensor(layer.bias), layer.stride, layer.padding)
+        if layer.precision == "int8":
+            if layer.w_quant is None:
+                raise QuantError(f"{layer.name}: int8 precision but no weight quantizer set")
+            if layer.a_quant is not None:
+                x = ad.fake_quant_op(x, Tensor(layer.a_quant.scale), layer.a_quant.bits)
+            w = ad.fake_quant_op(w, Tensor(layer.w_quant.scale), layer.w_quant.bits)
+    b = weights.get(f"{layer.name}.b", Tensor(layer.bias))
+    return ad.conv2d(x, w, b, layer.stride, layer.padding)
 
 
-def layer_forward(x: Tensor, layer: LayerSpec, overrides: Optional[dict] = None) -> Tensor:
-    out = conv2d(x, layer, overrides)
+def layer_forward(x: Tensor, layer: LayerSpec, weights: Optional[dict] = None) -> Tensor:
+    out = conv2d(x, layer, weights)
     if layer.activation == "relu":
         out = ad.relu(out)
     return out
 
 
-def forward(net: Network, x, stop_after: Optional[str] = None) -> Tensor:
-    """Run the trunk in order; with stop_after, return that layer's activation."""
+def run(
+    net: Network,
+    x,
+    start: int = 0,
+    stop: Optional[int] = None,
+    heads: bool = False,
+    weights: Optional[Dict[str, Tensor]] = None,
+):
+    """Trunk layers start..stop-1 on a batched (B, C, H, W) input; with
+    `heads`, the (post-sigmoid heatmap, regression) pair of the trunk's end.
+
+    `weights` maps "<layer>.w" / "<layer>.b" to live Tensors, which replace
+    that layer's weight or bias and are convolved as given, with no quantizer.
+    """
     t = ad.as_tensor(x)
-    for layer in net.layers:
-        t = layer_forward(t, layer)
-        if stop_after is not None and layer.name == stop_after:
-            return t
-    if stop_after is not None:
-        raise NetworkError(f"unknown layer {stop_after!r}")
-    return t
+    for layer in net.layers[start:stop]:
+        t = layer_forward(t, layer, weights)
+    if not heads:
+        return t
+    hm = ad.sigmoid(layer_forward(t, net.heads["heatmap"], weights))
+    return hm, layer_forward(t, net.heads["regression"], weights)
 
 
 def backward(loss: Tensor, params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:

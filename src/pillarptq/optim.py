@@ -75,7 +75,3 @@ class Adam:
                 continue
             new = adam_step(p.data, p.grad, self._states[name], self._lr_for(name))
             p.data = new.astype(p.data.dtype)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None

@@ -30,13 +30,12 @@ from .detector import (
     GridConfig,
     build_detector,
     fp_exempt_layers,
-    head_forward,
     pillarize,
     quantizable_layers,
 )
 from .evalharness import evaluate_model
 from .losses import LossWeights, PseudoLabels, make_pseudo_labels, pseudo_label_loss, pow2
-from .network import LayerSpec, Network, layer_forward
+from .network import LayerSpec, Network
 from .optim import Adam
 from .quant import EPS_SCALE, QuantParams
 
@@ -95,29 +94,35 @@ def pillar_features(dataset, frames: Sequence[str], cfg: GridConfig) -> List[np.
     return [pillarize(dataset.point_cloud(f), cfg).features for f in frames]
 
 
+def _chunked(fn, frames: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """`fn` of `frames` stacked FORWARD_CHUNK at a time; the (B, ...) array it
+    returns, made contiguous, split back into one array per frame."""
+    out: List[np.ndarray] = []
+    for i in range(0, len(frames), FORWARD_CHUNK):
+        out.extend(np.ascontiguousarray(fn(np.stack(frames[i : i + FORWARD_CHUNK]))))
+    return out
+
+
 def _layer_inputs(net: Network, feats: Sequence[np.ndarray]) -> Iterator[Tuple[LayerSpec, list]]:
     """Yield each quantizable trunk layer of `net` in order, with the
     per-frame activations entering it; one forward per trunk layer in all.
 
     A layer runs on its inputs only once the caller resumes the generator, so
-    a layer the caller froze meanwhile passes on its int8 output. Frames are
-    batched FORWARD_CHUNK at a time, as for `network.forward`, so each input
-    is bitwise what `network.forward(net, chunk, stop_after=<previous layer>)`
+    a layer the caller froze meanwhile passes on its int8 output. Each layer
+    runs as `network.run(net, chunk, idx, idx + 1)` on FORWARD_CHUNK frames at
+    a time, so each input is bitwise what `network.run(net, chunk, 0, idx)`
     returns in the net's state at that point.
     """
     names = quantizable_layers(net)
     if not names:
         return
     last = net.layer_index(names[-1])
-    chunks = [
-        np.stack(feats[i : i + FORWARD_CHUNK]).astype(ad.current_dtype())
-        for i in range(0, len(feats), FORWARD_CHUNK)
-    ]
+    acts = feats  # the first trunk layer is never quantizable
     for idx, layer in enumerate(net.layers[: last + 1]):
         if layer.name in names:
-            yield layer, [np.ascontiguousarray(c[j]) for c in chunks for j in range(c.shape[0])]
+            yield layer, acts
         if idx < last:
-            chunks = [layer_forward(Tensor(c), layer).data for c in chunks]
+            acts = _chunked(lambda c: network.run(net, c, idx, idx + 1).data, acts)
 
 
 def _engine_scale(scale: float) -> float:
@@ -127,12 +132,13 @@ def _engine_scale(scale: float) -> float:
 
 
 def _fp_final_outputs(net: Network, feats: Sequence[np.ndarray]):
-    outs = []
-    for i in range(0, len(feats), FORWARD_CHUNK):
-        xb = np.stack(feats[i : i + FORWARD_CHUNK]).astype(ad.current_dtype())
-        hm, reg = head_forward(net, xb)
-        outs.extend(zip(hm.data, reg.data))
-    return outs
+    """The float net's (heatmap, regression) pair on each frame."""
+
+    def heads(c):
+        return np.concatenate([t.data for t in network.run(net, c, heads=True)], axis=1)
+
+    split = net.heads["heatmap"].out_ch
+    return [(o[:split], o[split:]) for o in _chunked(heads, feats)]
 
 
 # -- float baseline training -----------------------------------------------------------
@@ -144,26 +150,6 @@ def _trainable_params(net: Network) -> Dict[str, Tensor]:
         params[f"{layer.name}.w"] = Tensor(layer.weight, requires_grad=True)
         params[f"{layer.name}.b"] = Tensor(layer.bias, requires_grad=True)
     return params
-
-
-def _train_forward(net: Network, params: Dict[str, Tensor], feats: np.ndarray):
-    t = Tensor(feats)
-    for layer in net.layers:
-        t = ad.conv2d(
-            t, params[f"{layer.name}.w"], params[f"{layer.name}.b"],
-            layer.stride, layer.padding,
-        )
-        if layer.activation == "relu":
-            t = ad.relu(t)
-    hm_l = net.heads["heatmap"]
-    reg_l = net.heads["regression"]
-    hm = ad.sigmoid(
-        ad.conv2d(t, params[f"{hm_l.name}.w"], params[f"{hm_l.name}.b"], hm_l.stride, hm_l.padding)
-    )
-    reg = ad.conv2d(
-        t, params[f"{reg_l.name}.w"], params[f"{reg_l.name}.b"], reg_l.stride, reg_l.padding
-    )
-    return hm, reg
 
 
 def train_fp_baseline(
@@ -206,7 +192,7 @@ def train_fp_baseline(
                     lab = render_targets(dataset.labels(fid), grid_cfg)
                     target_cache[fid] = lab
                 labels.append(lab)
-            hm, reg = _train_forward(net, params, feats)
+            hm, reg = network.run(net, feats, heads=True, weights=params)
             loss = pseudo_label_loss(DetectorOutput(hm, reg), labels, weights)
             if not np.isfinite(loss.data):
                 raise PipelineError(f"non-finite training loss at step {len(losses)}")
@@ -298,13 +284,12 @@ def run_baseline_calibration(
 
 def _conv_refs(layer, inputs: List[np.ndarray]) -> List[np.ndarray]:
     """Float conv responses (no bias, no activation) of the recorded inputs."""
-    refs = []
     w = Tensor(layer.weight)
-    for i in range(0, len(inputs), FORWARD_CHUNK):
-        xb = np.stack(inputs[i : i + FORWARD_CHUNK])
-        out = ad.conv2d(Tensor(xb), w, None, layer.stride, layer.padding).data
-        refs.extend(np.ascontiguousarray(out[j]) for j in range(out.shape[0]))
-    return refs
+
+    def conv(c):
+        return ad.conv2d(Tensor(c), w, None, layer.stride, layer.padding).data
+
+    return _chunked(conv, inputs)
 
 
 def _layer_losses(
@@ -317,7 +302,8 @@ def _layer_losses(
     cfg: PipelineConfig,
 ):
     """Tape forward for one batch: the layer's conv reconstruction term plus
-    the task loss through the float tail."""
+    the task loss of the layer as freezing it at these scales would make it
+    (input and weight fake-quantized) through the float tail."""
 
     def w_hat():
         return ad.fake_quant_op(
@@ -327,17 +313,14 @@ def _layer_losses(
     q = ad.conv2d(x, w_hat(), None, layer.stride, layer.padding)
     local = ad.tsum(pow2(q - ref)) * (1.0 / ref.shape[0])
 
+    x_hat = ad.fake_quant_op(x, params["s_a"], cfg.bits_a)
     # Each path quantizes the weight in a node of its own: one shared node
     # would add the two paths' weight gradients before the scale's vjp, which
     # rounds differently.
-    ov = {"a_scale": params["s_a"], "a_bits": cfg.bits_a, "weight": w_hat()}
-    t = layer_forward(x, layer, ov)
-    for later in qnet.layers[qnet.layer_index(layer.name) + 1 :]:
-        t = layer_forward(t, later)
-    hm = ad.sigmoid(layer_forward(t, qnet.heads["heatmap"]))
-    reg = layer_forward(t, qnet.heads["regression"])
+    live = {f"{layer.name}.w": w_hat()}
+    out = network.run(qnet, x_hat, qnet.layer_index(layer.name), heads=True, weights=live)
     weights = cfg.loss_weights
-    task = pseudo_label_loss(DetectorOutput(hm, reg), labels, weights)
+    task = pseudo_label_loss(DetectorOutput(*out), labels, weights)
     total = local * weights.lambda1 + task * weights.lambda2
     return local, task, total
 
@@ -355,9 +338,7 @@ def run_lidar_ptq(
     t_start = time.monotonic()
     if any(l.precision != "fp" for l in fp_net.layers):
         raise PipelineError("run_lidar_ptq expects a fully float network")
-    exempt = fp_exempt_layers(fp_net)  # raises if the structure can't mark them
-    if not exempt:
-        raise PipelineError("no full-precision-exempt layers marked")
+    fp_exempt_layers(fp_net)  # raises if the structure can't mark them
     if len(calib_feats) < cfg.batch:
         raise PipelineError(
             f"calibration set ({len(calib_feats)}) smaller than batch ({cfg.batch})"

@@ -118,3 +118,17 @@ def test_point_cloud_with_trailing_bytes_exits_3(tiny_dataset, model_path, tmp_p
     argv = ["evaluate", "--data", str(root), "--model", str(model_path)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "after the last" in capsys.readouterr().err
+
+
+def test_ablate_range_rejects_a_baseline_outside_models(tiny_dataset, model_path, tmp_path, capsys):
+    # The default baseline "fp" is neither variant: the table would lack its
+    # relative drops, so the run fails up front instead.
+    argv = ["ablate-range", "--data", str(tiny_dataset.root), "--models"]
+    argv += [f"a={model_path}", f"b={model_path}"]
+    assert main(argv + ["--out", str(tmp_path / "none")]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]: --baseline 'fp' names none of --models (a, b)" in err
+    assert not (tmp_path / "none").exists()
+    assert main(argv + ["--out", str(tmp_path / "a"), "--baseline", "a"]) == 0
+    table = json.loads((tmp_path / "a" / "range_table.json").read_text())
+    assert all("mean_ap_rel_drop" in row and "bucket_rel_drop" in row for row in table.values())

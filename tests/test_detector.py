@@ -17,7 +17,6 @@ from pillarptq.detector import (
     decode_boxes,
     detector_forward,
     fp_exempt_layers,
-    head_forward,
     iou_matrix,
     nms_bev,
     pillarize,

@@ -8,9 +8,9 @@ import pytest
 from pillarptq import autodiff as ad
 from pillarptq import modelio
 from pillarptq.autodiff import Tensor
-from pillarptq.detector import GridConfig, build_detector, head_forward
+from pillarptq.detector import GridConfig, build_detector
 from pillarptq.modelio import ModelIOError, load_model, save_model
-from pillarptq.network import freeze
+from pillarptq.network import freeze, run
 from pillarptq.quant import QuantParams
 
 QUANTIZED = ("conv1", "conv2")
@@ -219,7 +219,7 @@ class TestLegacyOffsets:
             assert layer.weight.tobytes() == steered.data.tobytes()
         x = np.abs(rng.normal(size=(2, *net.input_spec))).astype(np.float32)
         hm, reg = old_forward(net, offsets, x)
-        hm_got, reg_got = head_forward(got, x)
+        hm_got, reg_got = run(got, x, heads=True)
         assert hm_got.data.tobytes() == hm.tobytes()
         assert reg_got.data.tobytes() == reg.tobytes()
         # re-saving writes the folded weights and no offsets record

@@ -12,9 +12,9 @@ from pillarptq.network import (
     Network,
     NetworkError,
     backward,
-    forward,
     freeze,
     layer_forward,
+    run,
 )
 from pillarptq.network import conv2d as layer_conv2d
 from pillarptq.quant import QuantError, QuantParams, fake_quant
@@ -142,16 +142,20 @@ class TestQuantizedForward:
         freeze(steered, w_quant, None, np.full(steered.weight.shape, 1.0))
         assert (steered.weight >= base.weight).all() and (steered.weight > base.weight).any()
 
-    def test_override_scales_receive_gradients(self, rng):
+    def test_live_weight_carries_gradients_to_the_scales(self, rng):
+        # the task path of scale optimization: the input quantized by a live
+        # scale, the layer's weight by another, both reached through `run`
         layer = make_layer(w_quant=QuantParams(0.01), a_quant=QuantParams(0.05))
+        net = Network(layers=[layer])
         x = Tensor(rng.normal(size=(1, 3, 4, 4)))
         w_s = Tensor(0.01, requires_grad=True)
         a_s = Tensor(0.05, requires_grad=True)
+        x_hat = ad.fake_quant_op(x, a_s, 8)
         w_hat = ad.fake_quant_op(Tensor(layer.weight), w_s, 8)
-        out = layer_conv2d(x, layer, overrides={"weight": w_hat, "a_scale": a_s})
+        out = run(net, x_hat, weights={"c0.w": w_hat})
         grads = backward(ad.tsum(ad.pow_const(out, 2.0)), {"w": w_s, "a": a_s})
         assert np.isfinite(grads["w"]).all() and np.abs(grads["w"]).sum() > 0
-        assert np.isfinite(grads["a"]).all()
+        assert np.isfinite(grads["a"]).all() and np.abs(grads["a"]).sum() > 0
 
     def test_input_shape_validation(self):
         layer = make_layer()
@@ -170,21 +174,63 @@ class TestForward:
             layers=[make_layer("c0", out_ch=4), make_layer("c1", in_ch=4, out_ch=4, seed=3)]
         )
 
+    def with_heads(self, frozen=None):
+        """Three trunk layers and both detector heads; `frozen` names a trunk
+        layer put in int8 mode."""
+        net = Network(
+            layers=[
+                make_layer("c0", out_ch=4),
+                make_layer("c1", in_ch=4, out_ch=5, seed=1),
+                make_layer("c2", in_ch=5, out_ch=4, seed=2),
+            ],
+            heads={
+                "heatmap": make_layer("hm", in_ch=4, out_ch=2, k=1, seed=3, activation="none"),
+                "regression": make_layer("reg", in_ch=4, out_ch=3, k=1, seed=4, activation="none"),
+            },
+            input_spec=(3, 6, 6),
+        )
+        if frozen is not None:
+            freeze(net.layer(frozen), QuantParams(0.01), QuantParams(0.05))
+        return net
+
     def test_relu_applied_between_layers(self, rng):
         net = self.build()
         x = rng.normal(size=(1, 3, 6, 6)).astype(np.float32)
-        out = forward(net, x)
+        out = run(net, x)
         assert (out.data >= 0).all()
 
-    def test_stop_after_matches_collect(self, rng):
-        net = self.build()
-        x = rng.normal(size=(1, 3, 6, 6)).astype(np.float32)
-        c0 = layer_forward(Tensor(x), net.layers[0])
-        c1 = layer_forward(c0, net.layers[1])
-        np.testing.assert_array_equal(c0.data, forward(net, x, stop_after="c0").data)
-        np.testing.assert_array_equal(c1.data, forward(net, x).data)
+    @pytest.mark.parametrize("frozen", [None, "c1"])
+    def test_run_matches_layer_by_layer(self, rng, frozen):
+        net = self.with_heads(frozen)
+        n = len(net.layers)
+        for start in range(n + 1):
+            in_ch = net.layers[start].in_ch if start < n else net.layers[-1].out_ch
+            x = rng.normal(size=(2, in_ch, 6, 6)).astype(np.float32)
+            for stop in [*range(start, n + 1), None]:
+                t = Tensor(x)
+                for layer in net.layers[start:stop]:
+                    t = layer_forward(t, layer)
+                assert run(net, x, start, stop).data.tobytes() == t.data.tobytes()
+                if stop in (n, None):
+                    hm = ad.sigmoid(layer_forward(t, net.heads["heatmap"]))
+                    reg = layer_forward(t, net.heads["regression"])
+                    got = [g.data.tobytes() for g in run(net, x, start, stop, heads=True)]
+                    assert got == [hm.data.tobytes(), reg.data.tobytes()]
+
+    def test_heads_need_the_trunk_end(self, rng):
+        net = self.with_heads()
         with pytest.raises(NetworkError):
-            forward(net, x, stop_after="zz")
+            run(net, rng.normal(size=(1, 3, 6, 6)), 0, 2, heads=True)
+
+    def test_own_arrays_as_weights_change_nothing(self, rng):
+        net = self.with_heads("c1")
+        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+        fp = [l for l in [*net.layers, *net.heads.values()] if l.precision == "fp"]
+        own = {f"{l.name}.w": Tensor(l.weight) for l in fp}
+        own.update({f"{l.name}.b": Tensor(l.bias) for l in fp})
+        want = run(net, x, heads=True)
+        got = run(net, x, heads=True, weights=own)
+        assert [g.data.tobytes() for g in got] == [w.data.tobytes() for w in want]
 
     def test_backward_rejects_off_trace_params(self, rng):
         net = self.build()

@@ -96,12 +96,6 @@ class TestAdamDriver:
         assert t.data[0] == 1.0
         assert opt._states["p"].t == 0
 
-    def test_zero_grad_clears(self):
-        t = Tensor(np.array([1.0]), requires_grad=True)
-        t.grad = np.array([2.0])
-        Adam({"p": t}, lr=0.1).zero_grad()
-        assert t.grad is None
-
     def test_dtype_preserved(self):
         t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         opt = Adam({"p": t}, lr=0.1)

@@ -14,16 +14,20 @@ from pillarptq import network
 from pillarptq.autodiff import Tensor
 from pillarptq.calib import calibrate_layer
 from pillarptq.config import PipelineConfig
-from pillarptq.detector import fp_exempt_layers, quantizable_layers
+from pillarptq.detector import DetectorOutput, fp_exempt_layers, quantizable_layers
+from pillarptq.losses import make_pseudo_labels, pseudo_label_loss
 from pillarptq.modelio import save_model
 from pillarptq.pipeline import (
     FORWARD_CHUNK,
     PipelineError,
+    _conv_refs,
+    _fp_final_outputs,
     _layer_inputs,
+    _layer_losses,
     run_baseline_calibration,
     run_lidar_ptq,
 )
-from pillarptq.quant import round_half_away
+from pillarptq.quant import QuantParams, round_half_away
 
 SMALL = PipelineConfig(
     calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
@@ -131,17 +135,36 @@ def test_layer_inputs_match_forward_on_a_partly_frozen_net(tiny_net, tiny_calib_
     feats = list(tiny_calib_feats) * 5
     seen = []
     for layer, inputs in _layer_inputs(net, feats):
-        prev = net.layers[net.layer_index(layer.name) - 1].name
+        idx = net.layer_index(layer.name)
         want = []
         for i in range(0, len(feats), FORWARD_CHUNK):
             xb = np.stack(feats[i : i + FORWARD_CHUNK]).astype(ad.current_dtype())
-            want.extend(network.forward(net, xb, stop_after=prev).data)
+            want.extend(network.run(net, xb, 0, idx).data)
         assert [a.tobytes() for a in inputs] == [w.tobytes() for w in want]
         if not seen:
             cal = calibrate_layer(inputs, layer.weight, method="maxmin")
             network.freeze(layer, cal.w_params, cal.a_params)
         seen.append(layer.name)
     assert seen == quantizable_layers(net)
+
+
+def test_task_loss_is_the_deployed_layers_loss(tiny_net, tiny_calib_feats, grid_cfg):
+    # Without offsets, the task path that scale optimization differentiates
+    # computes what the layer frozen at those scales computes at detect time.
+    qnet = tiny_net.copy()
+    fp_outs = _fp_final_outputs(tiny_net, tiny_calib_feats[:4])
+    labels = [make_pseudo_labels(DetectorOutput(*o), grid_cfg) for o in fp_outs]
+    for layer, inputs in _layer_inputs(qnet, tiny_calib_feats):
+        cal = calibrate_layer(inputs, layer.weight, method="maxmin")
+        s_w, s_a = cal.w_params.scale, cal.a_params.scale
+        x = Tensor(np.stack(inputs[:4]))
+        ref = np.stack(_conv_refs(layer, inputs[:4]))
+        params = {"s_w": Tensor(s_w), "s_a": Tensor(s_a)}
+        _, task, _ = _layer_losses(qnet, layer, params, x, ref, labels, SMALL)
+        network.freeze(layer, QuantParams(s_w, SMALL.bits_w), QuantParams(s_a, SMALL.bits_a))
+        out = network.run(qnet, x, qnet.layer_index(layer.name), heads=True)
+        deployed = pseudo_label_loss(DetectorOutput(*out), labels, SMALL.loss_weights)
+        assert task.data.tobytes() == deployed.data.tobytes()
 
 
 class TestBaselineCalibration:
