@@ -1,28 +1,49 @@
-"""PTQF v1 binary model format: a fixed-order, byte-exact serialization of
+"""PTQF binary model format: a fixed-order, byte-exact serialization of
 the layer stack with its quantization state.
 
-The format is deliberately dumb: explicit little-endian records, float32
-weight blobs, float64 scales. Identical networks serialize to identical
-bytes, which is what the determinism guarantee rests on.
+The format is deliberately dumb: explicit little-endian records. Identical
+networks serialize to identical bytes, which is what the determinism guarantee
+rests on.
 
-An int8 layer's weight blob is the weight its forward convolves with:
-rounding offsets are folded in when a layer is frozen and never written.
-Files from older writers may still carry an offsets record after the
-quantizers (flag 4); the reader folds it into the weight with
-`network.freeze`, so such a layer predicts as it did when it was saved.
+A file is b"PTQF", a `<HHHHH` header (version, input C, H, W, record count)
+and one record per layer: the trunk in order, then the heatmap and regression
+heads. A version 2 record is
+
+    <H name length, the utf-8 name
+    <BBBBBB role, activation, stride, padding, precision, flags
+    <diB scale, zero point, bits of the weight quantizer (flag 1)
+    <diB scale, zero point, bits of the activation quantizer (flag 2)
+    <B ndim, <I per dimension, the weight
+    <I bias length, float32 bias
+
+An int8 layer's weight is written as its integer codes, `quant.quantize` of
+the weight, little-endian signed: 1 byte a code when bits <= 8, 2 bytes when
+bits <= 16, 4 bytes up to 32 bits. The codes count steps of the weight scale
+rounded to the engine dtype, float32 (`network.engine_grid`), which is the
+grid `network.freeze` puts the weight on, so the reader's `quant.dequantize`
+rebuilds the frozen weight bit for bit. Every other layer's weight is a
+float32 blob.
+
+Version 1 files still load. Their records hold every weight as a float32 blob
+and put the quantizer records after the bias; flag 4 appends a float32
+rounding offsets record after them. The reader freezes each v1 int8 layer
+with `network.freeze`: offsets are folded in, and an unfolded weight is put
+on its grid, as the int8 forward used to do on every call. Saving always
+writes version 2, which has no flag 4.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .network import LayerSpec, Network, freeze
-from .quant import QuantParams
+from .network import LayerSpec, Network, NetworkError, engine_grid, freeze
+from .quant import QuantError, QuantParams, dequantize, quantize
 
 MAGIC = b"PTQF"
-VERSION = 1
+VERSION = 2
 
 _ROLE_TRUNK, _ROLE_HEATMAP, _ROLE_REG = 0, 1, 2
 _ACT = {"none": 0, "relu": 1}
@@ -35,6 +56,13 @@ _FLAG_WQ, _FLAG_AQ, _FLAG_THETA = 1, 2, 4
 
 class ModelIOError(IOError):
     pass
+
+
+def _code_dtype(bits: int) -> str:
+    """The little-endian signed integer type of a `bits`-wide weight code."""
+    if bits > 32:
+        raise ModelIOError(f"no integer code holds {bits}-bit weights")
+    return "<i1" if bits <= 8 else "<i2" if bits <= 16 else "<i4"
 
 
 def _pack_layer(layer: LayerSpec, role: int) -> bytes:
@@ -57,16 +85,22 @@ def _pack_layer(layer: LayerSpec, role: int) -> bytes:
             flags,
         ),
     ]
-    w = np.ascontiguousarray(layer.weight, dtype="<f4")
+    for q in (layer.w_quant, layer.a_quant):
+        if q is not None:
+            out.append(struct.pack("<diB", q.scale, q.zero_point, q.bits))
+    if layer.precision == "int8":
+        if layer.w_quant is None:
+            raise ModelIOError(f"{layer.name}: int8 layer without a weight quantizer")
+        grid = engine_grid(layer.w_quant)
+        w = quantize(layer.weight, grid).astype(_code_dtype(grid.bits))
+    else:
+        w = np.ascontiguousarray(layer.weight, dtype="<f4")
     out.append(struct.pack("<B", w.ndim))
     out.append(struct.pack(f"<{w.ndim}I", *w.shape))
     out.append(w.tobytes())
     b = np.ascontiguousarray(layer.bias, dtype="<f4")
     out.append(struct.pack("<I", b.size))
     out.append(b.tobytes())
-    for q in (layer.w_quant, layer.a_quant):
-        if q is not None:
-            out.append(struct.pack("<diB", q.scale, q.zero_point, q.bits))
     return b"".join(out)
 
 
@@ -89,22 +123,50 @@ class _Reader:
         return self.at == len(self.buf)
 
 
-def _read_layer(r: _Reader):
+def _read_layer(r: _Reader, version: int):
     (name_len,) = r.unpack("<H")
     name = r.take(name_len).decode("utf-8")
     role, act, stride, padding, prec, flags = r.unpack("<BBBBBB")
+    if act not in _ACT_INV:
+        raise ModelIOError(f"{name}: unknown activation code {act}")
+    if prec not in _PREC_INV:
+        raise ModelIOError(f"{name}: unknown precision code {prec}")
+    if stride < 1:
+        raise ModelIOError(f"{name}: stride {stride} < 1")
+    int8 = _PREC_INV[prec] == "int8"
+
+    def quantizers():
+        out = []
+        for flag in (_FLAG_WQ, _FLAG_AQ):
+            q = None
+            if flags & flag:
+                scale, zp, bits = r.unpack("<diB")
+                q = QuantParams(scale, bits, zp)
+            out.append(q)
+        if int8 and out[0] is None:
+            raise ModelIOError(f"{name}: int8 layer without a weight quantizer")
+        return out
+
+    if version > 1:
+        if flags & _FLAG_THETA:
+            raise ModelIOError(f"{name}: rounding offsets in a version {version} file")
+        w_quant, a_quant = quantizers()
     (ndim,) = r.unpack("<B")
     shape = r.unpack(f"<{ndim}I")
-    w = np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape).copy()
+    size = math.prod(shape)
+    if version > 1 and int8:
+        grid = engine_grid(w_quant)
+        dtype = np.dtype(_code_dtype(grid.bits))
+        codes = np.frombuffer(r.take(dtype.itemsize * size), dtype=dtype)
+        w = dequantize(codes, grid).astype(np.float32).reshape(shape)
+    else:
+        w = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).copy()
     (blen,) = r.unpack("<I")
     bias = np.frombuffer(r.take(4 * blen), dtype="<f4").copy()
-    w_quant = a_quant = None
-    if flags & _FLAG_WQ:
-        scale, zp, bits = r.unpack("<diB")
-        w_quant = QuantParams(scale, bits, zp)
-    if flags & _FLAG_AQ:
-        scale, zp, bits = r.unpack("<diB")
-        a_quant = QuantParams(scale, bits, zp)
+    if version == 1:
+        w_quant, a_quant = quantizers()
+        if flags & _FLAG_THETA and not int8:
+            raise ModelIOError(f"{name}: rounding offsets on a layer that is not int8")
     layer = LayerSpec(
         name=name,
         weight=w,
@@ -116,10 +178,10 @@ def _read_layer(r: _Reader):
         a_quant=a_quant,
         precision=_PREC_INV[prec],
     )
-    if flags & _FLAG_THETA:
-        if layer.precision != "int8" or w_quant is None:
-            raise ModelIOError(f"{name}: rounding offsets on a layer that is not int8")
-        offsets = np.frombuffer(r.take(4 * w.size), dtype="<f4").reshape(shape)
+    if version == 1 and int8:
+        offsets = None
+        if flags & _FLAG_THETA:
+            offsets = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape)
         freeze(layer, w_quant, a_quant, offsets)
     return layer, role
 
@@ -144,11 +206,14 @@ def load_model(path) -> Network:
         raise ModelIOError(f"{path}: not a PTQF file")
     r = _Reader(buf[4:])
     version, c, h, w, count = r.unpack("<HHHHH")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise ModelIOError(f"{path}: unsupported version {version}")
     layers, heads = [], {}
-    for _ in range(count):
-        layer, role = _read_layer(r)
+    for i in range(count):
+        try:
+            layer, role = _read_layer(r, version)
+        except (QuantError, NetworkError, UnicodeDecodeError) as e:
+            raise ModelIOError(f"{path}: record {i}: {e}") from e
         if role == _ROLE_TRUNK:
             layers.append(layer)
         elif role == _ROLE_HEATMAP:

@@ -1,12 +1,12 @@
 """Conv layers with attached fake-quantizers, and `run`, the one forward over
 an ordered layer stack.
 
-A layer in "int8" mode fake-quantizes its input and its weights before the
-convolution; "fp" mode ignores all quantization state. `freeze` puts a layer
-in int8 mode and replaces its weight by the dequantized weight the int8
-forward convolves with, any learned rounding offsets folded in: offsets are
-optimizer state and never outlive the freeze. On a frozen weight the
-forward's own weight fake-quant changes nothing, bit for bit.
+A layer in "int8" mode fake-quantizes its input and convolves its stored
+weight as is; "fp" mode ignores all quantization state. The weight of an int8
+layer lies on its grid: `freeze` puts a layer in int8 mode and replaces its
+weight by the dequantized weight, any learned rounding offsets folded in, and
+the model reader rebuilds it from integer codes. Offsets are optimizer state
+and never outlive the freeze, and the forward runs no weight quantizer.
 
 `run` serves every caller: float training (live weights and biases), layer
 input capture (one trunk layer at a time), the task loss of scale
@@ -32,7 +32,11 @@ class NetworkError(ValueError):
 
 @dataclass
 class LayerSpec:
-    """One conv layer plus its per-layer quantization state."""
+    """One conv layer plus its per-layer quantization state.
+
+    An "int8" layer's weight lies on the grid of `engine_grid(w_quant)` and is
+    convolved as stored; `freeze` and the model reader are what set it there.
+    """
 
     name: str
     weight: np.ndarray  # (out_ch, in_ch, kh, kw)
@@ -117,6 +121,14 @@ class Network:
 # -- forward ------------------------------------------------------------------------
 
 
+def engine_grid(q: QuantParams) -> QuantParams:
+    """`q` with its scale rounded to the engine dtype: the grid a frozen
+    weight lies on, and the one its integer codes count steps of. Codes
+    decoded with a float64 calibration scale that float32 cannot hold would
+    miss the frozen weight."""
+    return QuantParams(float(np.asarray(q.scale, dtype=ad.current_dtype())), q.bits)
+
+
 def freeze(
     layer: LayerSpec,
     w_quant: QuantParams,
@@ -128,15 +140,20 @@ def freeze(
 
     `offsets` are per-weight rounding offsets, as `autodiff.fake_quant_op`
     takes them (clipped into [0, scale] there); they are folded into the
-    weight, which then lies on the w_quant grid in the engine dtype.
+    weight, which then lies on the `engine_grid(w_quant)` grid in the engine
+    dtype. That is the int8 layer's invariant: the forward convolves the
+    weight as stored, with no quantizer of its own.
     """
+    grid = engine_grid(w_quant)
     w = ad.fake_quant_op(
         Tensor(layer.weight),
-        Tensor(w_quant.scale),
-        w_quant.bits,
+        Tensor(grid.scale),
+        grid.bits,
         None if offsets is None else Tensor(offsets),
     )
-    layer.weight = w.data
+    # a negative weight at level 0 comes out as -0.0; an integer code cannot
+    # carry that sign, so the frozen weight holds the +0.0 a saved model reloads
+    layer.weight = w.data + 0.0
     layer.w_quant = w_quant
     layer.a_quant = a_quant
     layer.precision = "int8"
@@ -146,8 +163,8 @@ def conv2d(x: Tensor, layer: LayerSpec, weights: Optional[dict] = None) -> Tenso
     """Layer convolution (plus bias), honoring the layer's precision mode.
 
     A live weight in `weights` (see `run`) is convolved as given, with no
-    quantizer; otherwise an int8 layer fake-quantizes its input and weight
-    with its frozen QuantParams.
+    quantizer; otherwise an int8 layer fake-quantizes its input with its
+    activation quantizer and convolves its stored weight, already on its grid.
     """
     x = ad.as_tensor(x)
     if x.data.ndim != 4:
@@ -166,7 +183,6 @@ def conv2d(x: Tensor, layer: LayerSpec, weights: Optional[dict] = None) -> Tenso
                 raise QuantError(f"{layer.name}: int8 precision but no weight quantizer set")
             if layer.a_quant is not None:
                 x = ad.fake_quant_op(x, Tensor(layer.a_quant.scale), layer.a_quant.bits)
-            w = ad.fake_quant_op(w, Tensor(layer.w_quant.scale), layer.w_quant.bits)
     b = weights.get(f"{layer.name}.b", Tensor(layer.bias))
     return ad.conv2d(x, w, b, layer.stride, layer.padding)
 

@@ -125,12 +125,6 @@ def _layer_inputs(net: Network, feats: Sequence[np.ndarray]) -> Iterator[Tuple[L
             acts = _chunked(lambda c: network.run(net, c, idx, idx + 1).data, acts)
 
 
-def _engine_scale(scale: float) -> float:
-    """`scale` rounded to the engine dtype, as run_lidar_ptq's scale Tensors
-    hold it when a layer is frozen."""
-    return float(np.asarray(scale, dtype=ad.current_dtype()))
-
-
 def _fp_final_outputs(net: Network, feats: Sequence[np.ndarray]):
     """The float net's (heatmap, regression) pair on each frame."""
 
@@ -262,8 +256,8 @@ def run_baseline_calibration(
         cal = calibrate_layer(acts, layer.weight, method=method, bits=bits, cfg=search)
         w_params, a_params = cal.w_params, cal.a_params
         if grid:
-            w_params = QuantParams(_engine_scale(w_params.scale), bits)
-            a_params = QuantParams(_engine_scale(a_params.scale), bits)
+            w_params = network.engine_grid(w_params)
+            a_params = network.engine_grid(a_params)
         network.freeze(layer, w_params, a_params)
         rows.append(
             {

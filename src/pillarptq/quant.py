@@ -1,8 +1,10 @@
 """Simulated (fake) quantization math: uniform signed symmetric, per-tensor.
 
-All functions are pure and operate on numpy arrays; the quantize/dequantize
-pair simulates integer arithmetic in float so the rest of the toolkit can
-measure and optimize quantization error without integer kernels.
+All functions are pure and operate on numpy arrays. `fake_quant` simulates
+integer arithmetic in float so the rest of the toolkit can measure and
+optimize quantization error without integer kernels. The `quantize` /
+`dequantize` pair is the weight codec of the model file: `modelio` writes an
+int8 layer's weight as `quantize` codes and rebuilds it with `dequantize`.
 
 Rounding offsets are optimizer state: `steered_level` is the level rule that
 `autodiff.fake_quant_op` applies while they are learned, and

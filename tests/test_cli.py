@@ -1,6 +1,7 @@
 """The `calibrate` and `quantize` verbs end to end on the tiny dataset."""
 
 import json
+import struct
 
 import pytest
 
@@ -118,6 +119,19 @@ def test_point_cloud_with_trailing_bytes_exits_3(tiny_dataset, model_path, tmp_p
     argv = ["evaluate", "--data", str(root), "--model", str(model_path)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "after the last" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [(1, 7), (4, 9), (2, 0)])
+def test_corrupt_layer_record_exits_3(tiny_dataset, model_path, tmp_path, capsys, field, value):
+    # activation 7, precision 9 and stride 0 in the first layer's header
+    raw = bytearray(model_path.read_bytes())
+    (name_len,) = struct.unpack_from("<H", raw, 14)
+    raw[16 + name_len + field] = value
+    bad = tmp_path / "bad.ptqf"
+    bad.write_bytes(bytes(raw))
+    argv = ["evaluate", "--data", str(tiny_dataset.root), "--model", str(bad)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert "error[runtime]" in capsys.readouterr().err
 
 
 def test_ablate_range_rejects_a_baseline_outside_models(tiny_dataset, model_path, tmp_path, capsys):

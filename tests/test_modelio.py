@@ -1,6 +1,8 @@
-"""Binary model format: round trips, byte determinism, corruption handling."""
+"""Binary model format: round trips, byte determinism, integer weight codes,
+version 1 files and corruption handling."""
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,38 +10,85 @@ import pytest
 from pillarptq import autodiff as ad
 from pillarptq import modelio
 from pillarptq.autodiff import Tensor
-from pillarptq.detector import GridConfig, build_detector
+from pillarptq.detector import build_detector
 from pillarptq.modelio import ModelIOError, load_model, save_model
-from pillarptq.network import freeze, run
-from pillarptq.quant import QuantParams
+from pillarptq.network import conv2d as layer_conv2d
+from pillarptq.network import engine_grid, freeze, run
+from pillarptq.pipeline import run_baseline_calibration
+from pillarptq.quant import QuantParams, dequantize, round_half_away
 
 QUANTIZED = ("conv1", "conv2")
+W_QUANT, A_QUANT = QuantParams(0.011, 8), QuantParams(0.07, 8)
 
 
 def some_offsets(layer):
     return np.random.default_rng(3).uniform(-0.002, 0.013, layer.weight.shape).astype(np.float32)
 
 
-def quantize_some_layers(net):
+def quantize_some_layers(net, w_quant=W_QUANT):
     for name in QUANTIZED:
         layer = net.layer(name)
-        freeze(layer, QuantParams(0.011, 8), QuantParams(0.07, 8), some_offsets(layer))
+        freeze(layer, w_quant, A_QUANT, some_offsets(layer))
     return net
+
+
+def in_file_order(net):
+    return [*net.layers, net.heads["heatmap"], net.heads["regression"]]
 
 
 def assert_nets_equal(a, b):
     assert [l.name for l in a.layers] == [l.name for l in b.layers]
     assert a.input_spec == b.input_spec
-    for la, lb in zip(
-        list(a.layers) + list(a.heads.values()), list(b.layers) + list(b.heads.values())
-    ):
-        np.testing.assert_array_equal(la.weight, lb.weight)
-        np.testing.assert_array_equal(la.bias, lb.bias)
+    for la, lb in zip(in_file_order(a), in_file_order(b)):
+        assert la.weight.dtype == lb.weight.dtype
+        assert la.weight.tobytes() == lb.weight.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
         assert (la.stride, la.padding, la.activation, la.precision) == (
             lb.stride, lb.padding, lb.activation, lb.precision,
         )
         assert la.w_quant == lb.w_quant
         assert la.a_quant == lb.a_quant
+
+
+def saved(path, net):
+    save_model(path, net)
+    return path.read_bytes()
+
+
+def v2_records(raw):
+    """The records of a version 2 file, walked as the modelio docstring lays
+    them out: each one's name, the offset of its six header bytes, its
+    quantizers as (offset, scale, bits), the offset of its ndim byte and its
+    weight as (offset, array), the array holding the codes of an int8 layer."""
+    magic, version, _, _, _, count = struct.unpack_from("<4sHHHHH", raw)
+    assert (magic, version) == (b"PTQF", 2)
+    at, records = 14, []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", raw, at)
+        rec = SimpleNamespace(name=bytes(raw[at + 2 : at + 2 + n]).decode(), head=at + 2 + n)
+        prec, flags = raw[rec.head + 4], raw[rec.head + 5]
+        at = rec.head + 6
+        rec.quants = []
+        for flag in (1, 2):
+            if flags & flag:
+                scale, _, bits = struct.unpack_from("<diB", raw, at)
+                rec.quants.append((at, scale, bits))
+                at += 13
+        rec.ndim_at = at
+        shape = struct.unpack_from(f"<{raw[at]}I", raw, at + 1)
+        at += 1 + 4 * len(shape)
+        dtype = np.dtype("<f4")
+        if prec == 1:
+            bits = rec.quants[0][2]
+            dtype = np.dtype("<i1" if bits <= 8 else "<i2" if bits <= 16 else "<i4")
+        size = int(np.prod(shape))
+        rec.weight = (at, np.frombuffer(raw, dtype, size, at).reshape(shape))
+        at += dtype.itemsize * size
+        (blen,) = struct.unpack_from("<I", raw, at)
+        at += 4 + 4 * blen
+        records.append(rec)
+    assert at == len(raw)
+    return records
 
 
 class TestRoundTrip:
@@ -57,9 +106,7 @@ class TestRoundTrip:
         save_model(p, net)
         plain = build_detector(grid_cfg, seed=1)
         for name in QUANTIZED:
-            plain.layer(name).w_quant = QuantParams(0.011, 8)
-            plain.layer(name).a_quant = QuantParams(0.07, 8)
-            plain.layer(name).precision = "int8"
+            freeze(plain.layer(name), W_QUANT, A_QUANT)
         save_model(tmp_path / "plain.ptqf", plain)
         assert p.stat().st_size == (tmp_path / "plain.ptqf").stat().st_size
         got = load_model(p)
@@ -85,8 +132,7 @@ class TestByteDeterminism:
 
     def test_different_scale_changes_bytes(self, tmp_path, grid_cfg):
         n1 = quantize_some_layers(build_detector(grid_cfg, seed=4))
-        n2 = quantize_some_layers(build_detector(grid_cfg, seed=4))
-        n2.layer("conv1").w_quant = QuantParams(0.012, 8)
+        n2 = quantize_some_layers(build_detector(grid_cfg, seed=4), QuantParams(0.012, 8))
         a, b = tmp_path / "a.ptqf", tmp_path / "b.ptqf"
         save_model(a, n1)
         save_model(b, n2)
@@ -124,6 +170,44 @@ class TestCorruption:
             load_model(p)
 
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [(1, 7, "activation code 7"), (4, 9, "precision code 9"), (2, 0, "stride 0")],
+    )
+    def test_corrupt_layer_header(self, tmp_path, grid_cfg, field, value, match):
+        raw = bytearray(saved(tmp_path / "h.ptqf", quantize_some_layers(build_detector(grid_cfg))))
+        raw[v2_records(raw)[1].head + field] = value
+        (tmp_path / "h.ptqf").write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match=match):
+            load_model(tmp_path / "h.ptqf")
+
+    def test_weight_that_is_not_4d(self, tmp_path, grid_cfg):
+        raw = saved(tmp_path / "d.ptqf", build_detector(grid_cfg))
+        rec = v2_records(raw)[0]
+        at, w = rec.weight
+        cout, cin, kh, kw = w.shape
+        flat = struct.pack("<B3I", 3, cout, cin, kh * kw)
+        (tmp_path / "d.ptqf").write_bytes(raw[: rec.ndim_at] + flat + raw[at:])
+        with pytest.raises(ModelIOError, match="4-D"):
+            load_model(tmp_path / "d.ptqf")
+
+    def test_codes_outside_the_bit_width(self, tmp_path, grid_cfg):
+        # 8-bit codes under a 4-bit quantizer
+        raw = bytearray(saved(tmp_path / "c.ptqf", quantize_some_layers(build_detector(grid_cfg))))
+        at, _, _ = v2_records(raw)[1].quants[0]
+        raw[at + 12] = 4
+        (tmp_path / "c.ptqf").write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match=r"outside \[-8, 7\]"):
+            load_model(tmp_path / "c.ptqf")
+
+    def test_offsets_flag_in_a_version_2_file(self, tmp_path, grid_cfg):
+        raw = bytearray(saved(tmp_path / "o.ptqf", quantize_some_layers(build_detector(grid_cfg))))
+        raw[v2_records(raw)[1].head + 5] |= 4
+        (tmp_path / "o.ptqf").write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match="offsets in a version 2 file"):
+            load_model(tmp_path / "o.ptqf")
+
+
 class TestBehaviorPreservation:
     def test_loaded_net_predicts_identically(self, tmp_path, grid_cfg, rng):
         from pillarptq.detector import PointCloud, detector_forward, pillarize
@@ -141,39 +225,155 @@ class TestBehaviorPreservation:
         np.testing.assert_array_equal(a.regression, b.regression)
 
 
-# -- files that carry rounding offsets ---------------------------------------------------
+# -- integer weight codes ----------------------------------------------------------------
 
 
-def legacy_bytes(net, offsets):
-    """PTQF bytes as older writers saved them: each layer in `offsets` keeps
-    its unfolded weight, sets flag 4 and appends its float32 offsets record.
-    Without offsets this is exactly what save_model writes."""
+def int_conv(x, w, stride, pad):
+    """Integer cross-correlation, accumulated in int64 over the kernel window."""
+    b, _, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    out = np.zeros((b, cout, ho, wo), dtype=np.int64)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            out += np.einsum("bchw,oc->bohw", patch, w[:, :, i, j])
+    return out
+
+
+class TestIntegerCodes:
+    def test_int8_weights_are_stored_as_codes(self, tmp_path, grid_cfg):
+        net = quantize_some_layers(build_detector(grid_cfg, seed=1))
+        raw = saved(tmp_path / "q.ptqf", net)
+        fp = saved(tmp_path / "fp.ptqf", build_detector(grid_cfg, seed=1))
+        # a byte a weight in place of four; two 13-byte quantizer records a layer
+        codes = sum(net.layer(name).weight.size for name in QUANTIZED)
+        assert len(raw) == len(fp) - 3 * codes + 26 * len(QUANTIZED)
+        for rec, layer in zip(v2_records(raw), in_file_order(net)):
+            assert rec.name == layer.name
+            _, w = rec.weight
+            if layer.precision == "int8":
+                assert w.dtype == np.int8
+                rebuilt = dequantize(w, engine_grid(layer.w_quant)).astype(np.float32)
+                assert rebuilt.tobytes() == layer.weight.tobytes()
+            else:
+                assert w.tobytes() == layer.weight.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("bits,width", [(4, 1), (8, 1), (12, 2), (16, 2), (24, 4)])
+    def test_code_width_follows_the_bit_width(self, tmp_path, grid_cfg, bits, width):
+        net = build_detector(grid_cfg, seed=2)
+        layer = net.layer("conv1")
+        step = float(np.abs(layer.weight).max()) / ((1 << (bits - 1)) - 1)
+        freeze(layer, QuantParams(step, bits), A_QUANT)
+        raw = saved(tmp_path / "b.ptqf", net)
+        _, w = v2_records(raw)[1].weight
+        assert w.dtype.itemsize == width and np.abs(w).max() == (1 << (bits - 1)) - 1
+        assert_nets_equal(net, load_model(tmp_path / "b.ptqf"))
+
+    def test_no_code_wider_than_32_bits(self, tmp_path, grid_cfg):
+        net = build_detector(grid_cfg)
+        freeze(net.layer("conv1"), QuantParams(1e-9, 33), A_QUANT)
+        with pytest.raises(ModelIOError, match="33-bit"):
+            save_model(tmp_path / "w.ptqf", net)
+
+    def test_file_holds_what_integer_arithmetic_computes(self, tiny_net, tiny_calib_feats, tmp_path):
+        # maxmin keeps float64 scales: the codes count steps of the float32 one
+        qnet, _ = run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin")
+        feats = np.stack(tiny_calib_feats[:2])
+        u = 2.0**-24
+        checked = []
+        for rec, layer in zip(v2_records(saved(tmp_path / "q.ptqf", qnet)), in_file_order(qnet)):
+            if layer.precision != "int8":
+                continue
+            (_, s_w, _), (_, s_a, bits_a) = rec.quants
+            s_w, s_a = np.float32(s_w), np.float32(s_a)
+            w_codes = rec.weight[1].astype(np.int64)
+            x = run(qnet, feats, 0, qnet.layer_index(layer.name)).data
+            top = 1 << (bits_a - 1)
+            x_codes = np.clip(round_half_away(x / s_a), -top, top - 1).astype(np.int64)
+            acc = int_conv(x_codes, w_codes, layer.stride, layer.padding)
+            # a float32 GEMM of the codes is exact: every partial sum stays
+            # below K * 128 * 128 <= 288 * 2**14 < 2**24
+            k = w_codes[0].size
+            assert k <= 288
+            gemm = ad.conv2d(
+                Tensor(x_codes.astype(np.float32)),
+                Tensor(w_codes.astype(np.float32)),
+                None,
+                layer.stride,
+                layer.padding,
+            ).data
+            assert gemm.dtype == np.float32 and np.array_equal(gemm, acc)
+            # the fake-quant forward computes s_a * s_w * acc + bias, up to the
+            # float32 GEMM's error on the K products (plus the rounding of x-hat
+            # and w-hat) and the bias add
+            want = layer_conv2d(Tensor(x), layer).data.astype(np.float64)
+            got = acc * (float(s_a) * float(s_w)) + layer.bias.reshape(1, -1, 1, 1)
+            mass = int_conv(np.abs(x_codes), np.abs(w_codes), layer.stride, layer.padding)
+            bound = (k + 2) * u * mass * (float(s_a) * float(s_w)) + u * np.abs(want)
+            assert (np.abs(want - got) <= bound).all()
+            checked.append(layer.name)
+        assert checked == [l.name for l in qnet.layers if l.precision == "int8"] != []
+
+
+# -- version 1 files ---------------------------------------------------------------------
+
+
+def legacy_bytes(net, int8=(), offsets=None):
+    """PTQF version 1 bytes, as older writers saved `net`: every weight as a
+    float32 blob and the quantizer records after the bias. The layers named
+    in `int8` are written as int8 layers with W_QUANT and A_QUANT around their
+    weights as they are, unfolded; each layer in `offsets` sets flag 4 and
+    appends its float32 offsets record."""
+    offsets = offsets or {}
     roles = [(l, modelio._ROLE_TRUNK) for l in net.layers] + [
         (net.heads["heatmap"], modelio._ROLE_HEATMAP),
         (net.heads["regression"], modelio._ROLE_REG),
     ]
-    out = modelio.MAGIC + struct.pack("<HHHHH", modelio.VERSION, *net.input_spec, len(roles))
+    out = modelio.MAGIC + struct.pack("<HHHHH", 1, *net.input_spec, len(roles))
     for layer, role in roles:
-        rec = bytearray(modelio._pack_layer(layer, role))
+        prec, quants = layer.precision, (layer.w_quant, layer.a_quant)
+        if layer.name in int8:
+            prec, quants = "int8", (W_QUANT, A_QUANT)
+        has = (quants[0] is not None, quants[1] is not None, layer.name in offsets)
+        flags = sum(flag for flag, on in zip((1, 2, 4), has) if on)
+        name = layer.name.encode("utf-8")
+        w = np.ascontiguousarray(layer.weight, dtype="<f4")
+        b = np.ascontiguousarray(layer.bias, dtype="<f4")
+        out += struct.pack("<H", len(name)) + name
+        out += struct.pack(
+            "<6B",
+            role,
+            modelio._ACT[layer.activation],
+            layer.stride,
+            layer.padding,
+            modelio._PREC[prec],
+            flags,
+        )
+        out += struct.pack("<B4I", 4, *w.shape) + w.tobytes()
+        out += struct.pack("<I", b.size) + b.tobytes()
+        for q in quants:
+            if q is not None:
+                out += struct.pack("<diB", q.scale, q.zero_point, q.bits)
         if layer.name in offsets:
-            rec[2 + len(layer.name) + 5] |= 4
-            rec += np.ascontiguousarray(offsets[layer.name], dtype="<f4").tobytes()
-        out += rec
-    return bytes(out)
+            out += np.ascontiguousarray(offsets[layer.name], dtype="<f4").tobytes()
+    return out
 
 
-def old_forward(net, offsets, x):
-    """The forward of a net whose int8 layers steer their weights by offsets
-    on every call, as models with offsets used to run."""
+def old_forward(net, int8, offsets, x):
+    """The forward of a float net whose layers in `int8` quantize their input
+    and weight (steered by `offsets`) on every call, as unfolded int8 layers
+    used to run."""
 
     def run(layer, t):
-        if layer.precision == "int8":
-            t = ad.fake_quant_op(t, Tensor(layer.a_quant.scale), layer.a_quant.bits)
+        if layer.name in int8:
+            t = ad.fake_quant_op(t, Tensor(A_QUANT.scale), A_QUANT.bits)
             theta = offsets.get(layer.name)
             w = ad.fake_quant_op(
                 Tensor(layer.weight),
-                Tensor(layer.w_quant.scale),
-                layer.w_quant.bits,
+                Tensor(W_QUANT.scale),
+                W_QUANT.bits,
                 theta=None if theta is None else Tensor(theta),
             )
         else:
@@ -188,50 +388,56 @@ def old_forward(net, offsets, x):
 
 
 class TestLegacyOffsets:
-    def unfolded(self, grid_cfg):
-        net = build_detector(grid_cfg, seed=5)
-        offsets = {}
-        for name in QUANTIZED:
-            layer = net.layer(name)
-            layer.w_quant = QuantParams(0.011, 8)
-            layer.a_quant = QuantParams(0.07, 8)
-            layer.precision = "int8"
-            offsets[name] = some_offsets(layer)
-        return net, offsets
-
     def test_writer_layout_matches_save_model(self, tmp_path, grid_cfg):
-        net, _ = self.unfolded(grid_cfg)
-        p = tmp_path / "now.ptqf"
-        save_model(p, net)
-        assert legacy_bytes(net, {}) == p.read_bytes()
+        # a v1 file of a frozen net loads as that net, and saves as it does
+        net = quantize_some_layers(build_detector(grid_cfg, seed=5))
+        p = tmp_path / "v1.ptqf"
+        p.write_bytes(legacy_bytes(net))
+        got = load_model(p)
+        assert_nets_equal(net, got)
+        assert saved(tmp_path / "a.ptqf", got) == saved(tmp_path / "b.ptqf", net)
 
-    def test_offsets_record_loads_folded_and_predicts_as_before(self, tmp_path, grid_cfg, rng):
-        net, offsets = self.unfolded(grid_cfg)
+    def check_predicts_as_before(self, tmp_path, grid_cfg, rng, offsets):
+        net = build_detector(grid_cfg, seed=5)
         p = tmp_path / "old.ptqf"
-        p.write_bytes(legacy_bytes(net, offsets))
+        p.write_bytes(legacy_bytes(net, QUANTIZED, offsets))
         got = load_model(p)
         for name in QUANTIZED:
             layer = got.layer(name)
+            theta = offsets.get(name)
             steered = ad.fake_quant_op(
-                Tensor(net.layer(name).weight), Tensor(0.011), 8, theta=Tensor(offsets[name])
+                Tensor(net.layer(name).weight),
+                Tensor(W_QUANT.scale),
+                W_QUANT.bits,
+                theta=None if theta is None else Tensor(theta),
             )
-            assert layer.precision == "int8" and layer.w_quant == QuantParams(0.011, 8)
-            assert layer.weight.tobytes() == steered.data.tobytes()
+            assert layer.precision == "int8"
+            assert (layer.w_quant, layer.a_quant) == (W_QUANT, A_QUANT)
+            assert layer.weight.tobytes() == (steered.data + 0.0).tobytes()
         x = np.abs(rng.normal(size=(2, *net.input_spec))).astype(np.float32)
-        hm, reg = old_forward(net, offsets, x)
+        hm, reg = old_forward(net, QUANTIZED, offsets, x)
         hm_got, reg_got = run(got, x, heads=True)
         assert hm_got.data.tobytes() == hm.tobytes()
         assert reg_got.data.tobytes() == reg.tobytes()
-        # re-saving writes the folded weights and no offsets record
-        save_model(tmp_path / "again.ptqf", got)
-        assert load_model(tmp_path / "again.ptqf").layer("conv1").weight.tobytes() == (
-            got.layer("conv1").weight.tobytes()
-        )
-        assert (tmp_path / "again.ptqf").stat().st_size == len(legacy_bytes(net, {}))
+        # saving again writes version 2: codes for the folded weights, no
+        # offsets record
+        raw = saved(tmp_path / "again.ptqf", got)
+        assert [r.name for r in v2_records(raw) if r.weight[1].dtype == np.int8] == list(QUANTIZED)
+        assert_nets_equal(got, load_model(tmp_path / "again.ptqf"))
+
+    def test_offsets_record_loads_folded_and_predicts_as_before(self, tmp_path, grid_cfg, rng):
+        net = build_detector(grid_cfg, seed=5)
+        offsets = {name: some_offsets(net.layer(name)) for name in QUANTIZED}
+        self.check_predicts_as_before(tmp_path, grid_cfg, rng, offsets)
+
+    def test_unfolded_weight_loads_on_its_grid_and_predicts_as_before(
+        self, tmp_path, grid_cfg, rng
+    ):
+        self.check_predicts_as_before(tmp_path, grid_cfg, rng, {})
 
     def test_offsets_record_on_a_float_layer_is_refused(self, tmp_path, grid_cfg):
-        net, _ = self.unfolded(grid_cfg)
+        net = build_detector(grid_cfg, seed=5)
         p = tmp_path / "odd.ptqf"
-        p.write_bytes(legacy_bytes(net, {"conv0": np.zeros_like(net.layer("conv0").weight)}))
+        p.write_bytes(legacy_bytes(net, QUANTIZED, {"conv0": np.zeros_like(net.layer("conv0").weight)}))
         with pytest.raises(ModelIOError, match="not int8"):
             load_model(p)

@@ -12,12 +12,13 @@ from pillarptq.network import (
     Network,
     NetworkError,
     backward,
+    engine_grid,
     freeze,
     layer_forward,
     run,
 )
 from pillarptq.network import conv2d as layer_conv2d
-from pillarptq.quant import QuantError, QuantParams, fake_quant
+from pillarptq.quant import QuantError, QuantParams, dequantize, fake_quant, quantize
 
 
 def make_layer(name="c0", out_ch=4, in_ch=3, k=3, seed=0, **kw):
@@ -116,14 +117,14 @@ class TestQuantizedForward:
         np.testing.assert_array_equal(a, b)
 
     def test_int8_layer_quantizes_both_tensors(self, rng):
-        layer = make_layer(
-            w_quant=QuantParams(0.01), a_quant=QuantParams(0.05), precision="int8"
-        )
+        # freeze quantizes the weight once, the forward the input on each call
+        layer = make_layer()
         x = rng.normal(size=(1, 3, 6, 6))
         with ad.using_dtype(np.float64):
+            freeze(layer, QuantParams(0.01), QuantParams(0.05))
             got = layer_conv2d(Tensor(x), layer).data
             xq = fake_quant(x, layer.a_quant)
-            wq = fake_quant(layer.weight.astype(np.float64), layer.w_quant)
+            wq = fake_quant(make_layer().weight.astype(np.float64), layer.w_quant)
             want = ad.conv2d(Tensor(xq), Tensor(wq), Tensor(layer.bias), 1, 1).data
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -283,11 +284,17 @@ def test_property_freeze_folds_offsets_exactly(case):
         steered = ad.fake_quant_op(Tensor(w), Tensor(scale), bits, theta=Tensor(theta)).data
         layer = LayerSpec("c", w, np.zeros(w.shape[0], dtype))
         freeze(layer, w_quant, None, theta)
+        # as steered, but with +0.0 where a negative weight rounds to level 0
+        frozen = (steered + 0.0).tobytes()
         assert layer.weight.dtype == dtype
-        assert layer.weight.tobytes() == steered.tobytes()
-        # the frozen forward's own weight fake-quant changes nothing ...
+        assert layer.weight.tobytes() == frozen
+        # the frozen weight lies on its grid: quantizing it again changes
+        # nothing, and neither does a second freeze ...
         again = ad.fake_quant_op(Tensor(layer.weight), Tensor(scale), bits).data
-        assert again.tobytes() == steered.tobytes()
-        # ... and neither does a second freeze
+        assert again.tobytes() == frozen
         freeze(layer, w_quant, None)
-        assert layer.weight.tobytes() == steered.tobytes()
+        assert layer.weight.tobytes() == frozen
+        # ... and its integer codes rebuild it, as the model file stores it
+        grid = engine_grid(w_quant)
+        codes = quantize(layer.weight, grid)
+        assert dequantize(codes, grid).astype(dtype).tobytes() == frozen

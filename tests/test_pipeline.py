@@ -49,9 +49,10 @@ def _saved_bytes(net, path):
 
 
 def _nearest(w_fp, layer):
-    """The weight `layer`'s quantizer makes of w_fp without offsets."""
+    """The weight `layer`'s quantizer makes of w_fp without offsets, with the
+    +0.0 that freeze leaves where a negative weight rounds to level 0."""
     q = layer.w_quant
-    return ad.fake_quant_op(Tensor(w_fp), Tensor(q.scale), q.bits).data
+    return ad.fake_quant_op(Tensor(w_fp), Tensor(q.scale), q.bits).data + 0.0
 
 
 class TestLidarPTQ:
