@@ -61,15 +61,14 @@ def using_dtype(dtype):
 class Tensor:
     """A numpy array plus (optionally) a vjp closure linking it to its parents."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents: Sequence[Tensor] = ()
         self._vjp: Optional[Callable[[np.ndarray], tuple]] = None
-        self.name = name
 
     # -- construction helpers -------------------------------------------------
 
@@ -150,17 +149,6 @@ class Tensor:
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, k):
-        return pow_const(self, k)
-
-    def __truediv__(self, k):
-        if isinstance(k, Tensor):
-            raise TypeError("division by a Tensor is not supported; use mul + reciprocal constants")
-        return mul(self, 1.0 / float(k))
-
 
 def _zeros_like_layout(g: np.ndarray, d: np.ndarray) -> bool:
     """True when g is laid out as np.zeros_like(d) would be: d's shape, dtype
@@ -217,17 +205,6 @@ def mul(a, b) -> Tensor:
         )
 
     return Tensor._from_op(out, (a, b), vjp)
-
-
-def pow_const(a, k) -> Tensor:
-    a = as_tensor(a)
-    k = float(k)
-    out = a.data**k
-
-    def vjp(g):
-        return (g * k * a.data ** (k - 1.0),)
-
-    return Tensor._from_op(out, (a,), vjp)
 
 
 def log(a) -> Tensor:
@@ -394,12 +371,13 @@ def fake_quant_op(
     """Fake-quantize `x` with learnable scale (and optional rounding offsets).
 
     Forward is the hard round trip: s * clamp(k, qmin, qmax), with k the
-    level `quant.steered_level` picks for x and the offset clip(theta, 0, s).
+    level `quant.steered_level` picks for x and the offset theta. The caller
+    keeps theta in [0, s]: `pipeline.run_lidar_ptq` projects it there after
+    every step, and `network.freeze` clips the offsets it folds.
     Gradients:
-      x:     pass-through where the pre-clamp integer is in range, else 0
-      theta: same mask, additionally zero where the [0, s] clip is active
-      scale: the clamped integer itself (integer held fixed inside the range;
-             the clamp bound at saturated entries)
+      x, theta: pass-through where the pre-clamp integer is in range, else 0
+      scale:    the clamped integer itself (integer held fixed inside the
+                range; the clamp bound at saturated entries)
     """
     x, scale = as_tensor(x), as_tensor(scale)
     if scale.data.size != 1:
@@ -416,12 +394,7 @@ def fake_quant_op(
     if not (s > 0.0):
         raise ValueError(f"scale must be > 0, got {s}")
 
-    if theta is not None:
-        k = steered_level(x.data, s, np.clip(theta.data, 0.0, s))
-        theta_pass = (theta.data >= 0.0) & (theta.data <= s)
-    else:
-        k = steered_level(x.data, s)
-        theta_pass = None
+    k = steered_level(x.data, s, None if theta is None else theta.data)
     in_range = (k >= q_min) & (k <= q_max)
     k_clamped = np.clip(k, q_min, q_max)
     out = k_clamped * s
@@ -431,7 +404,7 @@ def fake_quant_op(
         gs = np.asarray((g * k_clamped).sum(), dtype=g.dtype).reshape(scale.data.shape)
         grads = [gx, gs]
         if theta is not None:
-            grads.append(g * (in_range & theta_pass))
+            grads.append(gx)
         return tuple(grads)
 
     parents = (x, scale) if theta is None else (x, scale, theta)

@@ -206,8 +206,6 @@ def cmd_quantize(args) -> None:
                 "pre_mse": r["a_maxmin_mse"],
                 "post_mse": r["a_mse"],
                 "entropy_fallback": r["entropy_fallback"],
-                "z_w": 0,
-                "z_a": 0,
             }
     else:
         run_cfg = cfg

@@ -197,21 +197,16 @@ def l1_reg_loss(pred_reg, target_reg: np.ndarray, mask: np.ndarray) -> Tensor:
     return ad.tsum(ad.mul(diff, m)) * (1.0 / (n * channels))
 
 
-def pseudo_label_loss(q_out: DetectorOutput, labels, w: LossWeights) -> Tensor:
+def pseudo_label_loss(
+    q_out: DetectorOutput, labels: Sequence[PseudoLabels], w: LossWeights
+) -> Tensor:
     """Task loss against float-model pseudo-labels: focal + alpha * L1.
 
-    `labels` may be a single PseudoLabels (unbatched maps) or a list matching
-    the batch dimension of q_out's (B, C, H, W) tensors.
+    `labels` holds one PseudoLabels per frame of q_out's (B, C, H, W) maps.
     """
-    hm, reg = q_out.heatmap, q_out.regression
-    if isinstance(labels, PseudoLabels):
-        hm_t, reg_t, mask = labels.heatmap_target, labels.reg_target, labels.reg_mask
-        if (hm.data if isinstance(hm, Tensor) else hm).ndim == 4:
-            hm_t, reg_t, mask = hm_t[None], reg_t[None], mask[None]
-    else:
-        hm_t = np.stack([l.heatmap_target for l in labels])
-        reg_t = np.stack([l.reg_target for l in labels])
-        mask = np.stack([l.reg_mask for l in labels])
-    cls = focal_loss(hm, hm_t)
-    reg_l = l1_reg_loss(reg, reg_t, mask)
+    hm_t = np.stack([l.heatmap_target for l in labels])
+    reg_t = np.stack([l.reg_target for l in labels])
+    mask = np.stack([l.reg_mask for l in labels])
+    cls = focal_loss(q_out.heatmap, hm_t)
+    reg_l = l1_reg_loss(q_out.regression, reg_t, mask)
     return cls + reg_l * w.alpha_reg

@@ -16,20 +16,27 @@ heads. A version 2 record is
     <B ndim, <I per dimension, the weight
     <I bias length, float32 bias
 
+The scheme is symmetric, so the zero point slot is always 0; the reader
+refuses any other value. An int8 record has flag 1 and a float record no
+quantizer flag. The `<d` scale is the one the layer holds, rounded to the
+engine dtype, float32, by `network.freeze` (`network.engine_grid`).
+
 An int8 layer's weight is written as its integer codes, `quant.quantize` of
 the weight, little-endian signed: 1 byte a code when bits <= 8, 2 bytes when
-bits <= 16, 4 bytes up to 32 bits. The codes count steps of the weight scale
-rounded to the engine dtype, float32 (`network.engine_grid`), which is the
-grid `network.freeze` puts the weight on, so the reader's `quant.dequantize`
-rebuilds the frozen weight bit for bit. Every other layer's weight is a
-float32 blob.
+bits <= 16, 4 bytes up to 32 bits. The codes count steps of the stated
+weight scale, the grid `network.freeze` puts the weight on, so the reader's
+`quant.dequantize` rebuilds the frozen weight bit for bit. Every other
+layer's weight is a float32 blob.
 
-Version 1 files still load. Their records hold every weight as a float32 blob
-and put the quantizer records after the bias; flag 4 appends a float32
-rounding offsets record after them. The reader freezes each v1 int8 layer
-with `network.freeze`: offsets are folded in, and an unfolded weight is put
-on its grid, as the int8 forward used to do on every call. Saving always
-writes version 2, which has no flag 4.
+Older files may state float64 scales that float32 cannot hold; the reader
+rounds every scale it reads with `network.engine_grid`, which is the grid
+their codes count, so such a file loads exactly, and re-saving it changes
+its scale bytes. Version 1 files still load. Their records hold every weight
+as a float32 blob and put the quantizer records after the bias; flag 4
+appends a float32 rounding offsets record after them. The reader freezes
+each v1 int8 layer with `network.freeze`: offsets are folded in, and an
+unfolded weight is put on its grid, as the int8 forward used to do on every
+call. Saving always writes version 2, which has no flag 4.
 """
 
 from __future__ import annotations
@@ -87,12 +94,9 @@ def _pack_layer(layer: LayerSpec, role: int) -> bytes:
     ]
     for q in (layer.w_quant, layer.a_quant):
         if q is not None:
-            out.append(struct.pack("<diB", q.scale, q.zero_point, q.bits))
-    if layer.precision == "int8":
-        if layer.w_quant is None:
-            raise ModelIOError(f"{layer.name}: int8 layer without a weight quantizer")
-        grid = engine_grid(layer.w_quant)
-        w = quantize(layer.weight, grid).astype(_code_dtype(grid.bits))
+            out.append(struct.pack("<diB", q.scale, 0, q.bits))
+    if layer.w_quant is not None:
+        w = quantize(layer.weight, layer.w_quant).astype(_code_dtype(layer.w_quant.bits))
     else:
         w = np.ascontiguousarray(layer.weight, dtype="<f4")
     out.append(struct.pack("<B", w.ndim))
@@ -134,17 +138,19 @@ def _read_layer(r: _Reader, version: int):
     if stride < 1:
         raise ModelIOError(f"{name}: stride {stride} < 1")
     int8 = _PREC_INV[prec] == "int8"
+    if int8 != bool(flags & _FLAG_WQ):
+        raise ModelIOError(f"{name}: precision code {prec} with quantizer flags {flags}")
 
     def quantizers():
         out = []
         for flag in (_FLAG_WQ, _FLAG_AQ):
             q = None
             if flags & flag:
-                scale, zp, bits = r.unpack("<diB")
-                q = QuantParams(scale, bits, zp)
+                scale, zero_point, bits = r.unpack("<diB")
+                if zero_point != 0:
+                    raise ModelIOError(f"{name}: zero point {zero_point} in a symmetric scheme")
+                q = engine_grid(QuantParams(scale, bits))
             out.append(q)
-        if int8 and out[0] is None:
-            raise ModelIOError(f"{name}: int8 layer without a weight quantizer")
         return out
 
     if version > 1:
@@ -155,10 +161,9 @@ def _read_layer(r: _Reader, version: int):
     shape = r.unpack(f"<{ndim}I")
     size = math.prod(shape)
     if version > 1 and int8:
-        grid = engine_grid(w_quant)
-        dtype = np.dtype(_code_dtype(grid.bits))
+        dtype = np.dtype(_code_dtype(w_quant.bits))
         codes = np.frombuffer(r.take(dtype.itemsize * size), dtype=dtype)
-        w = dequantize(codes, grid).astype(np.float32).reshape(shape)
+        w = dequantize(codes, w_quant).astype(np.float32).reshape(shape)
     else:
         w = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).copy()
     (blen,) = r.unpack("<I")
@@ -176,7 +181,6 @@ def _read_layer(r: _Reader, version: int):
         activation=_ACT_INV[act],
         w_quant=w_quant,
         a_quant=a_quant,
-        precision=_PREC_INV[prec],
     )
     if version == 1 and int8:
         offsets = None

@@ -1,12 +1,15 @@
 """Conv layers with attached fake-quantizers, and `run`, the one forward over
 an ordered layer stack.
 
-A layer in "int8" mode fake-quantizes its input and convolves its stored
-weight as is; "fp" mode ignores all quantization state. The weight of an int8
-layer lies on its grid: `freeze` puts a layer in int8 mode and replaces its
-weight by the dequantized weight, any learned rounding offsets folded in, and
-the model reader rebuilds it from integer codes. Offsets are optimizer state
-and never outlive the freeze, and the forward runs no weight quantizer.
+A layer is "int8" exactly when it holds a weight quantizer, and "fp"
+otherwise; `precision` reads that, it is not set. `freeze` is the one place
+that makes a layer int8: it replaces the weight by the dequantized weight,
+any learned rounding offsets folded in, and holds `engine_grid` quantizers,
+the scales rounded to the engine dtype that the forward and the model file
+compute with. The int8 forward fake-quantizes its input with the activation
+quantizer and convolves its stored weight as is; the model reader rebuilds
+that weight from integer codes. Offsets are optimizer state and never
+outlive the freeze.
 
 `run` serves every caller: float training (live weights and biases), layer
 input capture (one trunk layer at a time), the task loss of scale
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .quant import QuantError, QuantParams
+from .quant import QuantParams
 
 
 class NetworkError(ValueError):
@@ -34,8 +37,9 @@ class NetworkError(ValueError):
 class LayerSpec:
     """One conv layer plus its per-layer quantization state.
 
-    An "int8" layer's weight lies on the grid of `engine_grid(w_quant)` and is
-    convolved as stored; `freeze` and the model reader are what set it there.
+    An int8 layer (one with a `w_quant`) holds `engine_grid` quantizers and a
+    weight on the `w_quant` grid, convolved as stored; `freeze` and the model
+    reader are what set them. An `a_quant` needs a `w_quant`.
     """
 
     name: str
@@ -46,7 +50,6 @@ class LayerSpec:
     activation: str = "relu"  # "relu" | "none"
     w_quant: Optional[QuantParams] = None
     a_quant: Optional[QuantParams] = None
-    precision: str = "fp"  # "fp" | "int8"
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight)
@@ -59,8 +62,12 @@ class LayerSpec:
             )
         if self.activation not in ("relu", "none"):
             raise NetworkError(f"{self.name}: unknown activation {self.activation!r}")
-        if self.precision not in ("fp", "int8"):
-            raise NetworkError(f"{self.name}: unknown precision {self.precision!r}")
+        if self.a_quant is not None and self.w_quant is None:
+            raise NetworkError(f"{self.name}: activation quantizer without a weight quantizer")
+
+    @property
+    def precision(self) -> str:
+        return "fp" if self.w_quant is None else "int8"
 
     @property
     def out_ch(self) -> int:
@@ -122,10 +129,10 @@ class Network:
 
 
 def engine_grid(q: QuantParams) -> QuantParams:
-    """`q` with its scale rounded to the engine dtype: the grid a frozen
-    weight lies on, and the one its integer codes count steps of. Codes
-    decoded with a float64 calibration scale that float32 cannot hold would
-    miss the frozen weight."""
+    """`q` with its scale rounded to the engine dtype: the quantizer a frozen
+    layer holds, the grid its weight lies on and the step its integer codes
+    count. Codes decoded with a float64 calibration scale that float32 cannot
+    hold would miss the frozen weight."""
     return QuantParams(float(np.asarray(q.scale, dtype=ad.current_dtype())), q.bits)
 
 
@@ -135,32 +142,31 @@ def freeze(
     a_quant: Optional[QuantParams],
     offsets: Optional[np.ndarray] = None,
 ) -> None:
-    """Put `layer` in int8 mode with these quantizers, its weight replaced by
-    the dequantized weight the int8 forward convolves with.
+    """Put `layer` in int8 mode: it holds `engine_grid` of these quantizers,
+    and its weight is replaced by the dequantized weight the int8 forward
+    convolves with.
 
     `offsets` are per-weight rounding offsets, as `autodiff.fake_quant_op`
-    takes them (clipped into [0, scale] there); they are folded into the
-    weight, which then lies on the `engine_grid(w_quant)` grid in the engine
-    dtype. That is the int8 layer's invariant: the forward convolves the
-    weight as stored, with no quantizer of its own.
+    takes them; they are clipped into [0, scale] and folded into the weight,
+    which then lies on the held `w_quant` grid in the engine dtype. That is
+    the int8 layer's invariant: the forward convolves the weight as stored,
+    with no quantizer of its own.
     """
     grid = engine_grid(w_quant)
-    w = ad.fake_quant_op(
-        Tensor(layer.weight),
-        Tensor(grid.scale),
-        grid.bits,
-        None if offsets is None else Tensor(offsets),
-    )
+    theta = None
+    if offsets is not None:
+        # clipped in the engine dtype, in which the bound is exact
+        theta = Tensor(np.clip(np.asarray(offsets, ad.current_dtype()), 0.0, grid.scale))
+    w = ad.fake_quant_op(Tensor(layer.weight), Tensor(grid.scale), grid.bits, theta)
     # a negative weight at level 0 comes out as -0.0; an integer code cannot
     # carry that sign, so the frozen weight holds the +0.0 a saved model reloads
     layer.weight = w.data + 0.0
-    layer.w_quant = w_quant
-    layer.a_quant = a_quant
-    layer.precision = "int8"
+    layer.w_quant = grid
+    layer.a_quant = None if a_quant is None else engine_grid(a_quant)
 
 
 def conv2d(x: Tensor, layer: LayerSpec, weights: Optional[dict] = None) -> Tensor:
-    """Layer convolution (plus bias), honoring the layer's precision mode.
+    """Layer convolution (plus bias), honoring the layer's precision.
 
     A live weight in `weights` (see `run`) is convolved as given, with no
     quantizer; otherwise an int8 layer fake-quantizes its input with its
@@ -178,11 +184,8 @@ def conv2d(x: Tensor, layer: LayerSpec, weights: Optional[dict] = None) -> Tenso
     w = weights.get(f"{layer.name}.w")
     if w is None:
         w = Tensor(layer.weight)
-        if layer.precision == "int8":
-            if layer.w_quant is None:
-                raise QuantError(f"{layer.name}: int8 precision but no weight quantizer set")
-            if layer.a_quant is not None:
-                x = ad.fake_quant_op(x, Tensor(layer.a_quant.scale), layer.a_quant.bits)
+        if layer.a_quant is not None:
+            x = ad.fake_quant_op(x, Tensor(layer.a_quant.scale), layer.a_quant.bits)
     b = weights.get(f"{layer.name}.b", Tensor(layer.bias))
     return ad.conv2d(x, w, b, layer.stride, layer.padding)
 

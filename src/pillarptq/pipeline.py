@@ -14,7 +14,6 @@ so a quantized model holds the weights it convolves with and no offsets.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -48,12 +47,11 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class RunLog:
-    """Append-only record of the optimization; wall time lives only here,
-    never in the serialized artifacts (those must be byte-reproducible)."""
+    """Append-only record of the optimization: per-step losses, per-layer
+    stats and run metadata, all reproducible from the seed."""
 
     records: List[dict] = field(default_factory=list)
     layer_stats: Dict[str, dict] = field(default_factory=dict)
-    wall_time: float = 0.0
     meta: dict = field(default_factory=dict)
     _last_iter: Dict[str, int] = field(default_factory=dict, repr=False)
 
@@ -240,8 +238,9 @@ def run_baseline_calibration(
     The arms capture their inputs two ways, on purpose. maxmin and entropy are
     TensorRT-style baselines: every layer calibrates on the float net's
     activations. maxmin_grid is run_lidar_ptq's initialization alone, so like
-    LiDAR-PTQ each layer sees the output of the int8 layers before it, and it
-    holds its scales at engine precision, as the `quantize` verb's model does."""
+    LiDAR-PTQ each layer sees the output of the int8 layers before it. Every
+    row reports the scales the frozen layer holds, as its model file states
+    them."""
     if bits == 32:
         return fp_net.copy(), []
     if not calib_feats:
@@ -249,22 +248,17 @@ def run_baseline_calibration(
 
     search = search or SearchConfig()
     qnet = fp_net.copy()
-    grid = method == "maxmin_grid"
     rows = []
-    for src, acts in _layer_inputs(qnet if grid else fp_net, calib_feats):
+    for src, acts in _layer_inputs(qnet if method == "maxmin_grid" else fp_net, calib_feats):
         layer = qnet.layer(src.name)
         cal = calibrate_layer(acts, layer.weight, method=method, bits=bits, cfg=search)
-        w_params, a_params = cal.w_params, cal.a_params
-        if grid:
-            w_params = network.engine_grid(w_params)
-            a_params = network.engine_grid(a_params)
-        network.freeze(layer, w_params, a_params)
+        network.freeze(layer, cal.w_params, cal.a_params)
         rows.append(
             {
                 "layer": layer.name,
                 "method": method,
-                "w_scale": w_params.scale,
-                "a_scale": a_params.scale,
+                "w_scale": layer.w_quant.scale,
+                "a_scale": layer.a_quant.scale,
                 "a_mse": cal.a_mse,
                 "a_maxmin_mse": cal.a_maxmin_mse,
                 "entropy_fallback": cal.entropy_fallback,
@@ -329,7 +323,6 @@ def run_lidar_ptq(
     """Pseudo-labels from the cached float outputs, then for each quantizable
     layer in order: grid-search initialization, scale/offset optimization with
     keep-best admissibility, and a freeze at int8 before the next layer."""
-    t_start = time.monotonic()
     if any(l.precision != "fp" for l in fp_net.layers):
         raise PipelineError("run_lidar_ptq expects a fully float network")
     fp_exempt_layers(fp_net)  # raises if the structure can't mark them
@@ -433,24 +426,19 @@ def run_lidar_ptq(
                     best_params = {k: p.data.copy() for k, p in params.items()}
                     best_local, best_total = local_s, total_s
 
-        s_w = float(best_params["s_w"])
-        s_a = float(best_params["s_a"])
         network.freeze(
             layer,
-            QuantParams(s_w, cfg.bits_w),
-            QuantParams(s_a, cfg.bits_a),
+            QuantParams(float(best_params["s_w"]), cfg.bits_w),
+            QuantParams(float(best_params["s_a"]), cfg.bits_a),
             best_params.get("theta"),
         )
         log.layer_stats[name] = {
             "pre_mse": init_local,
             "post_mse": best_local,
-            "w_scale": s_w,
-            "a_scale": s_a,
-            "z_w": 0,
-            "z_a": 0,
+            "w_scale": layer.w_quant.scale,
+            "a_scale": layer.a_quant.scale,
         }
 
-    log.wall_time = time.monotonic() - t_start
     log.meta["method"] = cfg.method
     log.meta["iters_T"] = cfg.iters_T
     log.meta["seed"] = cfg.seed

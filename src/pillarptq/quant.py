@@ -1,5 +1,8 @@
 """Simulated (fake) quantization math: uniform signed symmetric, per-tensor.
 
+The scheme has no zero point: a scale and a bit-width define the grid, the
+integer range is [-2^(bits-1), 2^(bits-1) - 1] and level 0 is the value 0.
+
 All functions are pure and operate on numpy arrays. `fake_quant` simulates
 integer arithmetic in float so the rest of the toolkit can measure and
 optimize quantization error without integer kernels. The `quantize` /
@@ -30,23 +33,16 @@ class QuantError(ValueError):
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Scale / zero-point / bit-width for one tensor.
-
-    The scheme is signed symmetric: zero_point is pinned to 0 and the
-    integer range is [-2^(bits-1), 2^(bits-1) - 1].
-    """
+    """Scale and bit-width of one tensor's symmetric grid."""
 
     scale: float
     bits: int = 8
-    zero_point: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.scale) or self.scale <= 0.0:
             raise QuantError(f"scale must be finite and > 0, got {self.scale!r}")
         if int(self.bits) < 2:
             raise QuantError(f"bits must be >= 2, got {self.bits!r}")
-        if int(self.zero_point) != 0:
-            raise QuantError("symmetric scheme requires zero_point == 0")
 
     @property
     def q_min(self) -> int:
@@ -88,23 +84,23 @@ def _check_finite(x: np.ndarray) -> None:
 def quantize(x: np.ndarray, p: QuantParams) -> np.ndarray:
     """Map float values onto the clamped integer grid.
 
-    out[i] = clamp(round(x[i]/scale) + zero_point, q_min, q_max)
+    out[i] = clamp(round(x[i]/scale), q_min, q_max)
     """
     x = np.asarray(x, dtype=np.float64)
     _check_finite(x)
-    q = round_half_away(x / p.scale) + p.zero_point
+    q = round_half_away(x / p.scale)
     return np.clip(q, p.q_min, p.q_max).astype(np.int64)
 
 
 def dequantize(x_int: np.ndarray, p: QuantParams) -> np.ndarray:
-    """Map integers back to float: (x_int - zero_point) * scale."""
+    """Map integers back to float: x_int * scale."""
     x_int = np.asarray(x_int)
     if x_int.size and (x_int.min() < p.q_min or x_int.max() > p.q_max):
         raise QuantError(
             f"integer input outside [{p.q_min}, {p.q_max}]: "
             f"min={x_int.min()}, max={x_int.max()}"
         )
-    return (x_int.astype(np.float64) - p.zero_point) * p.scale
+    return x_int.astype(np.float64) * p.scale
 
 
 def scale_from_range(x_min: float, x_max: float, bits: int) -> float:

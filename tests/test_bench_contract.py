@@ -5,6 +5,7 @@ side fails here instead of at benchmark time."""
 import inspect
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -35,6 +36,13 @@ def test_grid_search_calls_reach_the_traced_span():
     params = list(inspect.signature(calib.grid_search_detail).parameters)
     assert params[:3] == ["x", "bits", "cfg"]
     assert pipeline.grid_search_detail is calib.grid_search_detail
+
+
+def test_calibration_arms_run(tiny_net, tiny_calib_feats):
+    # workloads.calibrate_arms calls run_baseline_calibration and
+    # run_lidar_ptq by name with fixed keywords; it reads only these fields
+    bench = SimpleNamespace(fp_net=tiny_net, calib_feats=tiny_calib_feats)
+    assert workloads.calibrate_arms(bench, seed=1) > 0.0
 
 
 def test_conv_weight_is_where_the_gmac_counter_reads_it():

@@ -10,11 +10,12 @@ import pytest
 from pillarptq import autodiff as ad
 from pillarptq import modelio
 from pillarptq.autodiff import Tensor
+from pillarptq.config import PipelineConfig
 from pillarptq.detector import build_detector
 from pillarptq.modelio import ModelIOError, load_model, save_model
 from pillarptq.network import conv2d as layer_conv2d
 from pillarptq.network import engine_grid, freeze, run
-from pillarptq.pipeline import run_baseline_calibration
+from pillarptq.pipeline import run_baseline_calibration, run_lidar_ptq
 from pillarptq.quant import QuantParams, dequantize, round_half_away
 
 QUANTIZED = ("conv1", "conv2")
@@ -112,7 +113,7 @@ class TestRoundTrip:
         got = load_model(p)
         assert_nets_equal(net, got)
         assert got.layer("conv1").precision == "int8"
-        assert got.layer("conv1").w_quant.scale == 0.011
+        assert got.layer("conv1").w_quant.scale == float(np.float32(0.011))
         assert got.layer("conv0").w_quant is None
 
     def test_weights_survive_exactly_in_float32(self, tmp_path, grid_cfg):
@@ -200,6 +201,29 @@ class TestCorruption:
         with pytest.raises(ModelIOError, match=r"outside \[-8, 7\]"):
             load_model(tmp_path / "c.ptqf")
 
+    def test_nonzero_zero_point_is_refused(self, tmp_path, grid_cfg):
+        raw = bytearray(saved(tmp_path / "z.ptqf", quantize_some_layers(build_detector(grid_cfg))))
+        at, _, _ = v2_records(raw)[1].quants[0]
+        struct.pack_into("<i", raw, at + 8, 3)
+        (tmp_path / "z.ptqf").write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match="zero point 3"):
+            load_model(tmp_path / "z.ptqf")
+
+    @pytest.mark.parametrize(
+        "field,change",
+        [(4, lambda prec: 0), (5, lambda flags: flags & ~1)],
+        ids=["float record with quantizer flags", "int8 record without the weight flag"],
+    )
+    def test_precision_that_disagrees_with_the_quantizer_flags(
+        self, tmp_path, grid_cfg, field, change
+    ):
+        raw = bytearray(saved(tmp_path / "f.ptqf", quantize_some_layers(build_detector(grid_cfg))))
+        at = v2_records(raw)[1].head + field
+        raw[at] = change(raw[at])
+        (tmp_path / "f.ptqf").write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match="with quantizer flags"):
+            load_model(tmp_path / "f.ptqf")
+
     def test_offsets_flag_in_a_version_2_file(self, tmp_path, grid_cfg):
         raw = bytearray(saved(tmp_path / "o.ptqf", quantize_some_layers(build_detector(grid_cfg))))
         raw[v2_records(raw)[1].head + 5] |= 4
@@ -277,8 +301,48 @@ class TestIntegerCodes:
         with pytest.raises(ModelIOError, match="33-bit"):
             save_model(tmp_path / "w.ptqf", net)
 
+    @pytest.mark.parametrize("method", ["maxmin", "entropy", "maxmin_grid", "lidar-ptq"])
+    def test_file_states_the_scale_its_codes_count(
+        self, tiny_net, tiny_calib_feats, grid_cfg, tmp_path, method
+    ):
+        # calibration picks float64 scales; the file states the float32 ones
+        # the frozen layers hold, and those rebuild every weight from its codes
+        if method == "lidar-ptq":
+            cfg = PipelineConfig(
+                calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
+            )
+            qnet, _ = run_lidar_ptq(tiny_net, tiny_calib_feats, cfg, grid_cfg)
+        else:
+            qnet, _ = run_baseline_calibration(tiny_net, tiny_calib_feats, method)
+        raw = saved(tmp_path / "q.ptqf", qnet)
+        got = load_model(tmp_path / "q.ptqf")
+        decoded = []
+        for rec, layer in zip(v2_records(raw), in_file_order(got)):
+            for _, scale, _ in rec.quants:
+                assert float(np.float32(scale)) == scale
+            if layer.precision == "int8":
+                (_, s_w, bits_w), _ = rec.quants
+                rebuilt = dequantize(rec.weight[1], QuantParams(s_w, bits_w)).astype(np.float32)
+                assert rebuilt.tobytes() == layer.weight.tobytes()
+                decoded.append(layer.name)
+        assert decoded == [l.name for l in qnet.layers if l.precision == "int8"] != []
+
+    def test_float64_scale_of_an_older_file_loads_rounded(self, tmp_path, grid_cfg):
+        # older version 2 writers stated the calibration scale, 0.011, while
+        # the codes counted steps of its float32 rounding; such a file loads
+        # as the frozen net, and re-saving it states the rounded scale
+        net = quantize_some_layers(build_detector(grid_cfg, seed=6))
+        raw = bytearray(saved(tmp_path / "new.ptqf", net))
+        for rec in v2_records(raw):
+            for (at, _, _), q in zip(rec.quants, (W_QUANT, A_QUANT)):
+                struct.pack_into("<d", raw, at, q.scale)
+        (tmp_path / "old.ptqf").write_bytes(bytes(raw))
+        assert bytes(raw) != (tmp_path / "new.ptqf").read_bytes()
+        got = load_model(tmp_path / "old.ptqf")
+        assert_nets_equal(net, got)
+        assert saved(tmp_path / "again.ptqf", got) == (tmp_path / "new.ptqf").read_bytes()
+
     def test_file_holds_what_integer_arithmetic_computes(self, tiny_net, tiny_calib_feats, tmp_path):
-        # maxmin keeps float64 scales: the codes count steps of the float32 one
         qnet, _ = run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin")
         feats = np.stack(tiny_calib_feats[:2])
         u = 2.0**-24
@@ -287,7 +351,6 @@ class TestIntegerCodes:
             if layer.precision != "int8":
                 continue
             (_, s_w, _), (_, s_a, bits_a) = rec.quants
-            s_w, s_a = np.float32(s_w), np.float32(s_a)
             w_codes = rec.weight[1].astype(np.int64)
             x = run(qnet, feats, 0, qnet.layer_index(layer.name)).data
             top = 1 << (bits_a - 1)
@@ -309,9 +372,9 @@ class TestIntegerCodes:
             # float32 GEMM's error on the K products (plus the rounding of x-hat
             # and w-hat) and the bias add
             want = layer_conv2d(Tensor(x), layer).data.astype(np.float64)
-            got = acc * (float(s_a) * float(s_w)) + layer.bias.reshape(1, -1, 1, 1)
+            got = acc * (s_a * s_w) + layer.bias.reshape(1, -1, 1, 1)
             mass = int_conv(np.abs(x_codes), np.abs(w_codes), layer.stride, layer.padding)
-            bound = (k + 2) * u * mass * (float(s_a) * float(s_w)) + u * np.abs(want)
+            bound = (k + 2) * u * mass * (s_a * s_w) + u * np.abs(want)
             assert (np.abs(want - got) <= bound).all()
             checked.append(layer.name)
         assert checked == [l.name for l in qnet.layers if l.precision == "int8"] != []
@@ -355,10 +418,15 @@ def legacy_bytes(net, int8=(), offsets=None):
         out += struct.pack("<I", b.size) + b.tobytes()
         for q in quants:
             if q is not None:
-                out += struct.pack("<diB", q.scale, q.zero_point, q.bits)
+                out += struct.pack("<diB", q.scale, 0, q.bits)
         if layer.name in offsets:
             out += np.ascontiguousarray(offsets[layer.name], dtype="<f4").tobytes()
     return out
+
+
+def boxed(theta):
+    """Offsets as unfolded int8 layers applied them: clipped into [0, s_w]."""
+    return None if theta is None else Tensor(np.clip(theta, 0.0, engine_grid(W_QUANT).scale))
 
 
 def old_forward(net, int8, offsets, x):
@@ -369,12 +437,11 @@ def old_forward(net, int8, offsets, x):
     def run(layer, t):
         if layer.name in int8:
             t = ad.fake_quant_op(t, Tensor(A_QUANT.scale), A_QUANT.bits)
-            theta = offsets.get(layer.name)
             w = ad.fake_quant_op(
                 Tensor(layer.weight),
                 Tensor(W_QUANT.scale),
                 W_QUANT.bits,
-                theta=None if theta is None else Tensor(theta),
+                theta=boxed(offsets.get(layer.name)),
             )
         else:
             w = Tensor(layer.weight)
@@ -404,15 +471,14 @@ class TestLegacyOffsets:
         got = load_model(p)
         for name in QUANTIZED:
             layer = got.layer(name)
-            theta = offsets.get(name)
             steered = ad.fake_quant_op(
                 Tensor(net.layer(name).weight),
                 Tensor(W_QUANT.scale),
                 W_QUANT.bits,
-                theta=None if theta is None else Tensor(theta),
+                theta=boxed(offsets.get(name)),
             )
             assert layer.precision == "int8"
-            assert (layer.w_quant, layer.a_quant) == (W_QUANT, A_QUANT)
+            assert (layer.w_quant, layer.a_quant) == (engine_grid(W_QUANT), engine_grid(A_QUANT))
             assert layer.weight.tobytes() == (steered.data + 0.0).tobytes()
         x = np.abs(rng.normal(size=(2, *net.input_spec))).astype(np.float32)
         hm, reg = old_forward(net, QUANTIZED, offsets, x)

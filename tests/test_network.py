@@ -18,7 +18,8 @@ from pillarptq.network import (
     run,
 )
 from pillarptq.network import conv2d as layer_conv2d
-from pillarptq.quant import QuantError, QuantParams, dequantize, fake_quant, quantize
+from pillarptq.losses import pow2
+from pillarptq.quant import QuantParams, dequantize, fake_quant, quantize
 
 
 def make_layer(name="c0", out_ch=4, in_ch=3, k=3, seed=0, **kw):
@@ -47,8 +48,14 @@ class TestLayerSpec:
     def test_rejects_unknown_activation_and_precision(self):
         with pytest.raises(NetworkError):
             make_layer(activation="gelu")
-        with pytest.raises(NetworkError):
-            make_layer(precision="int4")
+        # precision is read from the weight quantizer, never set
+        with pytest.raises(TypeError):
+            make_layer(precision="int8")
+        layer = make_layer()
+        with pytest.raises(AttributeError):
+            layer.precision = "int8"
+        assert layer.precision == "fp"
+        assert make_layer(w_quant=QuantParams(0.01)).precision == "int8"
 
     def test_offsets_shape_checked(self):
         # freeze refuses offsets that do not match the weight, and a refused
@@ -109,12 +116,15 @@ class TestNetwork:
 
 class TestQuantizedForward:
     def test_fp_layer_ignores_quantizers(self, rng):
-        layer = make_layer(w_quant=QuantParams(0.01), a_quant=QuantParams(0.02))
+        # a float layer holds none, and an int8 layer without an activation
+        # quantizer convolves its input as given
+        layer = make_layer()
+        int8 = make_layer(w_quant=QuantParams(0.01))
         x = rng.normal(size=(1, 3, 6, 6)).astype(np.float32)
-        plain = make_layer()
-        a = layer_conv2d(Tensor(x), layer).data
-        b = layer_conv2d(Tensor(x), plain).data
-        np.testing.assert_array_equal(a, b)
+        want = ad.conv2d(Tensor(x), Tensor(layer.weight), Tensor(layer.bias), 1, 1).data
+        assert layer.precision == "fp" and int8.precision == "int8"
+        assert layer_conv2d(Tensor(x), layer).data.tobytes() == want.tobytes()
+        assert layer_conv2d(Tensor(x), int8).data.tobytes() == want.tobytes()
 
     def test_int8_layer_quantizes_both_tensors(self, rng):
         # freeze quantizes the weight once, the forward the input on each call
@@ -128,10 +138,11 @@ class TestQuantizedForward:
             want = ad.conv2d(Tensor(xq), Tensor(wq), Tensor(layer.bias), 1, 1).data
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_int8_without_weight_quantizer_raises(self, rng):
-        layer = make_layer(precision="int8", a_quant=QuantParams(0.05))
-        with pytest.raises(QuantError):
-            layer_conv2d(Tensor(rng.normal(size=(1, 3, 4, 4))), layer)
+    def test_int8_without_weight_quantizer_raises(self):
+        # an activation quantizer alone would make an int8 layer without a
+        # weight quantizer; such a layer cannot be built
+        with pytest.raises(NetworkError, match="without a weight quantizer"):
+            make_layer(a_quant=QuantParams(0.05))
 
     def test_quantized_weight_honors_offsets(self):
         w_quant = QuantParams(0.01)
@@ -139,7 +150,10 @@ class TestQuantizedForward:
         freeze(base, w_quant, QuantParams(0.05))
         want = ad.fake_quant_op(Tensor(make_layer().weight), Tensor(w_quant.scale), 8)
         np.testing.assert_array_equal(base.weight, want.data)
-        assert base.precision == "int8" and base.a_quant == QuantParams(0.05)
+        # the layer holds the float32 scales it computes with
+        assert base.precision == "int8"
+        assert base.w_quant == QuantParams(float(np.float32(0.01)))
+        assert base.a_quant == QuantParams(float(np.float32(0.05)))
         freeze(steered, w_quant, None, np.full(steered.weight.shape, 1.0))
         assert (steered.weight >= base.weight).all() and (steered.weight > base.weight).any()
 
@@ -154,7 +168,7 @@ class TestQuantizedForward:
         x_hat = ad.fake_quant_op(x, a_s, 8)
         w_hat = ad.fake_quant_op(Tensor(layer.weight), w_s, 8)
         out = run(net, x_hat, weights={"c0.w": w_hat})
-        grads = backward(ad.tsum(ad.pow_const(out, 2.0)), {"w": w_s, "a": a_s})
+        grads = backward(ad.tsum(pow2(out)), {"w": w_s, "a": a_s})
         assert np.isfinite(grads["w"]).all() and np.abs(grads["w"]).sum() > 0
         assert np.isfinite(grads["a"]).all() and np.abs(grads["a"]).sum() > 0
 
@@ -281,9 +295,13 @@ def test_property_freeze_folds_offsets_exactly(case):
     dtype, bits, scale, w, theta = case
     w_quant = QuantParams(scale, bits)
     with ad.using_dtype(dtype):
-        steered = ad.fake_quant_op(Tensor(w), Tensor(scale), bits, theta=Tensor(theta)).data
+        # freeze clips the offsets into [0, s], s the scale at engine precision
+        s = engine_grid(w_quant).scale
+        boxed = Tensor(np.clip(Tensor(theta).data, 0.0, s))
+        steered = ad.fake_quant_op(Tensor(w), Tensor(s), bits, theta=boxed).data
         layer = LayerSpec("c", w, np.zeros(w.shape[0], dtype))
         freeze(layer, w_quant, None, theta)
+        assert layer.w_quant == engine_grid(w_quant)
         # as steered, but with +0.0 where a negative weight rounds to level 0
         frozen = (steered + 0.0).tobytes()
         assert layer.weight.dtype == dtype

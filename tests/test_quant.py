@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pillarptq import autodiff as ad
-from pillarptq.autodiff import Tensor
+from pillarptq.network import LayerSpec, freeze
 from pillarptq.quant import (
     EPS_SCALE,
     QuantError,
@@ -48,10 +48,6 @@ class TestQuantParams:
     def test_rejects_bad_scale(self, bad):
         with pytest.raises(QuantError):
             QuantParams(scale=bad)
-
-    def test_rejects_nonzero_zero_point(self):
-        with pytest.raises(QuantError):
-            QuantParams(scale=0.1, zero_point=3)
 
     def test_rejects_one_bit(self):
         with pytest.raises(QuantError):
@@ -160,12 +156,16 @@ class TestFakeQuant:
 
 # -- rounding offsets -----------------------------------------------------------------
 # Offsets are optimizer state: `steered_level` is their level rule, and
-# `autodiff.fake_quant_op` clips them into [0, scale] before applying it.
+# `network.freeze` clips them into [0, scale] before folding them.
 
 
 def offset_round_trip(x, scale, theta, bits=8):
+    """The weight `freeze` leaves for the values x with these offsets."""
+    x = np.asarray(x, dtype=np.float64)
+    layer = LayerSpec("w", x.reshape(1, 1, 1, -1), np.zeros(1))
     with ad.using_dtype(np.float64):
-        return ad.fake_quant_op(Tensor(x), Tensor(scale), bits, theta=Tensor(theta)).data
+        freeze(layer, QuantParams(scale, bits), None, np.reshape(theta, (1, 1, 1, -1)))
+    return layer.weight.reshape(x.shape)
 
 
 class TestRoundingOffsets:
