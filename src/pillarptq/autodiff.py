@@ -10,16 +10,21 @@ A vjp may return None for a parent that needs no gradient (`requires_grad`
 False); `Tensor.backward` skips it. `conv2d` and `mul` do so, so a constant
 weight, bias or mask costs no gradient GEMM or product.
 
+A tape is single-use: once every gradient is in, `Tensor.backward` unlinks
+the nodes it walked, freeing interior tensors and their vjps' arrays; a conv
+vjp frees its patch matrix as soon as its weight gradient is computed.
+
 Convolution builds its patch matrix in one copy: the strided windows are
 viewed as (C, kh, kw, B, Ho, Wo) and reshaped straight into the (C*kh*kw,
 B*Ho*Wo) GEMM operand. Its adjoint scatter-adds w.T @ g into a (C, B, Hp, Wp)
-buffer and returns the cropped buffer as a (B, C, H, W) view. Outputs and
-gradients are bitwise those of a per-sample (B, C*kh*kw, Ho*Wo) im2col (the
-reference in tests/test_autodiff.py): the GEMMs read the same operands in the
-same layout, and every input cell receives its patch gradients in the same
-(i, j) order. The exception is a 1x1 output map, where the per-sample patch
-matrix is a column-major view and BLAS may sum in another order; the two agree
-to rounding there, and the detector has no such layer.
+buffer, and the vjp copies the crop into an input-layout array that
+`Tensor.backward` adopts as the first gradient. Outputs and gradients are
+bitwise those of a per-sample (B, C*kh*kw, Ho*Wo) im2col (the reference in
+tests/test_autodiff.py): the GEMMs read the same operands in the same layout,
+and every input cell receives its patch gradients in the same (i, j) order.
+The exception is a 1x1 output map, where the per-sample patch matrix is a
+column-major view and BLAS may sum in another order; the two agree to
+rounding there, and the detector has no such layer.
 
 Engine math runs in `current_dtype()` (float32 by default; tests switch to
 float64 via `using_dtype`).
@@ -91,7 +96,8 @@ class Tensor:
     # -- autodiff --------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this (scalar) tensor into every parent."""
+        """Accumulate gradients of this (scalar) tensor into every parent,
+        then unlink the tape (see the module docstring): it is single-use."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -130,6 +136,8 @@ class Tensor:
                     parent.grad = np.zeros_like(parent.data)
                     parent.grad += g
                 handed_out.append(g)
+        for node in topo:
+            node._vjp, node._parents = None, ()
 
     # -- operators ---------------------------------------------------------------
 
@@ -317,7 +325,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     One BLAS call, (Cout, K) @ (K, B*P) with K = Cin*kh*kw and P = Ho*Wo, on
     the patch matrix `_im2col` builds in its single copy. The vjp returns None
     for each of x, weight and bias that needs no gradient, and the patch
-    matrix is kept for the backward pass only when the weight needs one.
+    matrix is kept for the backward pass only until the weight gradient.
     Outputs and gradients are bitwise the per-sample im2col's: the same GEMM
     operands and the same scatter-add order (see the module docstring).
     """
@@ -344,13 +352,16 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     patches = flat if weight.requires_grad else None
 
     def vjp(g):
+        nonlocal patches
         gflat = g.reshape(bsz, cout, ho * wo)
         gout = gflat.transpose(1, 0, 2).reshape(cout, bsz * ho * wo)
         gx = gw = gb = None
-        if x.requires_grad:
-            gx = _col2im(w2.T @ gout, x.data.shape, kh, kw, stride, padding)
         if patches is not None:
             gw = (gout @ patches.T).reshape(weight.data.shape)
+            patches = None  # freed before w2.T @ gout allocates its own matrix
+        if x.requires_grad:
+            gx = np.empty_like(x.data)
+            gx[...] = _col2im(w2.T @ gout, x.data.shape, kh, kw, stride, padding)
         if bias is not None and bias.requires_grad:
             gb = gflat.sum(axis=(0, 2))
         return (gx, gw) if bias is None else (gx, gw, gb)

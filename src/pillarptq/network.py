@@ -221,7 +221,8 @@ def run(
 
 
 def backward(loss: Tensor, params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
-    """Reverse-mode gradients of a scalar loss for the designated parameters."""
+    """Reverse-mode gradients of a scalar loss for the designated parameters.
+    This consumes the tape: a second call on the same loss raises NetworkError."""
     on_trace = set()
     stack = [loss]
     while stack:

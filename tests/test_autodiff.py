@@ -4,6 +4,8 @@ All numeric comparisons run under the float64 context so the finite-difference
 step is not drowned by float32 noise.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,30 @@ class TestTapeMechanics:
             x = Tensor(np.array([1.5]), requires_grad=True)
             ad.tsum(ad.add(x, x)).backward()
             np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_backward_frees_the_interior_of_its_tape(self, rng):
+        # Holding only the loss keeps no array between it and the leaves once
+        # backward has run, and the leaves still hold their gradients.
+        with ad.using_dtype(F64):
+            x = Tensor(rng.normal(size=(2, 3, 6, 6)))
+            w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+            b = Tensor(rng.normal(size=4), requires_grad=True)
+            conv = ad.conv2d(x, w, b, 1, 1)
+            conv_out = weakref.ref(conv.data)
+            live = conv.data > 0
+            loss = ad.tsum(ad.relu(conv))
+            del conv
+            loss.backward()
+        assert conv_out() is None
+        assert loss._parents == () and loss._vjp is None
+        np.testing.assert_array_equal(b.grad, live.sum(axis=(0, 2, 3)))
+        xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        want_w = np.zeros_like(w.data)
+        for i in range(3):
+            for j in range(3):
+                window = xp[:, :, i : i + 6, j : j + 6]
+                want_w[:, :, i, j] = np.einsum("bohw,bchw->oc", live, window)
+        np.testing.assert_allclose(w.grad, want_w, rtol=1e-12)
 
 
 # -- elementwise and reduction gradients -------------------------------------------------

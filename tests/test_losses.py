@@ -14,7 +14,6 @@ from pillarptq.detector import Box3D, DetectorOutput, GridConfig, REG_CHANNELS
 from pillarptq.losses import (
     HEATMAP_CLAMP,
     LossWeights,
-    PseudoLabels,
     draw_gaussian,
     focal_loss,
     gaussian_radius,

@@ -258,6 +258,16 @@ class TestForward:
         grads = backward(loss, {"w": w})
         assert grads["w"].shape == w.data.shape
 
+    def test_backward_consumes_its_tape(self, rng):
+        net = self.build()
+        x = Tensor(rng.normal(size=(1, 3, 4, 4)))
+        w = Tensor(net.layers[0].weight, requires_grad=True)
+        loss = ad.tsum(ad.conv2d(x, w, None, 1, 1))
+        grads = backward(loss, {"w": w})
+        with pytest.raises(NetworkError):
+            backward(loss, {"w": w})
+        assert w.grad is grads["w"]
+
 
 # -- freezing ------------------------------------------------------------------------------
 

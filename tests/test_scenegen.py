@@ -1,7 +1,5 @@
 """Synthetic scene generator tests: determinism, geometry invariants, density falloff."""
 
-import math
-
 import numpy as np
 import pytest
 
