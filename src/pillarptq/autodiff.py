@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quant import steered_level
+from .quant import QuantParams, steered_level
 
 _DTYPE = np.float32
 
@@ -381,10 +381,12 @@ def fake_quant_op(
 ) -> Tensor:
     """Fake-quantize `x` with learnable scale (and optional rounding offsets).
 
-    Forward is the hard round trip: s * clamp(k, qmin, qmax), with k the
-    level `quant.steered_level` picks for x and the offset theta. The caller
-    keeps theta in [0, s]: `pipeline.run_lidar_ptq` projects it there after
-    every step, and `network.freeze` clips the offsets it folds.
+    Forward is the hard round trip s * clamp(k, q_min, q_max) on the grid
+    `QuantParams(s, bits)`, which raises QuantError unless s is finite and > 0
+    and bits >= 2; k is the level `quant.steered_level` picks for x and the
+    offset theta. The caller keeps theta in [0, s]: `pipeline.run_lidar_ptq`
+    projects it there after every step, and `network.freeze` clips the
+    offsets it folds.
     Gradients:
       x, theta: pass-through where the pre-clamp integer is in range, else 0
       scale:    the clamped integer itself (integer held fixed inside the
@@ -399,16 +401,12 @@ def fake_quant_op(
             raise ValueError(
                 f"offset shape {theta.data.shape} != tensor shape {x.data.shape}"
             )
-    q_min = -(1 << (bits - 1))
-    q_max = (1 << (bits - 1)) - 1
-    s = float(scale.data)
-    if not (s > 0.0):
-        raise ValueError(f"scale must be > 0, got {s}")
+    grid = QuantParams(float(scale.data), bits)
 
-    k = steered_level(x.data, s, None if theta is None else theta.data)
-    in_range = (k >= q_min) & (k <= q_max)
-    k_clamped = np.clip(k, q_min, q_max)
-    out = k_clamped * s
+    k = steered_level(x.data, grid.scale, None if theta is None else theta.data)
+    in_range = (k >= grid.q_min) & (k <= grid.q_max)
+    k_clamped = np.clip(k, grid.q_min, grid.q_max)
+    out = k_clamped * grid.scale
 
     def vjp(g):
         gx = g * in_range

@@ -1,5 +1,10 @@
 """Command-line surface: one verb per experiment step.
 
+Each quantization method takes one route in both verbs. The calibration arms
+(maxmin, entropy, maxmin_grid; one bit-width for weights and activations) run
+through `pipeline.run_baseline_calibration`, and lidar-ptq (`quantize` only)
+through `pipeline.run_lidar_ptq`. Both return the RunLog the verbs write.
+
 Exit codes: 0 success, 2 configuration problem (bad flags, unknown config
 keys, missing inputs, refusing to overwrite), 3 runtime failure. Errors go
 to stderr prefixed with "error[config]:" or "error[runtime]:".
@@ -11,12 +16,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .calib import CalibError
 from .config import (
+    QUANT_METHODS,
     ConfigError,
     GenConfig,
     PipelineConfig,
@@ -30,7 +36,6 @@ from .evalharness import evaluate_model, range_ablation
 from .modelio import ModelIOError, load_model, save_model
 from .pipeline import (
     PipelineError,
-    RunLog,
     pillar_features,
     run_baseline_calibration,
     run_lidar_ptq,
@@ -40,6 +45,7 @@ from .pipeline import (
 from .quant import QuantError
 
 GRID = GridConfig()
+CALIBRATION_ARMS = ("maxmin", "entropy", "maxmin_grid")
 
 
 def _parse_overrides(pairs: List[str]) -> Dict[str, str]:
@@ -137,92 +143,47 @@ def cmd_train_fp(args) -> None:
     print(f"float baseline AP {info['final_ap']:.4f} -> {model_path}")
 
 
-def _calibration_inputs(args, cfg: PipelineConfig):
+def _require_shared_bits(cfg: PipelineConfig) -> None:
+    """The calibration arms quantize weights and activations at one integer
+    width; bits=32 would leave every layer float."""
+    hint = ""
+    if cfg.method == "maxmin_grid":
+        hint = "; method=lidar-ptq iters_T=0 runs the same grid search at these widths"
+    if cfg.bits_w != cfg.bits_a:
+        raise ConfigError(
+            f"method {cfg.method} uses one bit-width for weights and activations, "
+            f"got bits_w={cfg.bits_w} and bits_a={cfg.bits_a}{hint}"
+        )
+    if cfg.bits_a == 32:
+        raise ConfigError(
+            f"method {cfg.method} needs an integer bit-width; bits=32 is the float model{hint}"
+        )
+
+
+def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
+    """Run the config's method (one of `methods`) on the calibration frames,
+    after guarding the `outputs` file names; fail if a label file was read.
+    Returns the quantized net, its RunLog with the run's settings and read
+    audit in `meta`, and the output paths."""
+    cfg = _load_cfg(PipelineConfig, args)
+    if cfg.method not in methods:
+        raise ConfigError(f"{args.verb} expects method in {{{', '.join(methods)}}}")
+    if cfg.method in CALIBRATION_ARMS:
+        _require_shared_bits(cfg)
     ds = _open_dataset(args)
     net = load_model(_require_file(args.model, "model"))
     ids = sample_calibration_set(ds, cfg.calib_frames, cfg.seed)
     feats = pillar_features(ds, ids, GRID)
-    return ds, net, ids, feats
-
-
-def _require_shared_bits(cfg: PipelineConfig) -> None:
-    """The calibration-only arms quantize weights and activations at one
-    integer width; bits=32 would leave every layer float."""
-    if cfg.bits_w != cfg.bits_a:
-        raise ConfigError(
-            f"method {cfg.method} uses one bit-width for weights and activations, "
-            f"got bits_w={cfg.bits_w} and bits_a={cfg.bits_a}"
-        )
-    if cfg.bits_a == 32:
-        raise ConfigError(
-            f"method {cfg.method} needs an integer bit-width; bits=32 is the float model"
-        )
-
-
-def cmd_calibrate(args) -> None:
-    cfg = _load_cfg(PipelineConfig, args)
+    out = _out_dir(args)
+    paths = [_guard(out / name, args.force) for name in outputs]
     if cfg.method == "lidar-ptq":
-        raise ConfigError("calibrate expects method in {maxmin, entropy, maxmin_grid}")
-    _require_shared_bits(cfg)
-    ds, net, ids, feats = _calibration_inputs(args, cfg)
-    out = _out_dir(args)
-    report_path = _guard(out / "calibration_report.txt", args.force)
-    _, rows = run_baseline_calibration(
-        net, feats, method=cfg.method, bits=cfg.bits_a, search=cfg.search
-    )
-    report_path.write_text(
-        "\n".join(
-            f"layer={r['layer']} method={r['method']} w_scale={r['w_scale']:.10g} "
-            f"a_scale={r['a_scale']:.10g} pre_mse={r['a_maxmin_mse']:.10g} "
-            f"post_mse={r['a_mse']:.10g} entropy_fallback={r['entropy_fallback']}"
-            for r in rows
-        )
-        + "\n"
-    )
-    if ds.audit.label_reads:
-        raise PipelineError(f"label files were read during calibration: {ds.audit.summary()}")
-    print(f"calibration report -> {report_path} (label reads: {ds.audit.label_reads})")
-
-
-def cmd_quantize(args) -> None:
-    cfg = _load_cfg(PipelineConfig, args)
-    if cfg.method in ("maxmin", "entropy"):
-        _require_shared_bits(cfg)
-    ds, net, ids, feats = _calibration_inputs(args, cfg)
-    out = _out_dir(args)
-    model_path = _guard(out / "quantized.ptqf", args.force)
-    csv_path = _guard(out / "runlog.csv", args.force)
-    summary_path = _guard(out / "summary.json", args.force)
-
-    if cfg.method in ("maxmin", "entropy"):
-        qnet, rows = run_baseline_calibration(
-            net, feats, method=cfg.method, bits=cfg.bits_a, search=cfg.search
-        )
-        log = RunLog()
-        for r in rows:
-            log.layer_stats[r["layer"]] = {
-                "w_scale": r["w_scale"],
-                "a_scale": r["a_scale"],
-                "pre_mse": r["a_maxmin_mse"],
-                "post_mse": r["a_mse"],
-                "entropy_fallback": r["entropy_fallback"],
-            }
+        qnet, log = run_lidar_ptq(net, feats, cfg, GRID, out_dir=out)
     else:
-        run_cfg = cfg
-        if cfg.method == "maxmin_grid" and cfg.iters_T != 0:
-            import dataclasses
-
-            run_cfg = dataclasses.replace(cfg, iters_T=0)
-        qnet, log = run_lidar_ptq(net, feats, run_cfg, GRID, out_dir=out)
-
+        qnet, log = run_baseline_calibration(net, feats, cfg.method, cfg.bits_a, cfg.search)
     if ds.audit.label_reads:
-        raise PipelineError(f"label files were read during quantize: {ds.audit.summary()}")
-    save_model(model_path, qnet)
-    csv_path.write_text(log.to_csv())
-    summary = log.summary()
-    summary["meta"].update(
+        raise PipelineError(f"label files were read during {args.verb}: {ds.audit.summary()}")
+    log.meta.update(
         {
-            "method": cfg.method,
             "bits_w": cfg.bits_w,
             "bits_a": cfg.bits_a,
             "calib_frames": len(ids),
@@ -230,8 +191,32 @@ def cmd_quantize(args) -> None:
             "audit": ds.audit.summary(),
         }
     )
-    _write_json(summary_path, summary)
-    print(f"quantized model -> {model_path} (label reads: {ds.audit.label_reads})")
+    return qnet, log, paths
+
+
+def cmd_calibrate(args) -> None:
+    _, log, (report_path,) = _run_method(args, CALIBRATION_ARMS, ["calibration_report.txt"])
+    method = log.meta["method"]
+    report_path.write_text(
+        "\n".join(
+            f"layer={name} method={method} w_scale={s['w_scale']:.10g} "
+            f"a_scale={s['a_scale']:.10g} pre_mse={s['pre_mse']:.10g} "
+            f"post_mse={s['post_mse']:.10g} entropy_fallback={s['entropy_fallback']}"
+            for name, s in log.layer_stats.items()
+        )
+        + "\n"
+    )
+    reads = log.meta["audit"]["label_reads"]
+    print(f"calibration report -> {report_path} (label reads: {reads})")
+
+
+def cmd_quantize(args) -> None:
+    outputs = ["quantized.ptqf", "runlog.csv", "summary.json"]
+    qnet, log, (model_path, csv_path, summary_path) = _run_method(args, QUANT_METHODS, outputs)
+    save_model(model_path, qnet)
+    csv_path.write_text(log.to_csv())
+    _write_json(summary_path, log.summary())
+    print(f"quantized model -> {model_path} (label reads: {log.meta['audit']['label_reads']})")
 
 
 def cmd_evaluate(args) -> None:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,25 +27,15 @@ class DatasetError(IOError):
     pass
 
 
+@dataclass
 class FileAudit:
-    """Append-only record of file reads, keyed by kind ("pcl" or "label")."""
+    """Count of file reads by kind: point-cloud files and label files."""
 
-    def __init__(self):
-        self.reads: List[Tuple[str, str]] = []
-
-    def record(self, kind: str, path) -> None:
-        self.reads.append((kind, str(path)))
-
-    @property
-    def label_reads(self) -> int:
-        return sum(1 for kind, _ in self.reads if kind == "label")
-
-    @property
-    def pcl_reads(self) -> int:
-        return sum(1 for kind, _ in self.reads if kind == "pcl")
+    pcl_reads: int = 0
+    label_reads: int = 0
 
     def summary(self) -> Dict[str, int]:
-        return {"pcl_reads": self.pcl_reads, "label_reads": self.label_reads}
+        return asdict(self)
 
 
 # -- point-cloud binary format -------------------------------------------------------
@@ -76,7 +66,7 @@ def load_point_cloud(path, audit: Optional[FileAudit] = None) -> PointCloud:
         if f.readinto(raw) != size:
             raise DatasetError(f"{path}: truncated (expected {count} points)")
     if audit is not None:
-        audit.record("pcl", path)
+        audit.pcl_reads += 1
     return PointCloud(np.frombuffer(raw, dtype="<f4").reshape(count, 4))
 
 
@@ -103,7 +93,7 @@ def load_labels(path, audit: Optional[FileAudit] = None) -> List[Box3D]:
         x, y, z, h, w, l, yaw = (float(v) for v in parts[:7])
         boxes.append(Box3D(x, y, z, h, w, l, yaw, cls=int(parts[7]), score=1.0))
     if audit is not None:
-        audit.record("label", path)
+        audit.label_reads += 1
     return boxes
 
 

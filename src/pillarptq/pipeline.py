@@ -232,39 +232,39 @@ def run_baseline_calibration(
     method: str,
     bits: int = 8,
     search=None,
-) -> Tuple[Network, List[dict]]:
+) -> Tuple[Network, RunLog]:
     """Apply one calibrator to every quantizable layer; no optimization.
 
     The arms capture their inputs two ways, on purpose. maxmin and entropy are
     TensorRT-style baselines: every layer calibrates on the float net's
     activations. maxmin_grid is run_lidar_ptq's initialization alone, so like
-    LiDAR-PTQ each layer sees the output of the int8 layers before it. Every
-    row reports the scales the frozen layer holds, as its model file states
-    them."""
+    LiDAR-PTQ each layer sees the output of the int8 layers before it.
+
+    The RunLog has no records, since nothing is optimized; `meta["method"]`
+    names the method. `layer_stats[name]` holds the frozen layer's `w_scale`
+    and `a_scale` as its model file states them, the activation MSE at the
+    max-min scale (`pre_mse`) and at the chosen one (`post_mse`), and
+    `entropy_fallback`."""
+    log = RunLog(meta={"method": method})
     if bits == 32:
-        return fp_net.copy(), []
+        return fp_net.copy(), log
     if not calib_feats:
         raise PipelineError("empty calibration set")
 
     search = search or SearchConfig()
     qnet = fp_net.copy()
-    rows = []
     for src, acts in _layer_inputs(qnet if method == "maxmin_grid" else fp_net, calib_feats):
         layer = qnet.layer(src.name)
         cal = calibrate_layer(acts, layer.weight, method=method, bits=bits, cfg=search)
         network.freeze(layer, cal.w_params, cal.a_params)
-        rows.append(
-            {
-                "layer": layer.name,
-                "method": method,
-                "w_scale": layer.w_quant.scale,
-                "a_scale": layer.a_quant.scale,
-                "a_mse": cal.a_mse,
-                "a_maxmin_mse": cal.a_maxmin_mse,
-                "entropy_fallback": cal.entropy_fallback,
-            }
-        )
-    return qnet, rows
+        log.layer_stats[layer.name] = {
+            "w_scale": layer.w_quant.scale,
+            "a_scale": layer.a_quant.scale,
+            "pre_mse": cal.a_maxmin_mse,
+            "post_mse": cal.a_mse,
+            "entropy_fallback": cal.entropy_fallback,
+        }
+    return qnet, log
 
 
 # -- the full pipeline -------------------------------------------------------------------

@@ -17,6 +17,7 @@ layer, passed to `fake_quant` or written to a model file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +40,7 @@ class QuantParams:
     bits: int = 8
 
     def __post_init__(self):
-        if not np.isfinite(self.scale) or self.scale <= 0.0:
+        if not math.isfinite(self.scale) or self.scale <= 0.0:
             raise QuantError(f"scale must be finite and > 0, got {self.scale!r}")
         if int(self.bits) < 2:
             raise QuantError(f"bits must be >= 2, got {self.bits!r}")

@@ -557,3 +557,7 @@ class TestFakeQuantOp:
             ad.fake_quant_op(x, Tensor(0.1), bits=8, theta=Tensor(np.ones(5)))
         with pytest.raises(ValueError):
             ad.fake_quant_op(x, Tensor(0.0), bits=8)
+        with pytest.raises(ValueError):
+            ad.fake_quant_op(x, Tensor(np.inf), bits=8)
+        with pytest.raises(ValueError):
+            ad.fake_quant_op(x, Tensor(0.1), bits=1)

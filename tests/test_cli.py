@@ -65,19 +65,24 @@ def test_removed_config_keys_are_unknown(tiny_dataset, model_path, tmp_path, cap
     ("calibrate", "maxmin_grid"),
     ("quantize", "maxmin"),
     ("quantize", "entropy"),
+    ("quantize", "maxmin_grid"),
 ])
 def test_calibration_arms_reject_mixed_bit_widths(
     tiny_dataset, model_path, tmp_path, capsys, verb, method
 ):
     code = _run(verb, tiny_dataset, model_path, tmp_path, f"method={method}", "bits_w=4")
     assert code == 2
-    assert "error[config]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert ("method=lidar-ptq iters_T=0" in err) == (method == "maxmin_grid")
     assert not any(tmp_path.iterdir())
 
 
 def test_calibrate_rejects_the_float_width(tiny_dataset, model_path, tmp_path, capsys):
     # calibrate and the calibration-only quantize arms share one rule
-    for verb, method in [("calibrate", "maxmin"), ("quantize", "maxmin"), ("quantize", "entropy")]:
+    arms = [("calibrate", "maxmin"), ("quantize", "maxmin"), ("quantize", "entropy"),
+            ("quantize", "maxmin_grid")]
+    for verb, method in arms:
         out = tmp_path / f"{verb}-{method}"
         code = _run(
             verb, tiny_dataset, model_path, out, f"method={method}", "bits_w=32", "bits_a=32"
@@ -91,17 +96,25 @@ def test_calibrate_rejects_the_float_width(tiny_dataset, model_path, tmp_path, c
 def test_maxmin_grid_report_shows_the_quantized_scales(
     tiny_dataset, tiny_net, model_path, tmp_path
 ):
-    report, quantized = tmp_path / "calibrate", tmp_path / "quantize"
-    assert _run("calibrate", tiny_dataset, model_path, report, "method=maxmin_grid") == 0
-    assert _run("quantize", tiny_dataset, model_path, quantized, "method=maxmin_grid") == 0
-    qnet = load_model(quantized / "quantized.ptqf")
-    rows = (report / "calibration_report.txt").read_text().splitlines()
-    assert len(rows) == len(quantizable_layers(tiny_net))
-    for r in rows:
-        fields = dict(kv.split("=", 1) for kv in r.split())
-        layer = qnet.layer(fields["layer"])
-        assert fields["w_scale"] == f"{layer.w_quant.scale:.10g}"
-        assert fields["a_scale"] == f"{layer.a_quant.scale:.10g}"
+    # Each calibration arm takes one route in both verbs: the calibrate
+    # report states the scales of the model quantize saves, and the same
+    # per-layer stats as its summary.
+    for method in ("maxmin", "entropy", "maxmin_grid"):
+        report, quantized = tmp_path / f"calibrate-{method}", tmp_path / f"quantize-{method}"
+        assert _run("calibrate", tiny_dataset, model_path, report, f"method={method}") == 0
+        assert _run("quantize", tiny_dataset, model_path, quantized, f"method={method}") == 0
+        qnet = load_model(quantized / "quantized.ptqf")
+        stats = json.loads((quantized / "summary.json").read_text())["layers"]
+        rows = (report / "calibration_report.txt").read_text().splitlines()
+        assert len(rows) == len(quantizable_layers(tiny_net)) == len(stats)
+        for r in rows:
+            fields = dict(kv.split("=", 1) for kv in r.split())
+            layer, s = qnet.layer(fields["layer"]), stats[fields["layer"]]
+            assert fields["w_scale"] == f"{layer.w_quant.scale:.10g}", method
+            assert fields["a_scale"] == f"{layer.a_quant.scale:.10g}", method
+            assert fields["pre_mse"] == f"{s['pre_mse']:.10g}", method
+            assert fields["post_mse"] == f"{s['post_mse']:.10g}", method
+            assert fields["entropy_fallback"] == str(s["entropy_fallback"]), method
 
 
 def test_point_cloud_with_trailing_bytes_exits_3(tiny_dataset, model_path, tmp_path, capsys):

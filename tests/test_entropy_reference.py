@@ -143,10 +143,10 @@ def test_scan_memory_stays_small():
 
 @pytest.mark.parametrize("bits", [8, 4])
 def test_entropy_arm_equals_reference_scan(tiny_net, tiny_calib_feats, monkeypatch, bits):
-    keys = ("layer", "a_scale", "a_mse", "a_maxmin_mse", "entropy_fallback")
-    _, rows = run_baseline_calibration(tiny_net, tiny_calib_feats, "entropy", bits=bits)
+    keys = ("a_scale", "post_mse", "pre_mse", "entropy_fallback")
+    _, log = run_baseline_calibration(tiny_net, tiny_calib_feats, "entropy", bits=bits)
     monkeypatch.setattr(calib, "entropy_threshold", ref_entropy_threshold)
     _, want = run_baseline_calibration(tiny_net, tiny_calib_feats, "entropy", bits=bits)
-    assert rows and len(rows) == len(want)
-    for got_row, want_row in zip(rows, want):
+    assert log.layer_stats and list(log.layer_stats) == list(want.layer_stats)
+    for got_row, want_row in zip(log.layer_stats.values(), want.layer_stats.values()):
         assert [repr(got_row[k]) for k in keys] == [repr(want_row[k]) for k in keys]

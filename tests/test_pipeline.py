@@ -171,24 +171,38 @@ def test_task_loss_is_the_deployed_layers_loss(tiny_net, tiny_calib_feats, grid_
 class TestBaselineCalibration:
     @pytest.mark.parametrize("method", ["maxmin", "entropy", "maxmin_grid"])
     def test_every_quantizable_layer_calibrated(self, tiny_net, tiny_calib_feats, method):
-        qnet, rows = run_baseline_calibration(
+        qnet, log = run_baseline_calibration(
             tiny_net, tiny_calib_feats, method, bits=8, search=SMALL.search
         )
         names = quantizable_layers(tiny_net)
-        assert [r["layer"] for r in rows] == names
-        for r in rows:
-            layer = qnet.layer(r["layer"])
+        assert list(log.layer_stats) == names
+        assert log.meta["method"] == method
+        assert log.records == []
+        for name, s in log.layer_stats.items():
+            layer = qnet.layer(name)
             assert layer.precision == "int8"
-            assert layer.w_quant.scale == r["w_scale"]
-            assert layer.a_quant.scale == r["a_scale"]
-            want = _nearest(tiny_net.layer(r["layer"]).weight, layer)
+            assert layer.w_quant.scale == s["w_scale"]
+            assert layer.a_quant.scale == s["a_scale"]
+            assert set(s) == {"w_scale", "a_scale", "pre_mse", "post_mse", "entropy_fallback"}
+            want = _nearest(tiny_net.layer(name).weight, layer)
             assert layer.weight.tobytes() == want.tobytes()
         for name in fp_exempt_layers(tiny_net) & {l.name for l in qnet.layers}:
             assert qnet.layer(name).precision == "fp"
 
+    def test_maxmin_grid_is_lidar_ptq_without_iterations(
+        self, tiny_net, tiny_calib_feats, grid_cfg, tmp_path
+    ):
+        # The CLI names lidar-ptq iters_T=0 as maxmin_grid at separate widths,
+        # and the benchmark times the arm that way.
+        qnet, _ = run_baseline_calibration(
+            tiny_net, tiny_calib_feats, "maxmin_grid", bits=8, search=SMALL.search
+        )
+        ref, _ = _run(tiny_net, tiny_calib_feats, grid_cfg, iters_T=0)
+        assert _saved_bytes(qnet, tmp_path / "a.ptqf") == _saved_bytes(ref, tmp_path / "b.ptqf")
+
     def test_float_width_returns_an_untouched_copy(self, tiny_net, tiny_calib_feats):
-        qnet, rows = run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin", bits=32)
-        assert rows == []
+        qnet, log = run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin", bits=32)
+        assert log.layer_stats == {} and log.records == []
         assert qnet is not tiny_net
         assert all(l.precision == "fp" for l in qnet.layers)
 
