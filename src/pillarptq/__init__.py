@@ -6,9 +6,8 @@ from .quant import (
     EPS_SCALE,
     QuantError,
     QuantParams,
-    dequantize,
     fake_quant,
-    quantize,
+    level,
     round_half_away,
     scale_from_range,
 )

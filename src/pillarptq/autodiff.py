@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quant import QuantParams, steered_level
+from .quant import QuantParams, level
 
 _DTYPE = np.float32
 
@@ -381,14 +381,13 @@ def fake_quant_op(
 ) -> Tensor:
     """Fake-quantize `x` with learnable scale (and optional rounding offsets).
 
-    Forward is the hard round trip s * clamp(k, q_min, q_max) on the grid
-    `QuantParams(s, bits)`, which raises QuantError unless s is finite and > 0
-    and bits >= 2; k is the level `quant.steered_level` picks for x and the
-    offset theta. The caller keeps theta in [0, s]: `pipeline.run_lidar_ptq`
-    projects it there after every step, and `network.freeze` clips the
-    offsets it folds.
+    Forward is the hard round trip s * k on the grid `QuantParams(s, bits)`,
+    which raises QuantError unless s is finite and > 0 and bits >= 2; k is
+    the level `quant.level` gives x and the offset theta. The caller keeps
+    theta in [0, s]: `pipeline.run_lidar_ptq` projects it there after every
+    step, and `network.freeze` clips the offsets it folds.
     Gradients:
-      x, theta: pass-through where the pre-clamp integer is in range, else 0
+      x, theta: pass-through where the clamp left the level as it was, else 0
       scale:    the clamped integer itself (integer held fixed inside the
                 range; the clamp bound at saturated entries)
     """
@@ -403,14 +402,12 @@ def fake_quant_op(
             )
     grid = QuantParams(float(scale.data), bits)
 
-    k = steered_level(x.data, grid.scale, None if theta is None else theta.data)
-    in_range = (k >= grid.q_min) & (k <= grid.q_max)
-    k_clamped = np.clip(k, grid.q_min, grid.q_max)
-    out = k_clamped * grid.scale
+    k, in_range = level(x.data, grid, None if theta is None else theta.data, in_range=True)
+    out = k * grid.scale
 
     def vjp(g):
         gx = g * in_range
-        gs = np.asarray((g * k_clamped).sum(), dtype=g.dtype).reshape(scale.data.shape)
+        gs = np.asarray((g * k).sum(), dtype=g.dtype).reshape(scale.data.shape)
         grads = [gx, gs]
         if theta is not None:
             grads.append(gx)

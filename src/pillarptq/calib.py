@@ -26,7 +26,7 @@ from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .quant import EPS_SCALE, QuantParams, fake_quant, scale_from_range
+from .quant import EPS_SCALE, QuantParams, fake_quant, level, scale_from_range
 
 DEFAULT_BINS = 2048
 _KL_SMOOTH = 1e-10
@@ -306,23 +306,25 @@ def _direct_mse(x: np.ndarray, nonzero: np.ndarray, p: QuantParams) -> float:
 
 def _level_starts(a: np.ndarray, scale: float, top: int) -> np.ndarray:
     """e[j-1] = how many of the ascending magnitudes `a` round below level j,
-    for j = 1..top, under the level rule of `quant.round_half_away`.
+    for j = 1..top, under the level rule of `quant.level`.
 
-    Level j starts at the smallest float tau with floor(tau/scale + 0.5) >= j.
-    (j - 0.5) * scale lies within a few ulps of it; the nudges below land on
-    it exactly, because the predicate is monotone in tau. Searching for tau
-    rather than correcting an index keeps runs of duplicates exact.
+    Level j starts at the smallest float tau with level(tau) >= j, on a grid
+    wide enough that no level up to `top` clamps. (j - 0.5) * scale lies
+    within a few ulps of it; the nudges below land on it exactly, because the
+    predicate is monotone in tau. Searching for tau rather than correcting an
+    index keeps runs of duplicates exact.
     """
+    grid = QuantParams(scale, int(top).bit_length() + 1)
     j = np.arange(1, top + 1, dtype=np.float64)
     tau = (j - 0.5) * scale
     while True:
-        low = np.floor(tau / scale + 0.5) < j
+        low = level(tau, grid) < j
         if not low.any():
             break
         tau[low] = np.nextafter(tau[low], np.inf)
     while True:
         below = np.nextafter(tau, -np.inf)
-        high = np.floor(below / scale + 0.5) >= j
+        high = level(below, grid) >= j
         if not high.any():
             break
         tau[high] = below[high]

@@ -36,6 +36,7 @@ from .evalharness import evaluate_model, range_ablation
 from .modelio import ModelIOError, load_model, save_model
 from .pipeline import (
     PipelineError,
+    fp_final_outputs,
     pillar_features,
     run_baseline_calibration,
     run_lidar_ptq,
@@ -163,8 +164,10 @@ def _require_shared_bits(cfg: PipelineConfig) -> None:
 def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
     """Run the config's method (one of `methods`) on the calibration frames,
     after guarding the `outputs` file names; fail if a label file was read.
+    lidar-ptq also writes the float net's outputs on those frames to
+    fp_outputs.npz, guarded with the others and written after the audit.
     Returns the quantized net, its RunLog with the run's settings and read
-    audit in `meta`, and the output paths."""
+    audit in `meta`, and the `outputs` paths."""
     cfg = _load_cfg(PipelineConfig, args)
     if cfg.method not in methods:
         raise ConfigError(f"{args.verb} expects method in {{{', '.join(methods)}}}")
@@ -175,13 +178,19 @@ def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
     ids = sample_calibration_set(ds, cfg.calib_frames, cfg.seed)
     feats = pillar_features(ds, ids, GRID)
     out = _out_dir(args)
+    lidar_ptq = cfg.method == "lidar-ptq"
+    if lidar_ptq:
+        outputs = [*outputs, "fp_outputs.npz"]
     paths = [_guard(out / name, args.force) for name in outputs]
-    if cfg.method == "lidar-ptq":
-        qnet, log = run_lidar_ptq(net, feats, cfg, GRID, out_dir=out)
+    if lidar_ptq:
+        qnet, log = run_lidar_ptq(net, feats, cfg, GRID)
     else:
         qnet, log = run_baseline_calibration(net, feats, cfg.method, cfg.bits_a, cfg.search)
     if ds.audit.label_reads:
         raise PipelineError(f"label files were read during {args.verb}: {ds.audit.summary()}")
+    if lidar_ptq:
+        heatmap, regression = zip(*fp_final_outputs(net, feats))
+        np.savez(paths.pop(), heatmap=np.stack(heatmap), regression=np.stack(regression))
     log.meta.update(
         {
             "bits_w": cfg.bits_w,

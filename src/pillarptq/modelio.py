@@ -17,26 +17,21 @@ heads. A version 2 record is
     <I bias length, float32 bias
 
 The scheme is symmetric, so the zero point slot is always 0; the reader
-refuses any other value. An int8 record has flag 1 and a float record no
-quantizer flag. The `<d` scale is the one the layer holds, rounded to the
-engine dtype, float32, by `network.freeze` (`network.engine_grid`).
+refuses any other value, and any other flag. An int8 record has flag 1 and a
+float record no quantizer flag. The `<d` scale is the one the layer holds,
+rounded to the engine dtype, float32, by `network.freeze`
+(`network.engine_grid`).
 
-An int8 layer's weight is written as its integer codes, `quant.quantize` of
-the weight, little-endian signed: 1 byte a code when bits <= 8, 2 bytes when
-bits <= 16, 4 bytes up to 32 bits. The codes count steps of the stated
-weight scale, the grid `network.freeze` puts the weight on, so the reader's
-`quant.dequantize` rebuilds the frozen weight bit for bit. Every other
-layer's weight is a float32 blob.
+An int8 layer's weight is the integer codes the layer holds, little-endian
+signed: 1 byte a code when bits <= 8, 2 bytes when bits <= 16, 4 bytes up
+to 32 bits. The reader keeps them as codes. Every other layer's weight is a
+float32 blob.
 
 Older files may state float64 scales that float32 cannot hold; the reader
 rounds every scale it reads with `network.engine_grid`, which is the grid
 their codes count, so such a file loads exactly, and re-saving it changes
-its scale bytes. Version 1 files still load. Their records hold every weight
-as a float32 blob and put the quantizer records after the bias; flag 4
-appends a float32 rounding offsets record after them. The reader freezes
-each v1 int8 layer with `network.freeze`: offsets are folded in, and an
-unfolded weight is put on its grid, as the int8 forward used to do on every
-call. Saving always writes version 2, which has no flag 4.
+its scale bytes. Version 1 files, which held every weight as a float32 blob,
+are refused.
 """
 
 from __future__ import annotations
@@ -46,8 +41,8 @@ import struct
 
 import numpy as np
 
-from .network import LayerSpec, Network, NetworkError, engine_grid, freeze
-from .quant import QuantError, QuantParams, dequantize, quantize
+from .network import LayerSpec, Network, NetworkError, engine_grid
+from .quant import QuantError, QuantParams
 
 MAGIC = b"PTQF"
 VERSION = 2
@@ -58,18 +53,19 @@ _ACT_INV = {v: k for k, v in _ACT.items()}
 _PREC = {"fp": 0, "int8": 1}
 _PREC_INV = {v: k for k, v in _PREC.items()}
 
-_FLAG_WQ, _FLAG_AQ, _FLAG_THETA = 1, 2, 4
+_FLAG_WQ, _FLAG_AQ = 1, 2
+_FLAGS = (_FLAG_WQ, _FLAG_AQ)
 
 
 class ModelIOError(IOError):
     pass
 
 
-def _code_dtype(bits: int) -> str:
-    """The little-endian signed integer type of a `bits`-wide weight code."""
-    if bits > 32:
-        raise ModelIOError(f"no integer code holds {bits}-bit weights")
-    return "<i1" if bits <= 8 else "<i2" if bits <= 16 else "<i4"
+def _code_dtype(q: QuantParams) -> np.dtype:
+    """The little-endian signed integer type of the weight codes on grid `q`."""
+    if q.bits > 32:
+        raise ModelIOError(f"no integer code holds {q.bits}-bit weights")
+    return q.code_dtype.newbyteorder("<")
 
 
 def _pack_layer(layer: LayerSpec, role: int) -> bytes:
@@ -96,7 +92,7 @@ def _pack_layer(layer: LayerSpec, role: int) -> bytes:
         if q is not None:
             out.append(struct.pack("<diB", q.scale, 0, q.bits))
     if layer.w_quant is not None:
-        w = quantize(layer.weight, layer.w_quant).astype(_code_dtype(layer.w_quant.bits))
+        w = layer.weight.astype(_code_dtype(layer.w_quant))
     else:
         w = np.ascontiguousarray(layer.weight, dtype="<f4")
     out.append(struct.pack("<B", w.ndim))
@@ -127,7 +123,14 @@ class _Reader:
         return self.at == len(self.buf)
 
 
-def _read_layer(r: _Reader, version: int):
+def _read_quantizer(r: _Reader, name: str) -> QuantParams:
+    scale, zero_point, bits = r.unpack("<diB")
+    if zero_point != 0:
+        raise ModelIOError(f"{name}: zero point {zero_point} in a symmetric scheme")
+    return engine_grid(QuantParams(scale, bits))
+
+
+def _read_layer(r: _Reader):
     (name_len,) = r.unpack("<H")
     name = r.take(name_len).decode("utf-8")
     role, act, stride, padding, prec, flags = r.unpack("<BBBBBB")
@@ -137,41 +140,18 @@ def _read_layer(r: _Reader, version: int):
         raise ModelIOError(f"{name}: unknown precision code {prec}")
     if stride < 1:
         raise ModelIOError(f"{name}: stride {stride} < 1")
-    int8 = _PREC_INV[prec] == "int8"
-    if int8 != bool(flags & _FLAG_WQ):
+    if flags & ~sum(_FLAGS):
+        raise ModelIOError(f"{name}: unknown quantizer flags {flags}")
+    if (_PREC_INV[prec] == "int8") != bool(flags & _FLAG_WQ):
         raise ModelIOError(f"{name}: precision code {prec} with quantizer flags {flags}")
-
-    def quantizers():
-        out = []
-        for flag in (_FLAG_WQ, _FLAG_AQ):
-            q = None
-            if flags & flag:
-                scale, zero_point, bits = r.unpack("<diB")
-                if zero_point != 0:
-                    raise ModelIOError(f"{name}: zero point {zero_point} in a symmetric scheme")
-                q = engine_grid(QuantParams(scale, bits))
-            out.append(q)
-        return out
-
-    if version > 1:
-        if flags & _FLAG_THETA:
-            raise ModelIOError(f"{name}: rounding offsets in a version {version} file")
-        w_quant, a_quant = quantizers()
+    w_quant, a_quant = [_read_quantizer(r, name) if flags & f else None for f in _FLAGS]
     (ndim,) = r.unpack("<B")
     shape = r.unpack(f"<{ndim}I")
-    size = math.prod(shape)
-    if version > 1 and int8:
-        dtype = np.dtype(_code_dtype(w_quant.bits))
-        codes = np.frombuffer(r.take(dtype.itemsize * size), dtype=dtype)
-        w = dequantize(codes, w_quant).astype(np.float32).reshape(shape)
-    else:
-        w = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape).copy()
+    dtype = np.dtype("<f4") if w_quant is None else _code_dtype(w_quant)
+    w = np.frombuffer(r.take(dtype.itemsize * math.prod(shape)), dtype=dtype)
+    w = w.astype(w.dtype.newbyteorder("=")).reshape(shape)
     (blen,) = r.unpack("<I")
     bias = np.frombuffer(r.take(4 * blen), dtype="<f4").copy()
-    if version == 1:
-        w_quant, a_quant = quantizers()
-        if flags & _FLAG_THETA and not int8:
-            raise ModelIOError(f"{name}: rounding offsets on a layer that is not int8")
     layer = LayerSpec(
         name=name,
         weight=w,
@@ -182,11 +162,6 @@ def _read_layer(r: _Reader, version: int):
         w_quant=w_quant,
         a_quant=a_quant,
     )
-    if version == 1 and int8:
-        offsets = None
-        if flags & _FLAG_THETA:
-            offsets = np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape)
-        freeze(layer, w_quant, a_quant, offsets)
     return layer, role
 
 
@@ -210,12 +185,12 @@ def load_model(path) -> Network:
         raise ModelIOError(f"{path}: not a PTQF file")
     r = _Reader(buf[4:])
     version, c, h, w, count = r.unpack("<HHHHH")
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise ModelIOError(f"{path}: unsupported version {version}")
     layers, heads = [], {}
     for i in range(count):
         try:
-            layer, role = _read_layer(r, version)
+            layer, role = _read_layer(r)
         except (QuantError, NetworkError, UnicodeDecodeError) as e:
             raise ModelIOError(f"{path}: record {i}: {e}") from e
         if role == _ROLE_TRUNK:

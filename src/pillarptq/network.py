@@ -1,15 +1,16 @@
-"""Conv layers with attached fake-quantizers, and `run`, the one forward over
-an ordered layer stack.
+"""Conv layers with their quantization state, and `run`, the one forward
+over an ordered layer stack.
 
 A layer is "int8" exactly when it holds a weight quantizer, and "fp"
 otherwise; `precision` reads that, it is not set. `freeze` is the one place
-that makes a layer int8: it replaces the weight by the dequantized weight,
+that makes a layer int8: it replaces the float weight by its integer codes,
 any learned rounding offsets folded in, and holds `engine_grid` quantizers,
-the scales rounded to the engine dtype that the forward and the model file
-compute with. The int8 forward fake-quantizes its input with the activation
-quantizer and convolves its stored weight as is; the model reader rebuilds
-that weight from integer codes. Offsets are optimizer state and never
-outlive the freeze.
+the scales rounded to the engine dtype. The codes and scales are what the
+model file stores. Offsets are optimizer state and never outlive the freeze.
+
+The int8 forward is integer arithmetic plus one rescale (Jacob et al.): the
+input's levels k_x, no tape and no masks; acc = conv(k_x, k_w), in a dtype
+that holds every partial sum exactly; out = acc * (s_a * s_w) + bias.
 
 `run` serves every caller: float training (live weights and biases), layer
 input capture (one trunk layer at a time), the task loss of scale
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .quant import QuantParams
+from .quant import QuantParams, level
 
 
 class NetworkError(ValueError):
@@ -37,9 +38,9 @@ class NetworkError(ValueError):
 class LayerSpec:
     """One conv layer plus its per-layer quantization state.
 
-    An int8 layer (one with a `w_quant`) holds `engine_grid` quantizers and a
-    weight on the `w_quant` grid, convolved as stored; `freeze` and the model
-    reader are what set them. An `a_quant` needs a `w_quant`.
+    An int8 layer (one with a `w_quant`) holds `engine_grid` quantizers and,
+    as its weight, integer codes inside the `w_quant` range; `freeze` and the
+    model reader are what set them. An `a_quant` needs a `w_quant`.
     """
 
     name: str
@@ -64,6 +65,14 @@ class LayerSpec:
             raise NetworkError(f"{self.name}: unknown activation {self.activation!r}")
         if self.a_quant is not None and self.w_quant is None:
             raise NetworkError(f"{self.name}: activation quantizer without a weight quantizer")
+        q, w = self.w_quant, self.weight
+        if q is not None and not (
+            np.issubdtype(w.dtype, np.integer) and np.all((q.q_min <= w) & (w <= q.q_max))
+        ):
+            raise NetworkError(
+                f"{self.name}: an int8 layer's weight must be integer codes, none "
+                f"outside [{q.q_min}, {q.q_max}]; got {w.dtype} in [{w.min()}, {w.max()}]"
+            )
 
     @property
     def precision(self) -> str:
@@ -130,9 +139,7 @@ class Network:
 
 def engine_grid(q: QuantParams) -> QuantParams:
     """`q` with its scale rounded to the engine dtype: the quantizer a frozen
-    layer holds, the grid its weight lies on and the step its integer codes
-    count. Codes decoded with a float64 calibration scale that float32 cannot
-    hold would miss the frozen weight."""
+    layer holds and the step its integer codes count."""
     return QuantParams(float(np.asarray(q.scale, dtype=ad.current_dtype())), q.bits)
 
 
@@ -143,34 +150,61 @@ def freeze(
     offsets: Optional[np.ndarray] = None,
 ) -> None:
     """Put `layer` in int8 mode: it holds `engine_grid` of these quantizers,
-    and its weight is replaced by the dequantized weight the int8 forward
-    convolves with.
+    and its weight is replaced by its integer codes on the held `w_quant`
+    grid, the level `quant.level` gives each weight in the engine dtype.
 
     `offsets` are per-weight rounding offsets, as `autodiff.fake_quant_op`
-    takes them; they are clipped into [0, scale] and folded into the weight,
-    which then lies on the held `w_quant` grid in the engine dtype. That is
-    the int8 layer's invariant: the forward convolves the weight as stored,
-    with no quantizer of its own.
+    takes them; they are clipped into [0, scale] and steer the codes.
     """
+    if layer.precision == "int8":
+        raise NetworkError(f"{layer.name}: already int8; its weight is integer codes")
+    if offsets is not None and np.shape(offsets) != layer.weight.shape:
+        raise NetworkError(
+            f"{layer.name}: offset shape {np.shape(offsets)} != weight shape {layer.weight.shape}"
+        )
     grid = engine_grid(w_quant)
+    dtype = ad.current_dtype()
     theta = None
     if offsets is not None:
         # clipped in the engine dtype, in which the bound is exact
-        theta = Tensor(np.clip(np.asarray(offsets, ad.current_dtype()), 0.0, grid.scale))
-    w = ad.fake_quant_op(Tensor(layer.weight), Tensor(grid.scale), grid.bits, theta)
-    # a negative weight at level 0 comes out as -0.0; an integer code cannot
-    # carry that sign, so the frozen weight holds the +0.0 a saved model reloads
-    layer.weight = w.data + 0.0
+        theta = np.clip(np.asarray(offsets, dtype), 0.0, grid.scale)
+    codes = level(np.asarray(layer.weight, dtype), grid, theta)
+    layer.weight = codes.astype(grid.code_dtype)
     layer.w_quant = grid
     layer.a_quant = None if a_quant is None else engine_grid(a_quant)
+
+
+def _int8_conv(x: Tensor, layer: LayerSpec) -> Tensor:
+    """The int8 forward, off the tape: conv(k_x, k_w) * (s_a * s_w) + bias.
+
+    The codes' GEMM in float32 is exact while no partial sum can pass 2^24:
+    K * 2^(bits_a - 1) * 2^(bits_w - 1) <= 2^24, up to K = 1024 at 8 bits.
+    Wider sums run in float64, exact up to 2^53, and wider ones than that
+    are refused. Without an activation quantizer the input is convolved as
+    given and scaled by s_w.
+    """
+    w_q, a_q = layer.w_quant, layer.a_quant
+    if a_q is None:
+        acc = ad.conv2d(x.data, layer.weight, None, layer.stride, layer.padding).data
+        scale = w_q.scale
+    else:
+        bound = layer.weight[0].size << (a_q.bits + w_q.bits - 2)
+        if bound > 1 << 53:
+            raise NetworkError(f"{layer.name}: no float64 sum of its codes is exact")
+        k_x = level(x.data, a_q)
+        with ad.using_dtype(np.float64 if bound > 1 << 24 else ad.current_dtype()):
+            acc = ad.conv2d(k_x, layer.weight, None, layer.stride, layer.padding).data
+        scale = a_q.scale * w_q.scale
+    acc *= scale  # in place: the conv's output array is this call's own
+    acc += layer.bias.reshape(1, -1, 1, 1)
+    return Tensor(acc)
 
 
 def conv2d(x: Tensor, layer: LayerSpec, weights: Optional[dict] = None) -> Tensor:
     """Layer convolution (plus bias), honoring the layer's precision.
 
     A live weight in `weights` (see `run`) is convolved as given, with no
-    quantizer; otherwise an int8 layer fake-quantizes its input with its
-    activation quantizer and convolves its stored weight, already on its grid.
+    quantizer; otherwise an int8 layer runs `_int8_conv`.
     """
     x = ad.as_tensor(x)
     if x.data.ndim != 4:
@@ -182,10 +216,10 @@ def conv2d(x: Tensor, layer: LayerSpec, weights: Optional[dict] = None) -> Tenso
         )
     weights = weights or {}
     w = weights.get(f"{layer.name}.w")
+    if w is None and layer.w_quant is not None:
+        return _int8_conv(x, layer)
     if w is None:
         w = Tensor(layer.weight)
-        if layer.a_quant is not None:
-            x = ad.fake_quant_op(x, Tensor(layer.a_quant.scale), layer.a_quant.bits)
     b = weights.get(f"{layer.name}.b", Tensor(layer.bias))
     return ad.conv2d(x, w, b, layer.stride, layer.padding)
 

@@ -7,9 +7,11 @@ grid-search initialization and an optimization of its activation/weight
 scales and rounding offsets, with a keep-best-iterate rule that guarantees
 the layer's reconstruction error never ends above its initialization value.
 
-Every arm ends a layer with `network.freeze`. The offsets exist only while
-they are optimized: the freeze folds the kept ones into the layer's weight,
-so a quantized model holds the weights it convolves with and no offsets.
+Every arm ends a layer with `network.freeze`, which replaces its float
+weight by integer codes. The offsets exist only while they are optimized:
+the freeze steers the codes by the kept ones, so a quantized model holds its
+codes and scales and no offsets. The library writes no files; the CLI saves
+what these passes return.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _layer_inputs(net: Network, feats: Sequence[np.ndarray]) -> Iterator[Tuple[L
             acts = _chunked(lambda c: network.run(net, c, idx, idx + 1).data, acts)
 
 
-def _fp_final_outputs(net: Network, feats: Sequence[np.ndarray]):
+def fp_final_outputs(net: Network, feats: Sequence[np.ndarray]):
     """The float net's (heatmap, regression) pair on each frame."""
 
     def heads(c):
@@ -318,7 +320,6 @@ def run_lidar_ptq(
     calib_feats: Sequence[np.ndarray],
     cfg: PipelineConfig,
     grid_cfg: GridConfig = GridConfig(),
-    out_dir=None,
 ) -> Tuple[Network, RunLog]:
     """Pseudo-labels from the cached float outputs, then for each quantizable
     layer in order: grid-search initialization, scale/offset optimization with
@@ -336,17 +337,7 @@ def run_lidar_ptq(
     rng = np.random.default_rng(cfg.seed)
 
     # Cache float final outputs once; render pseudo-labels once.
-    fp_outs = _fp_final_outputs(fp_net, calib_feats)
-    if out_dir is not None:
-        from pathlib import Path
-
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            out_dir / "fp_outputs.npz",
-            heatmap=np.stack([o[0] for o in fp_outs]),
-            regression=np.stack([o[1] for o in fp_outs]),
-        )
+    fp_outs = fp_final_outputs(fp_net, calib_feats)
     labels = [
         make_pseudo_labels(
             DetectorOutput(hm, reg),

@@ -1,18 +1,17 @@
-"""Simulated (fake) quantization math: uniform signed symmetric, per-tensor.
+"""Symmetric integer quantization: uniform, signed, per-tensor.
 
 The scheme has no zero point: a scale and a bit-width define the grid, the
 integer range is [-2^(bits-1), 2^(bits-1) - 1] and level 0 is the value 0.
 
-All functions are pure and operate on numpy arrays. `fake_quant` simulates
-integer arithmetic in float so the rest of the toolkit can measure and
-optimize quantization error without integer kernels. The `quantize` /
-`dequantize` pair is the weight codec of the model file: `modelio` writes an
-int8 layer's weight as `quantize` codes and rebuilds it with `dequantize`.
+`level` is the one level rule: round half away from zero, optionally steered
+up by a rounding offset, then clamp to the range. Every code in the toolkit
+comes from it: `fake_quant` (the numpy round trip that calibration measures
+error with), `autodiff.fake_quant_op` (the tape node scale optimization
+differentiates), `network.freeze` (the integer weight codes an int8 layer
+holds and the model file stores) and the int8 forward (its input codes).
 
-Rounding offsets are optimizer state: `steered_level` is the level rule that
-`autodiff.fake_quant_op` applies while they are learned, and
-`network.freeze` folds them into the weight, so no offsets are kept on a
-layer, passed to `fake_quant` or written to a model file.
+Rounding offsets are optimizer state: `network.freeze` folds them into the
+weight codes, so no offsets are kept on a layer or written to a model file.
 """
 
 from __future__ import annotations
@@ -53,6 +52,11 @@ class QuantParams:
     def q_max(self) -> int:
         return (1 << (self.bits - 1)) - 1
 
+    @property
+    def code_dtype(self) -> np.dtype:
+        """The narrowest signed integer type that holds every level."""
+        return np.min_scalar_type(self.q_min)
+
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest with halves away from zero (deterministic tie rule)."""
@@ -60,19 +64,24 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def steered_level(x: np.ndarray, scale: float, offset: Optional[np.ndarray] = None) -> np.ndarray:
-    """Integer level of x/scale before the range clamp, optionally steered up
-    by an effective offset in [0, scale].
+def level(x: np.ndarray, p: QuantParams, offset: Optional[np.ndarray] = None, *, in_range=False):
+    """Integer level of x on the grid p, in x/scale's float dtype:
+    clamp(round_half_away(x/scale), q_min, q_max).
 
-    round((x + offset)/scale) can land two levels above round(x/scale) through
-    float error (x=0.15, offset=0.1, scale=0.1 gives 3, not 2) or a negative
-    half tie; an offset only chooses between rounding down and up, so the
-    steered level is clamped to [round(x/scale), round(x/scale) + 1].
+    An effective offset in [0, scale] can steer the level up by one before
+    the clamp. round((x + offset)/scale) can land two levels above
+    round(x/scale) through float error (x=0.15, offset=0.1, scale=0.1 gives
+    3, not 2) or a negative half tie; an offset only chooses between rounding
+    down and up, so the steered level is kept within one level above.
+
+    With `in_range`, also returns the mask of the entries the clamp left as
+    they were: the straight-through mask of `autodiff.fake_quant_op`.
     """
-    level = round_half_away(x / scale)
-    if offset is None:
-        return level
-    return np.clip(round_half_away((x + offset) / scale), level, level + 1)
+    k = round_half_away(x / p.scale)
+    if offset is not None:
+        k = np.clip(round_half_away((x + offset) / p.scale), k, k + 1)
+    clamped = np.clip(k, p.q_min, p.q_max)
+    return (clamped, clamped == k) if in_range else clamped
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -80,28 +89,6 @@ def _check_finite(x: np.ndarray) -> None:
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise QuantError(f"non-finite input element at index {idx}")
-
-
-def quantize(x: np.ndarray, p: QuantParams) -> np.ndarray:
-    """Map float values onto the clamped integer grid.
-
-    out[i] = clamp(round(x[i]/scale), q_min, q_max)
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _check_finite(x)
-    q = round_half_away(x / p.scale)
-    return np.clip(q, p.q_min, p.q_max).astype(np.int64)
-
-
-def dequantize(x_int: np.ndarray, p: QuantParams) -> np.ndarray:
-    """Map integers back to float: x_int * scale."""
-    x_int = np.asarray(x_int)
-    if x_int.size and (x_int.min() < p.q_min or x_int.max() > p.q_max):
-        raise QuantError(
-            f"integer input outside [{p.q_min}, {p.q_max}]: "
-            f"min={x_int.min()}, max={x_int.max()}"
-        )
-    return x_int.astype(np.float64) * p.scale
 
 
 def scale_from_range(x_min: float, x_max: float, bits: int) -> float:
@@ -117,5 +104,4 @@ def fake_quant(x: np.ndarray, p: QuantParams) -> np.ndarray:
     dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
     arr = arr.astype(np.float64, copy=False)
     _check_finite(arr)
-    q = np.clip(round_half_away(arr / p.scale), p.q_min, p.q_max)
-    return (q * p.scale).astype(dtype)
+    return (level(arr, p) * p.scale).astype(dtype)

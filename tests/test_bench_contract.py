@@ -15,7 +15,7 @@ import layers  # noqa: E402
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
 
-from pillarptq import autodiff, calib, modelio, pipeline  # noqa: E402
+from pillarptq import autodiff, calib, modelio, network, pipeline  # noqa: E402
 from pillarptq.config import PipelineConfig  # noqa: E402
 
 
@@ -56,18 +56,20 @@ def test_frozen_model_survives_the_save_load_round_trip(
 ):
     # workloads.job_failures counts a job as failed when model_round_trip
     # returns None; a frozen LiDAR-PTQ model must save, load and save again
-    # to the same bytes, and hold no offsets record.
+    # to the same bytes, and hold no offsets record: it is the size of the
+    # float net frozen at the same quantizers without offsets.
     cfg = PipelineConfig(
         calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
     )
     qnet, _ = pipeline.run_lidar_ptq(tiny_net, tiny_calib_feats, cfg, grid_cfg)
     blob = workloads.model_round_trip(qnet, tmp_path)
     assert blob is not None
-    plain = qnet.copy()
-    for layer in plain.layers:
-        layer.weight = tiny_net.layer(layer.name).weight
-    modelio.save_model(tmp_path / "unfolded.ptqf", plain)
-    assert len(blob) == (tmp_path / "unfolded.ptqf").stat().st_size
+    plain = tiny_net.copy()
+    for layer in qnet.layers:
+        if layer.precision == "int8":
+            network.freeze(plain.layer(layer.name), layer.w_quant, layer.a_quant)
+    modelio.save_model(tmp_path / "plain.ptqf", plain)
+    assert len(blob) == (tmp_path / "plain.ptqf").stat().st_size
 
 
 def test_traced_detect_pass_fills_the_stream_counters(tiny_net, tiny_dataset):

@@ -3,6 +3,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from pillarptq.cli import main
@@ -50,6 +51,20 @@ def test_quantize_each_method(tiny_dataset, tiny_net, model_path, tmp_path, meth
     qnet = load_model(tmp_path / "quantized.ptqf")
     assert all(qnet.layer(n).precision == "int8" for n in quantizable_layers(tiny_net))
     assert (tmp_path / "runlog.csv").read_text().startswith("layer,iteration,")
+    assert (tmp_path / "fp_outputs.npz").exists() == (method == "lidar-ptq")
+
+
+def test_quantize_keeps_an_existing_fp_outputs_file(tiny_dataset, model_path, tmp_path, capsys):
+    # fp_outputs.npz is one of lidar-ptq's outputs, guarded like the others
+    placeholder = tmp_path / "fp_outputs.npz"
+    placeholder.write_bytes(b"placeholder")
+    assert _run("quantize", tiny_dataset, model_path, tmp_path, "method=lidar-ptq") == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert placeholder.read_bytes() == b"placeholder"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fp_outputs.npz"]
+    assert _run("quantize", tiny_dataset, model_path, tmp_path, "method=lidar-ptq", "--force") == 0
+    with np.load(placeholder) as fp:
+        assert fp["heatmap"].shape[0] == fp["regression"].shape[0] == 8
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""Binary model format: round trips, byte determinism, integer weight codes,
-version 1 files and corruption handling."""
+"""Binary model format: round trips, byte determinism, integer weight codes
+and corruption handling."""
 
 import struct
 from types import SimpleNamespace
@@ -7,16 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pillarptq import autodiff as ad
-from pillarptq import modelio
 from pillarptq.autodiff import Tensor
+from pillarptq.cli import main
 from pillarptq.config import PipelineConfig
 from pillarptq.detector import build_detector
 from pillarptq.modelio import ModelIOError, load_model, save_model
 from pillarptq.network import conv2d as layer_conv2d
-from pillarptq.network import engine_grid, freeze, run
+from pillarptq.network import freeze, run
 from pillarptq.pipeline import run_baseline_calibration, run_lidar_ptq
-from pillarptq.quant import QuantParams, dequantize, round_half_away
+from pillarptq.quant import QuantParams, level, round_half_away
 
 QUANTIZED = ("conv1", "conv2")
 W_QUANT, A_QUANT = QuantParams(0.011, 8), QuantParams(0.07, 8)
@@ -156,6 +155,18 @@ class TestCorruption:
         with pytest.raises(ModelIOError):
             load_model(p)
 
+    def test_version_1_file_is_refused(self, tmp_path, grid_cfg, tiny_dataset, capsys):
+        # version 1 held every weight as a float32 blob; its reader is gone
+        p = tmp_path / "v1.ptqf"
+        raw = bytearray(saved(p, build_detector(grid_cfg)))
+        struct.pack_into("<H", raw, 4, 1)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match="unsupported version 1"):
+            load_model(p)
+        argv = ["evaluate", "--data", str(tiny_dataset.root), "--model", str(p)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert "unsupported version 1" in capsys.readouterr().err
+
     def test_truncated_payload(self, tmp_path, grid_cfg):
         p = tmp_path / "t.ptqf"
         save_model(p, build_detector(grid_cfg))
@@ -225,10 +236,11 @@ class TestCorruption:
             load_model(tmp_path / "f.ptqf")
 
     def test_offsets_flag_in_a_version_2_file(self, tmp_path, grid_cfg):
+        # flag 4 marked a version 1 offsets record; version 2 knows flags 1 and 2
         raw = bytearray(saved(tmp_path / "o.ptqf", quantize_some_layers(build_detector(grid_cfg))))
         raw[v2_records(raw)[1].head + 5] |= 4
         (tmp_path / "o.ptqf").write_bytes(bytes(raw))
-        with pytest.raises(ModelIOError, match="offsets in a version 2 file"):
+        with pytest.raises(ModelIOError, match="unknown quantizer flags 7"):
             load_model(tmp_path / "o.ptqf")
 
 
@@ -278,9 +290,8 @@ class TestIntegerCodes:
             assert rec.name == layer.name
             _, w = rec.weight
             if layer.precision == "int8":
-                assert w.dtype == np.int8
-                rebuilt = dequantize(w, engine_grid(layer.w_quant)).astype(np.float32)
-                assert rebuilt.tobytes() == layer.weight.tobytes()
+                assert w.dtype == np.int8 and layer.weight.dtype == np.int8
+                assert w.tobytes() == layer.weight.tobytes()
             else:
                 assert w.tobytes() == layer.weight.astype("<f4").tobytes()
 
@@ -306,7 +317,9 @@ class TestIntegerCodes:
         self, tiny_net, tiny_calib_feats, grid_cfg, tmp_path, method
     ):
         # calibration picks float64 scales; the file states the float32 ones
-        # the frozen layers hold, and those rebuild every weight from its codes
+        # the frozen layers hold, and its codes count steps of those: the
+        # float weight's levels on that grid, steered at most one level up
+        # by lidar-ptq's offsets
         if method == "lidar-ptq":
             cfg = PipelineConfig(
                 calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
@@ -322,8 +335,11 @@ class TestIntegerCodes:
                 assert float(np.float32(scale)) == scale
             if layer.precision == "int8":
                 (_, s_w, bits_w), _ = rec.quants
-                rebuilt = dequantize(rec.weight[1], QuantParams(s_w, bits_w)).astype(np.float32)
-                assert rebuilt.tobytes() == layer.weight.tobytes()
+                codes = rec.weight[1]
+                assert codes.tobytes() == layer.weight.tobytes()
+                base = level(tiny_net.layer(layer.name).weight, QuantParams(s_w, bits_w))
+                steer = codes - base
+                assert steer.min() >= 0 and steer.max() <= (method == "lidar-ptq")
                 decoded.append(layer.name)
         assert decoded == [l.name for l in qnet.layers if l.precision == "int8"] != []
 
@@ -343,167 +359,29 @@ class TestIntegerCodes:
         assert saved(tmp_path / "again.ptqf", got) == (tmp_path / "new.ptqf").read_bytes()
 
     def test_file_holds_what_integer_arithmetic_computes(self, tiny_net, tiny_calib_feats, tmp_path):
-        qnet, _ = run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin")
+        # An int8 layer's output is bitwise the int64 accumulation of its
+        # input codes and the file's weight codes, times s_a * s_w, plus the
+        # bias. At 8 bits every partial sum stays below K * 2^14 <= 2^24 and
+        # the forward sums in float32; at 12 bits K * 2^22 passes 2^24 and it
+        # sums in float64, then rounds the rescaled output to float32.
         feats = np.stack(tiny_calib_feats[:2])
-        u = 2.0**-24
-        checked = []
-        for rec, layer in zip(v2_records(saved(tmp_path / "q.ptqf", qnet)), in_file_order(qnet)):
-            if layer.precision != "int8":
-                continue
-            (_, s_w, _), (_, s_a, bits_a) = rec.quants
-            w_codes = rec.weight[1].astype(np.int64)
-            x = run(qnet, feats, 0, qnet.layer_index(layer.name)).data
-            top = 1 << (bits_a - 1)
-            x_codes = np.clip(round_half_away(x / s_a), -top, top - 1).astype(np.int64)
-            acc = int_conv(x_codes, w_codes, layer.stride, layer.padding)
-            # a float32 GEMM of the codes is exact: every partial sum stays
-            # below K * 128 * 128 <= 288 * 2**14 < 2**24
-            k = w_codes[0].size
-            assert k <= 288
-            gemm = ad.conv2d(
-                Tensor(x_codes.astype(np.float32)),
-                Tensor(w_codes.astype(np.float32)),
-                None,
-                layer.stride,
-                layer.padding,
-            ).data
-            assert gemm.dtype == np.float32 and np.array_equal(gemm, acc)
-            # the fake-quant forward computes s_a * s_w * acc + bias, up to the
-            # float32 GEMM's error on the K products (plus the rounding of x-hat
-            # and w-hat) and the bias add
-            want = layer_conv2d(Tensor(x), layer).data.astype(np.float64)
-            got = acc * (s_a * s_w) + layer.bias.reshape(1, -1, 1, 1)
-            mass = int_conv(np.abs(x_codes), np.abs(w_codes), layer.stride, layer.padding)
-            bound = (k + 2) * u * mass * (s_a * s_w) + u * np.abs(want)
-            assert (np.abs(want - got) <= bound).all()
-            checked.append(layer.name)
-        assert checked == [l.name for l in qnet.layers if l.precision == "int8"] != []
-
-
-# -- version 1 files ---------------------------------------------------------------------
-
-
-def legacy_bytes(net, int8=(), offsets=None):
-    """PTQF version 1 bytes, as older writers saved `net`: every weight as a
-    float32 blob and the quantizer records after the bias. The layers named
-    in `int8` are written as int8 layers with W_QUANT and A_QUANT around their
-    weights as they are, unfolded; each layer in `offsets` sets flag 4 and
-    appends its float32 offsets record."""
-    offsets = offsets or {}
-    roles = [(l, modelio._ROLE_TRUNK) for l in net.layers] + [
-        (net.heads["heatmap"], modelio._ROLE_HEATMAP),
-        (net.heads["regression"], modelio._ROLE_REG),
-    ]
-    out = modelio.MAGIC + struct.pack("<HHHHH", 1, *net.input_spec, len(roles))
-    for layer, role in roles:
-        prec, quants = layer.precision, (layer.w_quant, layer.a_quant)
-        if layer.name in int8:
-            prec, quants = "int8", (W_QUANT, A_QUANT)
-        has = (quants[0] is not None, quants[1] is not None, layer.name in offsets)
-        flags = sum(flag for flag, on in zip((1, 2, 4), has) if on)
-        name = layer.name.encode("utf-8")
-        w = np.ascontiguousarray(layer.weight, dtype="<f4")
-        b = np.ascontiguousarray(layer.bias, dtype="<f4")
-        out += struct.pack("<H", len(name)) + name
-        out += struct.pack(
-            "<6B",
-            role,
-            modelio._ACT[layer.activation],
-            layer.stride,
-            layer.padding,
-            modelio._PREC[prec],
-            flags,
-        )
-        out += struct.pack("<B4I", 4, *w.shape) + w.tobytes()
-        out += struct.pack("<I", b.size) + b.tobytes()
-        for q in quants:
-            if q is not None:
-                out += struct.pack("<diB", q.scale, 0, q.bits)
-        if layer.name in offsets:
-            out += np.ascontiguousarray(offsets[layer.name], dtype="<f4").tobytes()
-    return out
-
-
-def boxed(theta):
-    """Offsets as unfolded int8 layers applied them: clipped into [0, s_w]."""
-    return None if theta is None else Tensor(np.clip(theta, 0.0, engine_grid(W_QUANT).scale))
-
-
-def old_forward(net, int8, offsets, x):
-    """The forward of a float net whose layers in `int8` quantize their input
-    and weight (steered by `offsets`) on every call, as unfolded int8 layers
-    used to run."""
-
-    def run(layer, t):
-        if layer.name in int8:
-            t = ad.fake_quant_op(t, Tensor(A_QUANT.scale), A_QUANT.bits)
-            w = ad.fake_quant_op(
-                Tensor(layer.weight),
-                Tensor(W_QUANT.scale),
-                W_QUANT.bits,
-                theta=boxed(offsets.get(layer.name)),
-            )
-        else:
-            w = Tensor(layer.weight)
-        t = ad.conv2d(t, w, Tensor(layer.bias), layer.stride, layer.padding)
-        return ad.relu(t) if layer.activation == "relu" else t
-
-    t = Tensor(x)
-    for layer in net.layers:
-        t = run(layer, t)
-    return ad.sigmoid(run(net.heads["heatmap"], t)).data, run(net.heads["regression"], t).data
-
-
-class TestLegacyOffsets:
-    def test_writer_layout_matches_save_model(self, tmp_path, grid_cfg):
-        # a v1 file of a frozen net loads as that net, and saves as it does
-        net = quantize_some_layers(build_detector(grid_cfg, seed=5))
-        p = tmp_path / "v1.ptqf"
-        p.write_bytes(legacy_bytes(net))
-        got = load_model(p)
-        assert_nets_equal(net, got)
-        assert saved(tmp_path / "a.ptqf", got) == saved(tmp_path / "b.ptqf", net)
-
-    def check_predicts_as_before(self, tmp_path, grid_cfg, rng, offsets):
-        net = build_detector(grid_cfg, seed=5)
-        p = tmp_path / "old.ptqf"
-        p.write_bytes(legacy_bytes(net, QUANTIZED, offsets))
-        got = load_model(p)
-        for name in QUANTIZED:
-            layer = got.layer(name)
-            steered = ad.fake_quant_op(
-                Tensor(net.layer(name).weight),
-                Tensor(W_QUANT.scale),
-                W_QUANT.bits,
-                theta=boxed(offsets.get(name)),
-            )
-            assert layer.precision == "int8"
-            assert (layer.w_quant, layer.a_quant) == (engine_grid(W_QUANT), engine_grid(A_QUANT))
-            assert layer.weight.tobytes() == (steered.data + 0.0).tobytes()
-        x = np.abs(rng.normal(size=(2, *net.input_spec))).astype(np.float32)
-        hm, reg = old_forward(net, QUANTIZED, offsets, x)
-        hm_got, reg_got = run(got, x, heads=True)
-        assert hm_got.data.tobytes() == hm.tobytes()
-        assert reg_got.data.tobytes() == reg.tobytes()
-        # saving again writes version 2: codes for the folded weights, no
-        # offsets record
-        raw = saved(tmp_path / "again.ptqf", got)
-        assert [r.name for r in v2_records(raw) if r.weight[1].dtype == np.int8] == list(QUANTIZED)
-        assert_nets_equal(got, load_model(tmp_path / "again.ptqf"))
-
-    def test_offsets_record_loads_folded_and_predicts_as_before(self, tmp_path, grid_cfg, rng):
-        net = build_detector(grid_cfg, seed=5)
-        offsets = {name: some_offsets(net.layer(name)) for name in QUANTIZED}
-        self.check_predicts_as_before(tmp_path, grid_cfg, rng, offsets)
-
-    def test_unfolded_weight_loads_on_its_grid_and_predicts_as_before(
-        self, tmp_path, grid_cfg, rng
-    ):
-        self.check_predicts_as_before(tmp_path, grid_cfg, rng, {})
-
-    def test_offsets_record_on_a_float_layer_is_refused(self, tmp_path, grid_cfg):
-        net = build_detector(grid_cfg, seed=5)
-        p = tmp_path / "odd.ptqf"
-        p.write_bytes(legacy_bytes(net, QUANTIZED, {"conv0": np.zeros_like(net.layer("conv0").weight)}))
-        with pytest.raises(ModelIOError, match="not int8"):
-            load_model(p)
+        for bits, acc_dtype in [(8, np.float32), (12, np.float64)]:
+            qnet, _ = run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin", bits=bits)
+            raw = saved(tmp_path / f"q{bits}.ptqf", qnet)
+            checked = []
+            for rec, layer in zip(v2_records(raw), in_file_order(qnet)):
+                if layer.precision != "int8":
+                    continue
+                (_, s_w, _), (_, s_a, bits_a) = rec.quants
+                w_codes = rec.weight[1].astype(np.int64)
+                x = run(qnet, feats, 0, qnet.layer_index(layer.name)).data
+                top = 1 << (bits_a - 1)
+                x_codes = np.clip(round_half_away(x / s_a), -top, top - 1).astype(np.int64)
+                acc = int_conv(x_codes, w_codes, layer.stride, layer.padding)
+                assert (w_codes[0].size << (2 * bits - 2) > 1 << 24) == (acc_dtype == np.float64)
+                rescaled = acc.astype(acc_dtype) * (s_a * s_w) + layer.bias.reshape(1, -1, 1, 1)
+                got = layer_conv2d(Tensor(x), layer).data
+                assert got.dtype == np.float32
+                assert got.tobytes() == rescaled.astype(np.float32).tobytes()
+                checked.append(layer.name)
+            assert checked == [l.name for l in qnet.layers if l.precision == "int8"] != []

@@ -19,7 +19,7 @@ from pillarptq.network import (
 )
 from pillarptq.network import conv2d as layer_conv2d
 from pillarptq.losses import pow2
-from pillarptq.quant import QuantParams, dequantize, fake_quant, quantize
+from pillarptq.quant import QuantParams, level
 
 
 def make_layer(name="c0", out_ch=4, in_ch=3, k=3, seed=0, **kw):
@@ -31,6 +31,27 @@ def make_layer(name="c0", out_ch=4, in_ch=3, k=3, seed=0, **kw):
         padding=k // 2,
         **kw,
     )
+
+
+def frozen_layer(w_quant=QuantParams(0.01), a_quant=None, **kw):
+    """`make_layer(**kw)` frozen at these quantizers."""
+    layer = make_layer(**kw)
+    freeze(layer, w_quant, a_quant)
+    return layer
+
+
+def int_conv(x, w, stride, pad):
+    """Integer cross-correlation, accumulated in int64 over the kernel window."""
+    b, _, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    out = np.zeros((b, cout, ho, wo), dtype=np.int64)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            out += np.einsum("bchw,oc->bohw", patch, w[:, :, i, j])
+    return out
 
 
 # -- layer spec -------------------------------------------------------------------------
@@ -55,7 +76,25 @@ class TestLayerSpec:
         with pytest.raises(AttributeError):
             layer.precision = "int8"
         assert layer.precision == "fp"
-        assert make_layer(w_quant=QuantParams(0.01)).precision == "int8"
+        assert frozen_layer().precision == "int8"
+
+    def test_int8_weight_must_be_codes_in_range(self):
+        # an int8 layer holds integer codes on its weight grid, nothing else
+        codes = np.array([-128, 0, 127], np.int8).reshape(3, 1, 1, 1)
+        bias, q = np.zeros(3, np.float32), QuantParams(0.01)
+        assert LayerSpec("c", codes, bias, w_quant=q).precision == "int8"
+        with pytest.raises(NetworkError, match="must be integer codes"):
+            LayerSpec("c", codes.astype(np.float32), bias, w_quant=q)
+        with pytest.raises(NetworkError, match=r"outside \[-8, 7\]"):
+            LayerSpec("c", codes, bias, w_quant=QuantParams(0.01, 4))
+        with pytest.raises(NetworkError, match=r"outside \[-128, 127\]"):
+            LayerSpec("c", codes.astype(np.int16) + 1, bias, w_quant=q)
+        # float codes stay legal on a float layer, and a frozen copy re-checks
+        assert LayerSpec("c", codes.astype(np.float32), bias).precision == "fp"
+        dup = frozen_layer()
+        dup.weight = dup.weight.astype(np.float32)
+        with pytest.raises(NetworkError):
+            dup.copy()
 
     def test_offsets_shape_checked(self):
         # freeze refuses offsets that do not match the weight, and a refused
@@ -68,7 +107,7 @@ class TestLayerSpec:
         assert layer.precision == "fp" and layer.w_quant is None
 
     def test_copy_is_deep(self):
-        layer = make_layer(w_quant=QuantParams(0.01))
+        layer = frozen_layer()
         dup = layer.copy()
         dup.weight[0, 0, 0, 0] = 99.0
         dup.bias[0] = 99.0
@@ -116,27 +155,42 @@ class TestNetwork:
 
 class TestQuantizedForward:
     def test_fp_layer_ignores_quantizers(self, rng):
-        # a float layer holds none, and an int8 layer without an activation
-        # quantizer convolves its input as given
+        # a float layer holds none and convolves its weight; an int8 layer
+        # without an activation quantizer convolves its input as given with
+        # its codes, and rescales by s_w
         layer = make_layer()
-        int8 = make_layer(w_quant=QuantParams(0.01))
+        int8 = frozen_layer()
         x = rng.normal(size=(1, 3, 6, 6)).astype(np.float32)
         want = ad.conv2d(Tensor(x), Tensor(layer.weight), Tensor(layer.bias), 1, 1).data
         assert layer.precision == "fp" and int8.precision == "int8"
+        assert int8.a_quant is None
         assert layer_conv2d(Tensor(x), layer).data.tobytes() == want.tobytes()
+        acc = ad.conv2d(Tensor(x), Tensor(int8.weight), None, 1, 1).data
+        want = acc * int8.w_quant.scale + int8.bias.reshape(1, -1, 1, 1)
         assert layer_conv2d(Tensor(x), int8).data.tobytes() == want.tobytes()
 
     def test_int8_layer_quantizes_both_tensors(self, rng):
-        # freeze quantizes the weight once, the forward the input on each call
+        # freeze quantizes the weight once, the forward the input on each
+        # call; the conv of the two codes is integer arithmetic, rescaled once
         layer = make_layer()
         x = rng.normal(size=(1, 3, 6, 6))
         with ad.using_dtype(np.float64):
             freeze(layer, QuantParams(0.01), QuantParams(0.05))
-            got = layer_conv2d(Tensor(x), layer).data
-            xq = fake_quant(x, layer.a_quant)
-            wq = fake_quant(make_layer().weight.astype(np.float64), layer.w_quant)
-            want = ad.conv2d(Tensor(xq), Tensor(wq), Tensor(layer.bias), 1, 1).data
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+            got = layer_conv2d(Tensor(x), layer)
+            w_q, a_q = layer.w_quant, layer.a_quant
+        w_fp = make_layer().weight.astype(np.float64)
+        assert layer.weight.dtype == np.int8
+        np.testing.assert_array_equal(layer.weight, level(w_fp, w_q))
+        acc = int_conv(level(x, a_q).astype(np.int64), layer.weight.astype(np.int64), 1, 1)
+        want = acc * (a_q.scale * w_q.scale) + layer.bias.reshape(1, -1, 1, 1)
+        assert got.data.dtype == np.float64 and got.data.tobytes() == want.tobytes()
+        assert got._parents == () and not got.requires_grad
+
+    def test_int8_forward_refuses_a_sum_past_float64(self, rng):
+        # 9 products of 32-bit codes can reach 9 * 2^62 > 2^53
+        layer = frozen_layer(QuantParams(1e-3, 32), QuantParams(1e-3, 32))
+        with pytest.raises(NetworkError, match="no float64 sum"):
+            layer_conv2d(Tensor(rng.normal(size=(1, 3, 4, 4))), layer)
 
     def test_int8_without_weight_quantizer_raises(self):
         # an activation quantizer alone would make an int8 layer without a
@@ -149,7 +203,7 @@ class TestQuantizedForward:
         base, steered = make_layer(), make_layer()
         freeze(base, w_quant, QuantParams(0.05))
         want = ad.fake_quant_op(Tensor(make_layer().weight), Tensor(w_quant.scale), 8)
-        np.testing.assert_array_equal(base.weight, want.data)
+        np.testing.assert_array_equal(base.weight * np.float32(base.w_quant.scale), want.data)
         # the layer holds the float32 scales it computes with
         assert base.precision == "int8"
         assert base.w_quant == QuantParams(float(np.float32(0.01)))
@@ -159,8 +213,8 @@ class TestQuantizedForward:
 
     def test_live_weight_carries_gradients_to_the_scales(self, rng):
         # the task path of scale optimization: the input quantized by a live
-        # scale, the layer's weight by another, both reached through `run`
-        layer = make_layer(w_quant=QuantParams(0.01), a_quant=QuantParams(0.05))
+        # scale, the float layer's weight by another, both reached through `run`
+        layer = make_layer()
         net = Network(layers=[layer])
         x = Tensor(rng.normal(size=(1, 3, 4, 4)))
         w_s = Tensor(0.01, requires_grad=True)
@@ -312,17 +366,9 @@ def test_property_freeze_folds_offsets_exactly(case):
         layer = LayerSpec("c", w, np.zeros(w.shape[0], dtype))
         freeze(layer, w_quant, None, theta)
         assert layer.w_quant == engine_grid(w_quant)
-        # as steered, but with +0.0 where a negative weight rounds to level 0
-        frozen = (steered + 0.0).tobytes()
-        assert layer.weight.dtype == dtype
-        assert layer.weight.tobytes() == frozen
-        # the frozen weight lies on its grid: quantizing it again changes
-        # nothing, and neither does a second freeze ...
-        again = ad.fake_quant_op(Tensor(layer.weight), Tensor(scale), bits).data
-        assert again.tobytes() == frozen
-        freeze(layer, w_quant, None)
-        assert layer.weight.tobytes() == frozen
-        # ... and its integer codes rebuild it, as the model file stores it
-        grid = engine_grid(w_quant)
-        codes = quantize(layer.weight, grid)
-        assert dequantize(codes, grid).astype(dtype).tobytes() == frozen
+        # the layer holds the levels the tape steers to, as integer codes
+        assert layer.weight.dtype == np.int8
+        assert np.array_equal(layer.weight.astype(dtype) * s, steered)
+        # codes are no float weight: a second freeze is refused
+        with pytest.raises(NetworkError, match="already int8"):
+            freeze(layer, w_quant, None)

@@ -21,13 +21,13 @@ from pillarptq.pipeline import (
     FORWARD_CHUNK,
     PipelineError,
     _conv_refs,
-    _fp_final_outputs,
+    fp_final_outputs,
     _layer_inputs,
     _layer_losses,
     run_baseline_calibration,
     run_lidar_ptq,
 )
-from pillarptq.quant import QuantParams, round_half_away
+from pillarptq.quant import QuantParams, level, round_half_away
 
 SMALL = PipelineConfig(
     calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
@@ -49,10 +49,8 @@ def _saved_bytes(net, path):
 
 
 def _nearest(w_fp, layer):
-    """The weight `layer`'s quantizer makes of w_fp without offsets, with the
-    +0.0 that freeze leaves where a negative weight rounds to level 0."""
-    q = layer.w_quant
-    return ad.fake_quant_op(Tensor(w_fp), Tensor(q.scale), q.bits).data + 0.0
+    """The codes `layer`'s weight quantizer gives w_fp without offsets."""
+    return level(w_fp, layer.w_quant).astype(layer.w_quant.code_dtype)
 
 
 class TestLidarPTQ:
@@ -63,14 +61,14 @@ class TestLidarPTQ:
         for name in names:
             layer = qnet.layer(name)
             assert layer.precision == "int8"
-            # the kept offsets are folded in: the weight lies on its grid, at
-            # most one level above the float weight's nearest level
-            assert _nearest(layer.weight, layer).tobytes() == layer.weight.tobytes()
+            # the kept offsets steer the codes: each at most one level above
+            # the float weight's nearest level
             q = layer.w_quant
+            assert layer.weight.dtype == np.int8
             s_w = float(np.float32(q.scale))
-            level = round_half_away(layer.weight / s_w)
+            codes = layer.weight
             base = np.clip(round_half_away(tiny_net.layer(name).weight / s_w), q.q_min, q.q_max)
-            assert (level >= base).all() and (level <= np.minimum(base + 1, q.q_max)).all()
+            assert (codes >= base).all() and (codes <= np.minimum(base + 1, q.q_max)).all()
             s = log.layer_stats[name]
             assert s["post_mse"] <= s["pre_mse"]
             assert layer.w_quant.scale == s["w_scale"]
@@ -153,7 +151,7 @@ def test_task_loss_is_the_deployed_layers_loss(tiny_net, tiny_calib_feats, grid_
     # Without offsets, the task path that scale optimization differentiates
     # computes what the layer frozen at those scales computes at detect time.
     qnet = tiny_net.copy()
-    fp_outs = _fp_final_outputs(tiny_net, tiny_calib_feats[:4])
+    fp_outs = fp_final_outputs(tiny_net, tiny_calib_feats[:4])
     labels = [make_pseudo_labels(DetectorOutput(*o), grid_cfg) for o in fp_outs]
     for layer, inputs in _layer_inputs(qnet, tiny_calib_feats):
         cal = calibrate_layer(inputs, layer.weight, method="maxmin")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pillarptq import autodiff as ad
@@ -13,12 +13,10 @@ from pillarptq.quant import (
     EPS_SCALE,
     QuantError,
     QuantParams,
-    dequantize,
     fake_quant,
-    quantize,
+    level,
     round_half_away,
     scale_from_range,
-    steered_level,
 )
 
 
@@ -72,7 +70,7 @@ class TestRoundHalfAway:
         np.testing.assert_array_equal(round_half_away(x), [0, 1, -1, 4])
 
 
-# -- quantize / dequantize ----------------------------------------------------------
+# -- levels: quantize to codes, dequantize as codes * scale ---------------------------
 
 
 class TestQuantizeDequantize:
@@ -80,35 +78,33 @@ class TestQuantizeDequantize:
         p = QuantParams(scale=0.25, bits=8)
         x = np.array([0.875, -0.875, 0.625, 0.0])
         # 3.5 -> 4, -3.5 -> -4, 2.5 -> 3 under the away-from-zero tie rule
-        np.testing.assert_array_equal(quantize(x, p), [4, -4, 3, 0])
+        np.testing.assert_array_equal(level(x, p), [4, -4, 3, 0])
 
     def test_clamps_to_integer_range(self):
         p = QuantParams(scale=1.0, bits=4)
-        np.testing.assert_array_equal(
-            quantize(np.array([100.0, -100.0]), p), [7, -8]
-        )
+        np.testing.assert_array_equal(level(np.array([100.0, -100.0]), p), [7, -8])
 
     def test_matches_scalar_reference(self, rng):
         x = rng.normal(0, 3, size=500)
         for bits in (4, 8):
             p = QuantParams(scale=0.07, bits=bits)
-            got = dequantize(quantize(x, p), p)
+            got = level(x, p) * p.scale
             want = [scalar_round_trip(v, 0.07, bits) for v in x]
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
-
-    def test_dequantize_rejects_out_of_range_integers(self):
-        p = QuantParams(scale=1.0, bits=8)
-        with pytest.raises(QuantError):
-            dequantize(np.array([128]), p)
-        with pytest.raises(QuantError):
-            dequantize(np.array([-129]), p)
 
     def test_rejects_non_finite_input(self):
         p = QuantParams(scale=1.0, bits=8)
         with pytest.raises(QuantError):
-            quantize(np.array([1.0, np.nan]), p)
+            fake_quant(np.array([1.0, np.nan]), p)
         with pytest.raises(QuantError):
             fake_quant(np.array([np.inf]), p)
+
+    def test_code_dtype_is_the_narrowest_that_holds_the_range(self):
+        widths = {bits: QuantParams(1.0, bits).code_dtype for bits in (2, 8, 9, 16, 17, 32, 33)}
+        assert widths == {
+            2: np.int8, 8: np.int8, 9: np.int16, 16: np.int16,
+            17: np.int32, 32: np.int32, 33: np.int64,
+        }
 
 
 # -- scale derivation ----------------------------------------------------------------
@@ -137,7 +133,7 @@ class TestFakeQuant:
     def test_equals_quantize_then_dequantize(self, rng):
         x = rng.normal(0, 2, size=1000)
         p = QuantParams(scale=0.05, bits=8)
-        np.testing.assert_array_equal(fake_quant(x, p), dequantize(quantize(x, p), p))
+        np.testing.assert_array_equal(fake_quant(x, p), level(x, p) * p.scale)
 
     def test_error_bound_half_step_in_range(self, rng):
         p = QuantParams(scale=0.1, bits=8)
@@ -155,29 +151,28 @@ class TestFakeQuant:
 
 
 # -- rounding offsets -----------------------------------------------------------------
-# Offsets are optimizer state: `steered_level` is their level rule, and
-# `network.freeze` clips them into [0, scale] before folding them.
+# Offsets are optimizer state: `level` steers by them, and `network.freeze`
+# clips them into [0, scale] before it steers the codes it keeps.
 
 
 def offset_round_trip(x, scale, theta, bits=8):
-    """The weight `freeze` leaves for the values x with these offsets."""
+    """The values the codes `freeze` leaves for x with these offsets stand for."""
     x = np.asarray(x, dtype=np.float64)
     layer = LayerSpec("w", x.reshape(1, 1, 1, -1), np.zeros(1))
     with ad.using_dtype(np.float64):
         freeze(layer, QuantParams(scale, bits), None, np.reshape(theta, (1, 1, 1, -1)))
-    return layer.weight.reshape(x.shape)
+    return layer.weight.reshape(x.shape) * layer.w_quant.scale
 
 
 class TestRoundingOffsets:
     def test_zero_offsets_reproduce_nearest_rounding(self, rng):
         x = rng.normal(0, 1, size=(16, 3, 3))
-        np.testing.assert_array_equal(
-            steered_level(x, 0.02, np.zeros_like(x)), round_half_away(x / 0.02)
-        )
+        p = QuantParams(0.02, 16)  # no level clamps
+        np.testing.assert_array_equal(level(x, p, np.zeros_like(x)), round_half_away(x / 0.02))
 
     def test_offset_can_push_weight_up_one_level(self):
         x = np.array([0.30])  # nearest level is 1 (0.25)
-        np.testing.assert_array_equal(steered_level(x, 0.25, np.array([0.20])), [2.0])
+        np.testing.assert_array_equal(level(x, QuantParams(0.25), np.array([0.20])), [2.0])
 
     def test_raw_offsets_clip_into_zero_scale_box(self):
         x = np.array([0.30])
@@ -190,9 +185,9 @@ class TestRoundingOffsets:
     def test_offset_moves_one_level_where_float_error_or_a_tie_would_give_two(self):
         # (0.15 + 0.1) / 0.1 rounds to 3 in float; -0.05 / 0.1 is a negative
         # half tie, so round-half-away puts it at -1 while -0.05 + 0.1 goes to +1
-        x = np.array([0.15, -0.05])
-        np.testing.assert_array_equal(steered_level(x, 0.1), [1.0, -1.0])
-        np.testing.assert_array_equal(steered_level(x, 0.1, np.array([0.1, 0.1])), [2.0, 0.0])
+        x, p = np.array([0.15, -0.05]), QuantParams(0.1)
+        np.testing.assert_array_equal(level(x, p), [1.0, -1.0])
+        np.testing.assert_array_equal(level(x, p, np.array([0.1, 0.1])), [2.0, 0.0])
 
     def test_effective_is_monotone_in_raw_theta(self):
         x = np.full(5, 0.33)
@@ -243,12 +238,61 @@ def test_property_offset_never_moves_more_than_one_level(x, theta):
     p = QuantParams(scale=0.1, bits=8)
     arr = np.array(x)
     offsets = np.full(arr.shape, theta)
-    base = round_half_away(arr / p.scale)
-    level = steered_level(arr, p.scale, np.clip(offsets, 0.0, p.scale))
-    assert np.all((level >= base) & (level <= base + 1))
+    base = level(arr, p)
+    steered_level = level(arr, p, np.clip(offsets, 0.0, p.scale))
+    assert np.all((steered_level >= base) & (steered_level <= base + 1))
     steered = offset_round_trip(arr, p.scale, offsets)
-    diff = np.abs(steered / p.scale - quantize(arr, p))
+    diff = np.abs(steered / p.scale - base)
     assert np.all(diff <= 1 + 1e-6)
+
+
+def reference_level(x: float, scale: float, bits: int, offset=None) -> float:
+    """The level rule one Python float at a time: round half away from zero,
+    steered by the offset at most one level up, clamped to the range."""
+
+    def nearest(r):
+        return math.copysign(math.floor(abs(r) + 0.5), r)
+
+    k = nearest(x / scale)
+    if offset is not None:
+        k = min(max(nearest((x + offset) / scale), k), k + 1)
+    top = 1 << (bits - 1)
+    return min(max(k, -top), top - 1)
+
+
+@st.composite
+def level_cases(draw):
+    """Values with exact (positive and negative) half ties, values past the
+    clamp, and offsets anywhere in [0, scale]."""
+    bits = draw(st.integers(2, 8))
+    scale = draw(st.one_of(st.sampled_from([2.0**e for e in range(-6, 3)]), st.floats(1e-3, 4.0)))
+    n = draw(st.integers(1, 16))
+    top = 1 << (bits - 1)
+    halves = st.integers(-2 * top - 6, 2 * top + 6).map(lambda h: h * 0.5 * scale)
+    values = st.floats(-(top + 3) * scale, (top + 3) * scale, allow_nan=False)
+    xs = draw(st.lists(st.one_of(halves, values), min_size=n, max_size=n))
+    offsets = None
+    if draw(st.booleans()):
+        fracs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        offsets = [f * scale for f in draw(st.lists(fracs, min_size=n, max_size=n))]
+    return xs, scale, bits, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=level_cases())
+@example(case=([0.15], 0.1, 8, [0.1]))  # level 2: (0.15 + 0.1)/0.1 rounds to 3 in float
+@example(case=([0.5, 1.5, 2.5], 1.0, 8, None))  # halves go up
+@example(case=([-0.5, -1.5, -2.5, -0.05], 1.0, 8, [0.5, 0.0, 1.0, 1.0]))  # negative halves
+@example(case=([100.0, -100.0, 7.6, -8.6], 1.0, 4, [1.0, 0.0, 0.0, 1.0]))  # the clamp
+def test_property_level_is_the_per_element_rule(case):
+    xs, scale, bits, offsets = case
+    p = QuantParams(scale, bits)
+    got = level(np.array(xs), p, None if offsets is None else np.array(offsets))
+    want = [
+        reference_level(x, scale, bits, None if offsets is None else offsets[i])
+        for i, x in enumerate(xs)
+    ]
+    assert got.tolist() == want
 
 
 def test_eps_scale_is_tiny_positive():
