@@ -47,7 +47,7 @@ from .losses import (
 from .scenegen import SceneSpec, generate_scene
 from .dataset import Dataset, FileAudit, generate_dataset, load_point_cloud, save_point_cloud
 from .modelio import load_model, save_model
-from .evalharness import EvalReport, evaluate, evaluate_model, range_ablation
+from .evalharness import EvalReport, evaluate, evaluate_model
 from .config import ConfigError, GenConfig, PipelineConfig, TrainConfig
 from .pipeline import (
     PipelineError,

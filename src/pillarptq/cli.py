@@ -1,9 +1,12 @@
 """Command-line surface: one verb per experiment step.
 
-Each quantization method takes one route in both verbs. The calibration arms
-(maxmin, entropy, maxmin_grid; one bit-width for weights and activations) run
-through `pipeline.run_baseline_calibration`, and lidar-ptq (`quantize` only)
-through `pipeline.run_lidar_ptq`. Both return the RunLog the verbs write.
+Each quantization method takes one route in `calibrate` and `quantize`. The
+calibration arms (`calib.METHODS`; one bit-width for weights and activations)
+run through `pipeline.run_baseline_calibration`, and lidar-ptq (`quantize`
+only) through `pipeline.run_lidar_ptq`. Both return the RunLog the verbs write.
+
+`evaluate` scores one model and `compare` several, each with its AP drops
+against the first model named. JSON output is strict: NaN is written null.
 
 Exit codes: 0 success, 2 configuration problem (bad flags, unknown config
 keys, missing inputs, refusing to overwrite), 3 runtime failure. Errors go
@@ -14,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .calib import CalibError
+from . import calib
 from .config import (
     QUANT_METHODS,
     ConfigError,
@@ -32,7 +36,7 @@ from .config import (
 )
 from .dataset import Dataset, DatasetError, generate_dataset
 from .detector import GridConfig, pillarize
-from .evalharness import evaluate_model, range_ablation
+from .evalharness import evaluate_model
 from .modelio import ModelIOError, load_model, save_model
 from .pipeline import (
     PipelineError,
@@ -46,7 +50,6 @@ from .pipeline import (
 from .quant import QuantError
 
 GRID = GridConfig()
-CALIBRATION_ARMS = ("maxmin", "entropy", "maxmin_grid")
 
 
 def _parse_overrides(pairs: List[str]) -> Dict[str, str]:
@@ -95,8 +98,19 @@ def _open_dataset(args) -> Dataset:
     return Dataset(root)
 
 
+def _json_ready(value):
+    """`value` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(_json_ready(payload), indent=2, allow_nan=False) + "\n")
 
 
 # -- verbs ------------------------------------------------------------------------
@@ -171,7 +185,7 @@ def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
     cfg = _load_cfg(PipelineConfig, args)
     if cfg.method not in methods:
         raise ConfigError(f"{args.verb} expects method in {{{', '.join(methods)}}}")
-    if cfg.method in CALIBRATION_ARMS:
+    if cfg.method in calib.METHODS:
         _require_shared_bits(cfg)
     ds = _open_dataset(args)
     net = load_model(_require_file(args.model, "model"))
@@ -204,7 +218,7 @@ def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
 
 
 def cmd_calibrate(args) -> None:
-    _, log, (report_path,) = _run_method(args, CALIBRATION_ARMS, ["calibration_report.txt"])
+    _, log, (report_path,) = _run_method(args, calib.METHODS, ["calibration_report.txt"])
     method = log.meta["method"]
     report_path.write_text(
         "\n".join(
@@ -234,7 +248,7 @@ def cmd_evaluate(args) -> None:
     out = _out_dir(args)
     path = _guard(out / "eval_report.json", args.force)
     report = evaluate_model(net, ds, GRID, split=args.split)
-    path.write_text(report.to_json() + "\n")
+    _write_json(path, report.as_dict())
     print(f"mean AP {report.mean_ap:.4f} -> {path}")
 
 
@@ -244,56 +258,47 @@ def _parse_models(pairs: List[str]) -> Dict[str, Path]:
         if "=" not in tok:
             raise ConfigError(f"--models entries are name=path, got {tok!r}")
         name, path = tok.split("=", 1)
+        if not name:
+            raise ConfigError(f"--models entry {tok!r} has an empty name")
+        if name in models:
+            raise ConfigError(f"--models names {name!r} twice")
         models[name] = _require_file(path, f"model {name!r}")
     if len(models) < 2:
         raise ConfigError("need at least 2 models to compare")
     return models
 
 
+def _rel_drop(base: float, value: float) -> float:
+    return (base - value) / base if base > 0 else math.nan
+
+
 def cmd_compare(args) -> None:
+    """Score every --models entry; drops are relative to the first one."""
     ds = _open_dataset(args)
     models = _parse_models(args.models)
     out = _out_dir(args)
     path = _guard(out / "compare.json", args.force)
+    reports = {
+        name: evaluate_model(load_model(mpath), ds, GRID, split=args.split)
+        for name, mpath in models.items()
+    }
+    baseline, base = next(iter(reports.items()))
     rows = []
-    for name, mpath in models.items():
-        rep = evaluate_model(load_model(mpath), ds, GRID, split=args.split)
-        rows.append(
-            {
-                "model": name,
-                "mean_ap": rep.mean_ap,
-                "ap_per_class": {str(k): v for k, v in sorted(rep.ap_per_class.items())},
-                "tp": rep.tp,
-                "fp": rep.fp,
-                "fn": rep.fn,
-            }
-        )
+    for name, rep in reports.items():
+        row = {"model": name, **rep.as_dict()}
+        row["mean_ap_rel_drop"] = _rel_drop(base.mean_ap, rep.mean_ap)
+        row["bucket_rel_drop"] = {
+            k: _rel_drop(base.bucket_ap[k], v) for k, v in row["bucket_ap"].items()
+        }
+        rows.append(row)
     rows.sort(key=lambda r: -r["mean_ap"])
-    _write_json(path, {"rows": rows})
-    width = max(len(r["model"]) for r in rows)
-    print(f"{'model'.ljust(width)}  mean_ap")
+    _write_json(path, {"baseline": baseline, "rows": rows})
+    buckets = list(rows[0]["bucket_ap"])
+    width = max(len("model"), *(len(r["model"]) for r in rows))
+    print(f"{'model'.ljust(width)}  {'mean_ap':>8}" + "".join(f"{b:>9}" for b in buckets))
     for r in rows:
-        print(f"{r['model'].ljust(width)}  {r['mean_ap']:.4f}")
-
-
-def cmd_ablate_range(args) -> None:
-    ds = _open_dataset(args)
-    models = _parse_models(args.models)
-    if args.baseline not in models:
-        raise ConfigError(
-            f"--baseline {args.baseline!r} names none of --models ({', '.join(models)})"
-        )
-    out = _out_dir(args)
-    path = _guard(out / "range_table.json", args.force)
-    variants = {name: load_model(p) for name, p in models.items()}
-    table = range_ablation(variants, ds, GRID, split=args.split, baseline=args.baseline)
-    _write_json(path, table)
-    buckets = next(iter(table.values()))["bucket_ap"].keys()
-    header = "variant".ljust(12) + "".join(b.rjust(12) for b in buckets)
-    print(header)
-    for name, row in table.items():
-        cells = "".join(f"{row['bucket_ap'][b]:12.4f}" for b in buckets)
-        print(name.ljust(12) + cells)
+        cells = "".join(f"{r['bucket_ap'][b]:9.4f}" for b in buckets)
+        print(f"{r['model'].ljust(width)}  {r['mean_ap']:8.4f}{cells}")
 
 
 # -- wiring -----------------------------------------------------------------------
@@ -332,14 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
         split=True,
     )
     common(
-        sub.add_parser("compare", help="side-by-side AP table"),
+        sub.add_parser("compare", help="AP and range-bucket AP table, drops vs the first model"),
         data=True,
         models=True,
         split=True,
     )
-    ablate = sub.add_parser("ablate-range", help="range-bucket ablation table")
-    common(ablate, data=True, models=True, split=True)
-    ablate.add_argument("--baseline", default="fp", help="variant treated as reference")
     return p
 
 
@@ -350,7 +352,6 @@ HANDLERS = {
     "quantize": cmd_quantize,
     "evaluate": cmd_evaluate,
     "compare": cmd_compare,
-    "ablate-range": cmd_ablate_range,
 }
 
 _CONFIG_ERRORS = (ConfigError,)
@@ -358,7 +359,7 @@ _RUNTIME_ERRORS = (
     PipelineError,
     DatasetError,
     ModelIOError,
-    CalibError,
+    calib.CalibError,
     QuantError,
     ValueError,
     OSError,

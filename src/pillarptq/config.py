@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, get_type_hints
 
-from .calib import SearchConfig
+from .calib import METHODS, SearchConfig
 from .losses import LossWeights
 
 
@@ -19,7 +19,7 @@ class ConfigError(ValueError):
     pass
 
 
-QUANT_METHODS = ("lidar-ptq", "maxmin", "entropy", "maxmin_grid")
+QUANT_METHODS = ("lidar-ptq", *METHODS)
 
 
 @dataclass
@@ -83,8 +83,6 @@ class TrainConfig:
     ap_floor: float = 0.6
     seed: int = 0
     alpha_reg: float = 0.25
-    eval_iou: float = 0.3
-    score_floor: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch < 1:

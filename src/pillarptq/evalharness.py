@@ -1,5 +1,7 @@
-"""BEV detection metrics: greedy IoU matching, 101-point interpolated AP,
-range-bucketed AP, and the multi-model range-ablation table.
+"""BEV detection metrics: greedy IoU matching, 101-point interpolated AP and
+range-bucketed AP, at one scoring policy: the defaults of `model_predictions`
+and `evaluate` (score floor 0.1, top-K 500, NMS IoU 0.2, match IoU 0.3,
+DEFAULT_BUCKETS). `evaluate_model` takes no knob to change it.
 
 Matching builds one pred x GT IoU matrix per scene (detector.iou_matrix, the
 helper NMS uses) and matches exactly as the per-pair loop it replaced did.
@@ -10,7 +12,6 @@ over true positives is reported as a separate field.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -48,8 +49,9 @@ class EvalReport:
     n_gt: int
     yaw_mae: float
 
-    def to_json(self) -> str:
-        payload = {
+    def as_dict(self) -> dict:
+        """The report as a JSON-ready dict; NaN marks an undefined value."""
+        return {
             "mean_ap": self.mean_ap,
             "ap_per_class": {str(k): v for k, v in sorted(self.ap_per_class.items())},
             "bucket_ap": {k: self.bucket_ap[k] for k in sorted(self.bucket_ap)},
@@ -59,7 +61,6 @@ class EvalReport:
             "n_gt": self.n_gt,
             "yaw_mae": self.yaw_mae,
         }
-        return json.dumps(payload, indent=2, sort_keys=False)
 
 
 def _bucket_of(dist: float, buckets) -> int:
@@ -132,7 +133,6 @@ def evaluate(
     preds_per_scene: Sequence[Sequence[Box3D]],
     gts_per_scene: Sequence[Sequence[Box3D]],
     iou_thresh: float = 0.3,
-    buckets=DEFAULT_BUCKETS,
 ) -> EvalReport:
     if len(preds_per_scene) != len(gts_per_scene):
         raise ValueError(
@@ -143,11 +143,11 @@ def evaluate(
     gt_bucket: List[int] = []
     fn = 0
     for preds, gts in zip(preds_per_scene, gts_per_scene):
-        recs, matched = _match_scene(preds, gts, iou_thresh, buckets)
+        recs, matched = _match_scene(preds, gts, iou_thresh, DEFAULT_BUCKETS)
         records.extend(recs)
         fn += int((~matched).sum())
         gt_cls.extend(g.cls for g in gts)
-        gt_bucket.extend(_bucket_of(g.range_from_origin(), buckets) for g in gts)
+        gt_bucket.extend(_bucket_of(g.range_from_origin(), DEFAULT_BUCKETS) for g in gts)
 
     cls, bucket, score, tps = (
         np.array([getattr(r, k) for r in records]) for k in ("cls", "bucket", "score", "tp")
@@ -160,7 +160,7 @@ def evaluate(
     mean_ap = float(np.mean([ap_per_class[c] for c in classes])) if classes else 0.0
 
     bucket_ap = {}
-    for bi, (lo, hi) in enumerate(buckets):
+    for bi, (lo, hi) in enumerate(DEFAULT_BUCKETS):
         aps = []
         for c in classes:
             n_gt = int(((gt_cls_arr == c) & (gt_bucket_arr == bi)).sum())
@@ -205,55 +205,7 @@ def model_predictions(
     return preds
 
 
-def evaluate_model(
-    net: Network,
-    dataset,
-    cfg: GridConfig,
-    split: str = "val",
-    iou_thresh: float = 0.3,
-    score_floor: float = 0.1,
-    top_k: int = 500,
-    nms_iou: float = 0.2,
-) -> EvalReport:
+def evaluate_model(net: Network, dataset, cfg: GridConfig, split: str = "val") -> EvalReport:
     frames = dataset.frames(split)
-    preds = model_predictions(net, dataset, frames, cfg, score_floor, top_k, nms_iou)
-    gts = [dataset.labels(f) for f in frames]
-    return evaluate(preds, gts, iou_thresh)
-
-
-def range_ablation(
-    variants: Dict[str, Network],
-    dataset,
-    cfg: GridConfig,
-    split: str = "val",
-    baseline: str = "fp",
-    iou_thresh: float = 0.3,
-    score_floor: float = 0.1,
-) -> Dict[str, dict]:
-    """Per-variant bucketed EvalReports plus relative drops vs the baseline."""
-    if len(variants) < 2:
-        raise ValueError("range_ablation needs at least 2 variants")
-    reports = {
-        name: evaluate_model(
-            net, dataset, cfg, split, iou_thresh, score_floor=score_floor
-        )
-        for name, net in variants.items()
-    }
-    table: Dict[str, dict] = {}
-    base = reports.get(baseline)
-    for name, rep in reports.items():
-        row = {
-            "mean_ap": rep.mean_ap,
-            "bucket_ap": dict(rep.bucket_ap),
-        }
-        if base is not None:
-            drops = {}
-            for k, v in rep.bucket_ap.items():
-                ref = base.bucket_ap.get(k, float("nan"))
-                drops[k] = (ref - v) / ref if ref and not math.isnan(ref) and ref > 0 else float("nan")
-            row["bucket_rel_drop"] = drops
-            row["mean_ap_rel_drop"] = (
-                (base.mean_ap - rep.mean_ap) / base.mean_ap if base.mean_ap > 0 else float("nan")
-            )
-        table[name] = row
-    return table
+    preds = model_predictions(net, dataset, frames, cfg)
+    return evaluate(preds, [dataset.labels(f) for f in frames])

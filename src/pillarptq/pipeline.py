@@ -198,9 +198,7 @@ def train_fp_baseline(
         layer.weight = params[f"{layer.name}.w"].data.astype(np.float32)
         layer.bias = params[f"{layer.name}.b"].data.astype(np.float32)
 
-    report = evaluate_model(
-        net, dataset, grid_cfg, split="val", iou_thresh=cfg.eval_iou, score_floor=cfg.score_floor
-    )
+    report = evaluate_model(net, dataset, grid_cfg, split="val")
     if report.mean_ap < cfg.ap_floor:
         raise PipelineError(
             f"float baseline did not converge: final AP={report.mean_ap:.4f} "

@@ -1,13 +1,15 @@
-"""The `calibrate` and `quantize` verbs end to end on the tiny dataset."""
+"""The CLI verbs end to end on the tiny dataset."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from pillarptq.cli import main
-from pillarptq.detector import quantizable_layers
+from pillarptq.cli import _write_json, main
+from pillarptq.detector import Box3D, quantizable_layers
+from pillarptq.evalharness import evaluate
 from pillarptq.modelio import load_model, save_model
 
 SMALL = [
@@ -162,15 +164,92 @@ def test_corrupt_layer_record_exits_3(tiny_dataset, model_path, tmp_path, capsys
     assert "error[runtime]" in capsys.readouterr().err
 
 
-def test_ablate_range_rejects_a_baseline_outside_models(tiny_dataset, model_path, tmp_path, capsys):
-    # The default baseline "fp" is neither variant: the table would lack its
-    # relative drops, so the run fails up front instead.
-    argv = ["ablate-range", "--data", str(tiny_dataset.root), "--models"]
-    argv += [f"a={model_path}", f"b={model_path}"]
-    assert main(argv + ["--out", str(tmp_path / "none")]) == 2
+def _strict_json(path):
+    def refuse(name):
+        raise AssertionError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _compare(tiny_dataset, out, *models):
+    argv = ["compare", "--data", str(tiny_dataset.root), "--out", str(out), "--models"]
+    return main(argv + list(models))
+
+
+def test_compare_rows_are_eval_reports_with_drops_against_the_first_model(
+    tiny_dataset, model_path, tmp_path
+):
+    argv = ["evaluate", "--data", str(tiny_dataset.root), "--model", str(model_path)]
+    assert main(argv + ["--out", str(tmp_path / "eval")]) == 0
+    report = _strict_json(tmp_path / "eval" / "eval_report.json")
+    # "b" is named first, so it is the reference although "a" sorts first
+    assert _compare(tiny_dataset, tmp_path / "cmp", f"b={model_path}", f"a={model_path}") == 0
+    table = _strict_json(tmp_path / "cmp" / "compare.json")
+    assert table["baseline"] == "b"
+    assert [r["model"] for r in table["rows"]] == ["b", "a"]
+    for row in table["rows"]:
+        assert list(row) == ["model", *report, "mean_ap_rel_drop", "bucket_rel_drop"]
+        assert {k: row[k] for k in report} == report
+        # two copies of one model: every drop is 0.0, or null where the
+        # reference AP is 0 or undefined
+        assert row["mean_ap_rel_drop"] in (0.0, None)
+        assert list(row["bucket_rel_drop"]) == list(report["bucket_ap"])
+        assert all(d in (0.0, None) for d in row["bucket_rel_drop"].values())
+
+
+@pytest.mark.parametrize("names,message", [
+    (["a"], "need at least 2 models"),
+    (["a", "a", "b"], "--models names 'a' twice"),
+    (["a", "", "b"], "has an empty name"),
+], ids=["one", "duplicate", "empty"])
+def test_compare_rejects_bad_model_names(
+    tiny_dataset, model_path, tmp_path, capsys, names, message
+):
+    out = tmp_path / "out"
+    assert _compare(tiny_dataset, out, *(f"{n}={model_path}" for n in names)) == 2
     err = capsys.readouterr().err
-    assert "error[config]: --baseline 'fp' names none of --models (a, b)" in err
-    assert not (tmp_path / "none").exists()
-    assert main(argv + ["--out", str(tmp_path / "a"), "--baseline", "a"]) == 0
-    table = json.loads((tmp_path / "a" / "range_table.json").read_text())
-    assert all("mean_ap_rel_drop" in row and "bucket_rel_drop" in row for row in table.values())
+    assert "error[config]" in err and message in err
+    assert not out.exists()
+
+
+def test_ablate_range_is_gone(tiny_dataset, model_path, tmp_path, capsys):
+    argv = ["ablate-range", "--data", str(tiny_dataset.root), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--models", f"fp={model_path}", f"q={model_path}"]) == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["eval_iou=0.3", "score_floor=0.1"])
+def test_train_fp_takes_no_scoring_keys(tiny_dataset, tmp_path, capsys, key):
+    argv = ["train-fp", "--data", str(tiny_dataset.root), "--out", str(tmp_path / "out"), key]
+    assert main(argv) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_undefined_values_are_written_null(tmp_path):
+    # no true positive: yaw_mae is NaN, and so is the AP of a bucket without GT
+    report = evaluate([[]], [[Box3D(0.0, 0.0, 0.0, 1.5, 2.0, 2.0, 0.0, 0, 1.0)]])
+    _write_json(tmp_path / "r.json", {"report": report.as_dict(), "inf": [math.inf]})
+    payload = _strict_json(tmp_path / "r.json")
+    assert payload["report"]["yaw_mae"] is None
+    assert payload["report"]["bucket_ap"] == {"0-10": 0.0, "10-20": None, "20-inf": None}
+    assert payload["inf"] == [None]
+
+
+def test_every_verb_writes_strict_json(tiny_dataset, model_path, tmp_path):
+    ds, fp = tmp_path / "ds", tmp_path / "train" / "fp.ptqf"
+    assert main(["gen-data", "--out", str(ds), "n_train=4", "n_val=2", "seed=3"]) == 0
+    argv = ["train-fp", "--data", str(ds), "--out", str(fp.parent)]
+    assert main(argv + ["epochs=1", "batch=2", "ap_floor=0"]) == 0
+    assert _run("quantize", tiny_dataset, model_path, tmp_path / "q", "method=maxmin") == 0
+    argv = ["evaluate", "--data", str(ds), "--model", str(fp), "--out", str(tmp_path / "eval")]
+    assert main(argv) == 0
+    assert _compare(tiny_dataset, tmp_path / "cmp", f"fp={model_path}", f"new={fp}") == 0
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json"))
+    assert written == [
+        "cmp/compare.json", "ds/summary.json", "eval/eval_report.json", "q/summary.json",
+        "train/train_report.json",
+    ]
+    for name in written:
+        _strict_json(tmp_path / name)

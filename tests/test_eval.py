@@ -18,7 +18,6 @@ from pillarptq.evalharness import (
     evaluate,
     evaluate_model,
     model_predictions,
-    range_ablation,
 )
 
 
@@ -184,7 +183,7 @@ class TestEvaluateAggregation:
     def test_report_json_round_trip(self):
         gts = [box(0.0, 0.0), box(15.0, 0.0), box(25.0, 0.0)]
         rep = evaluate([gts], [gts])
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.as_dict()))
         assert list(payload) == [
             "mean_ap", "ap_per_class", "bucket_ap", "tp", "fp", "fn", "n_gt", "yaw_mae",
         ]
@@ -209,27 +208,3 @@ class TestModelEvaluation:
         assert rep.tp + rep.fn == rep.n_gt
         assert rep.n_gt > 0
         assert 0.0 <= rep.mean_ap <= 1.0
-
-    def test_range_ablation_needs_two_variants(self, tiny_net, tiny_dataset, grid_cfg):
-        with pytest.raises(ValueError, match="at least 2"):
-            range_ablation({"fp": tiny_net}, tiny_dataset, grid_cfg)
-
-    def test_range_ablation_table_layout(self, tiny_net, tiny_dataset, grid_cfg):
-        table = range_ablation({"fp": tiny_net, "alt": tiny_net}, tiny_dataset, grid_cfg)
-        assert set(table) == {"fp", "alt"}
-        for row in table.values():
-            assert set(row) == {"mean_ap", "bucket_ap", "bucket_rel_drop", "mean_ap_rel_drop"}
-        # identical variants: every well-defined relative drop is exactly zero
-        alt = table["alt"]
-        if table["fp"]["mean_ap"] > 0:
-            assert alt["mean_ap_rel_drop"] == 0.0
-        for k, base_v in table["fp"]["bucket_ap"].items():
-            if not math.isnan(base_v) and base_v > 0:
-                assert alt["bucket_rel_drop"][k] == 0.0
-
-    def test_range_ablation_without_baseline_omits_drops(
-        self, tiny_net, tiny_dataset, grid_cfg
-    ):
-        table = range_ablation({"a": tiny_net, "b": tiny_net}, tiny_dataset, grid_cfg)
-        for row in table.values():
-            assert set(row) == {"mean_ap", "bucket_ap"}
