@@ -16,15 +16,16 @@ vjp frees its patch matrix as soon as its weight gradient is computed.
 
 Convolution builds its patch matrix in one copy: the strided windows are
 viewed as (C, kh, kw, B, Ho, Wo) and reshaped straight into the (C*kh*kw,
-B*Ho*Wo) GEMM operand. Its adjoint scatter-adds w.T @ g into a (C, B, Hp, Wp)
-buffer, and the vjp copies the crop into an input-layout array that
-`Tensor.backward` adopts as the first gradient. Outputs and gradients are
-bitwise those of a per-sample (B, C*kh*kw, Ho*Wo) im2col (the reference in
-tests/test_autodiff.py): the GEMMs read the same operands in the same layout,
-and every input cell receives its patch gradients in the same (i, j) order.
-The exception is a 1x1 output map, where the per-sample patch matrix is a
-column-major view and BLAS may sum in another order; the two agree to
-rounding there, and the detector has no such layer.
+B*Ho*Wo) GEMM operand; the bias is added in place. The adjoint adds w.T @ g
+tap by tap into zeros laid out as the input is, (C, B, H, W) for the
+channel-major conv outputs, with no padded buffer or crop copy (w.T @ g is
+that buffer for a 1x1 stride-1 conv); `Tensor.backward` adopts it. Outputs and
+gradients are bitwise those of a per-sample (B, C*kh*kw, Ho*Wo) im2col (the
+reference in tests/test_autodiff.py): the GEMMs read the same operands in the
+same layout, and every input cell receives its patch gradients in the same
+(i, j) order. The exception is a 1x1 output map, where the per-sample patch
+matrix is a column-major view and BLAS may sum in another order; the two
+agree to rounding there, and the detector has no such layer.
 
 Engine math runs in `current_dtype()` (float32 by default; tests switch to
 float64 via `using_dtype`).
@@ -287,11 +288,14 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     """(B, C, H, W) -> (C*kh*kw, B*Ho*Wo) patch matrix, in one copy.
 
     The windows are an `as_strided` view already ordered (C, kh, kw, B, Ho,
-    Wo), so the one reshape lays them out as the GEMM operand.
+    Wo), so the one reshape lays them out as the GEMM operand. Padding goes
+    into a zeroed (C, B, Hp, Wp) buffer, not np.pad's C-order copy.
     """
     b, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((c, b, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+        x = padded.transpose(1, 0, 2, 3)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     s0, s1, s2, s3 = x.strides
@@ -304,30 +308,41 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return windows.reshape(c * kh * kw, b * ho * wo), ho, wo
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int):
-    """Adjoint of _im2col: scatter-add the (C*kh*kw, B*Ho*Wo) patch gradient
-    back onto the input, returned as a (B, C, H, W) view of a (C, B, ...) buffer."""
-    b, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    out = np.zeros((c, b, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(c, kh, kw, b, ho, wo)
+def _tap(k: int, pad: int, stride: int, size: int, n_out: int):
+    """Slices: the outputs whose tap k lands in the unpadded input, and where."""
+    lo = max(0, -((k - pad) // stride))
+    n = max(0, min(n_out, (size - 1 + pad - k) // stride + 1) - lo)
+    start = k + lo * stride - pad
+    return slice(lo, lo + n), slice(start, start + n * stride, stride)
+
+
+def _col2im(cols: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Adjoint of _im2col: adds the patch gradient tap by tap, in (i, j) order,
+    into zeros laid out as x is (for a channel-major x, a (C, B, H, W) buffer)."""
+    b, c, h, w = x.shape
+    if (kh, kw, stride, pad) == (1, 1, 1, 0):
+        return cols.reshape(c, b, h, w).transpose(1, 0, 2, 3)
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    gx = np.zeros_like(x, dtype=cols.dtype)
+    out, cols = gx.transpose(1, 0, 2, 3), cols.reshape(c, kh, kw, b, ho, wo)
     for i in range(kh):
+        rows, at_rows = _tap(i, pad, stride, h, ho)
         for j in range(kw):
-            out[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += cols[:, i, j]
-    return out[:, :, pad : hp - pad, pad : wp - pad].transpose(1, 0, 2, 3)
+            cols_j, at_cols = _tap(j, pad, stride, w, wo)
+            out[:, :, at_rows, at_cols] += cols[:, i, j, :, rows, cols_j]
+    return gx
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched 2-D cross-correlation: (B,Cin,H,W) x (Cout,Cin,kh,kw) -> (B,Cout,Ho,Wo).
 
     One BLAS call, (Cout, K) @ (K, B*P) with K = Cin*kh*kw and P = Ho*Wo, on
-    the patch matrix `_im2col` builds in its single copy. The vjp returns None
-    for each of x, weight and bias that needs no gradient, and the patch
-    matrix is kept for the backward pass only until the weight gradient.
-    Outputs and gradients are bitwise the per-sample im2col's: the same GEMM
-    operands and the same scatter-add order (see the module docstring).
+    the patch matrix `_im2col` builds in its single copy, plus the bias in
+    place. The vjp returns None for each of x, weight and bias that needs no
+    gradient, keeps the patch matrix only until the weight gradient and needs
+    no padded buffer or crop copy for the input's. Outputs and gradients are
+    bitwise the per-sample im2col's (see the module docstring).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if bias is not None:
@@ -347,7 +362,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     out = (w2 @ flat).reshape(cout, bsz, ho * wo).transpose(1, 0, 2)
     out = out.reshape(bsz, cout, ho, wo)
     if bias is not None:
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        out += bias.data.reshape(1, cout, 1, 1)
     # The patch matrix is needed again only for the weight gradient.
     patches = flat if weight.requires_grad else None
 
@@ -360,8 +375,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             gw = (gout @ patches.T).reshape(weight.data.shape)
             patches = None  # freed before w2.T @ gout allocates its own matrix
         if x.requires_grad:
-            gx = np.empty_like(x.data)
-            gx[...] = _col2im(w2.T @ gout, x.data.shape, kh, kw, stride, padding)
+            gx = _col2im(w2.T @ gout, x.data, kh, kw, stride, padding)
         if bias is not None and bias.requires_grad:
             gb = gflat.sum(axis=(0, 2))
         return (gx, gw) if bias is None else (gx, gw, gb)

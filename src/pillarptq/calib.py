@@ -11,22 +11,23 @@ stops at the first bound above the lowest KL found; see `_kl_lower_bounds`.
 The grid search returns bitwise what a brute-force sweep returns, one
 `fake_quant` pass over the whole tensor per candidate, in O(N log N) plus
 O(min(2^(bits-1) log N, N)) per candidate instead of O(N) per candidate.
-Exact zeros quantize exactly under every symmetric scale, so they are set
-aside. The positive and negative magnitudes are sorted apart (the negative
-side clamps one level further out, at -2^(bits-1)), and each candidate's
-error is ranked from suffix sums over its level boundaries. The few
-candidates the ranking cannot tell apart within its rounding bound are scored
-again with the brute-force formula itself; see `grid_search_detail`.
+Exact zeros quantize exactly under every symmetric scale, so the ranking sets
+them aside: the positive and negative magnitudes are sorted apart (the
+negative side clamps one level further out, at -2^(bits-1)), and each
+candidate's error is ranked from suffix sums over its level boundaries. The
+few candidates it cannot tell apart within its rounding bound are scored
+again over the whole tensor; see `_direct_mse` and `grid_search_detail`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, NamedTuple, Sequence, Tuple
+from typing import Callable, Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .quant import EPS_SCALE, QuantParams, fake_quant, level, scale_from_range
+from .quant import EPS_SCALE, QuantParams, level, scale_from_range
 
 DEFAULT_BINS = 2048
 _KL_SMOOTH = 1e-10
@@ -286,22 +287,33 @@ def candidate_thresholds(t_max: float, cfg: SearchConfig) -> np.ndarray:
 
 
 class GridSearchInfo(NamedTuple):
+    """A grid search's scale and clip; `mse` and `maxmin_mse` are scored when read."""
+
     params: QuantParams
     threshold: float
-    mse: float
-    maxmin_mse: float
     degenerate: bool
+    score: Callable[[float], float]  # a scale's MSE on the searched tensor, which it holds
+    maxmin_scale: float
+
+    @property
+    def mse(self) -> float:
+        return self.score(self.params.scale)
+
+    @property
+    def maxmin_mse(self) -> float:
+        return self.score(self.maxmin_scale)
 
 
-def _direct_mse(x: np.ndarray, nonzero: np.ndarray, p: QuantParams) -> float:
-    """np.mean((x - fake_quant(x, p))**2) for a float64 x, quantizing only
-    the entries `nonzero` marks. A zero's error is exactly 0.0 under every
-    symmetric scale, so the error array, and hence the mean, is bitwise the
-    one the whole-tensor formula builds."""
-    err = np.zeros_like(x)
-    values = x[nonzero]
-    err[nonzero] = values - fake_quant(values, p)
-    return float(np.mean(err * err))
+def _direct_mse(x: np.ndarray, p: QuantParams) -> float:
+    """np.mean((x - fake_quant(x, p))**2), bitwise, for a finite float64 x:
+    `level(x, p)`, * s, x - q and its square, in place in one buffer over the
+    whole tensor, then the mean. A zero of either sign has an error of +0.0.
+    The caller checks x is finite, once per tensor."""
+    buf = level(x, p)
+    buf *= p.scale
+    np.subtract(x, buf, out=buf)
+    np.square(buf, out=buf)
+    return float(np.mean(buf))
 
 
 def _level_starts(a: np.ndarray, scale: float, top: int) -> np.ndarray:
@@ -387,11 +399,12 @@ def grid_search_detail(
     The result is bitwise that of scoring every candidate with that formula.
     `_shortlist` ranks the candidates from sorted suffix sums and keeps each
     one the ranking's rounding bound cannot rule out, almost always one.
-    Only those, and the max-min scale, are scored with the formula itself
-    (over the nonzeros, see `_direct_mse`), so the winner, its MSE and the
-    max-min MSE are the brute-force values. Cost: a sort of the nonzeros,
-    then per candidate min(2^(bits-1) log N, N), plus one O(N) pass per
-    scored scale.
+    Only those, when more than one is left, are scored with the formula
+    itself, over the whole tensor (see `_direct_mse`), so the winner is the
+    brute-force one. Its MSE and the max-min MSE are scored the same way when
+    first read: a caller that needs only the scale pays no scoring pass. Cost:
+    a sort of the nonzeros, then per candidate min(2^(bits-1) log N, N), plus
+    one scoring pass, in one buffer, per scored scale.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
@@ -401,23 +414,17 @@ def grid_search_detail(
     t_max = float(np.abs(x).max())
     if t_max == 0.0:
         p = QuantParams(scale=EPS_SCALE, bits=bits)
-        return GridSearchInfo(p, EPS_SCALE, 0.0, 0.0, degenerate=True)
+        return GridSearchInfo(p, EPS_SCALE, True, lambda scale: 0.0, EPS_SCALE)
 
-    nonzero = x != 0.0
     thresholds = candidate_thresholds(t_max, cfg)
     scales = [scale_from_range(-t, t, bits) for t in thresholds]
-    scored: Dict[float, float] = {}
-
-    def mse(scale: float) -> float:
-        if scale not in scored:
-            scored[scale] = _direct_mse(x, nonzero, QuantParams(scale, bits))
-        return scored[scale]
-
-    shortlist = _shortlist(x[nonzero], scales, bits)
-    best = min(shortlist, key=lambda c: (mse(scales[c]), -thresholds[c]))
+    mse = functools.cache(lambda scale: _direct_mse(x, QuantParams(scale, bits)))
+    best, *rest = _shortlist(x[x != 0.0], scales, bits)
+    if rest:  # candidates the ranking cannot tell apart: the formula decides
+        best = min((best, *rest), key=lambda c: (mse(scales[c]), -thresholds[c]))
     p = QuantParams(scale=scales[best], bits=bits)
-    maxmin_mse = mse(scale_from_range(-t_max, t_max, bits))
-    return GridSearchInfo(p, float(thresholds[best]), mse(p.scale), maxmin_mse, degenerate=False)
+    maxmin = scale_from_range(-t_max, t_max, bits)
+    return GridSearchInfo(p, float(thresholds[best]), False, mse, maxmin)
 
 
 # -- per-layer dispatch ---------------------------------------------------------------
@@ -431,13 +438,6 @@ class LayerCalibration(NamedTuple):
     entropy_fallback: bool
     a_mse: float  # pooled-activation MSE of the chosen activation scale
     a_maxmin_mse: float
-
-
-def _pool(batches: Iterable[np.ndarray]) -> list:
-    pooled = [np.asarray(b).ravel() for b in batches]
-    if not pooled or sum(b.size for b in pooled) == 0:
-        raise CalibError("empty calibration set")
-    return pooled
 
 
 def calibrate_layer(
@@ -456,19 +456,21 @@ def calibrate_layer(
     """
     if method not in METHODS:
         raise CalibError(f"unknown calibration method {method!r}")
-    batches = _pool(activations)
+    batches = [np.asarray(b).ravel() for b in activations]
+    if sum(b.size for b in batches) == 0:
+        raise CalibError("empty calibration set")
+    pooled = np.concatenate(batches, dtype=np.float64)
     weights = np.asarray(weights)
 
-    a_max = max(float(np.abs(b).max()) if b.size else 0.0 for b in batches)
-    w_lo, w_hi = maxmin_range(weights)
+    # Not finite unless every activation is; each method's range check rejects it.
+    a_max = float(np.abs(pooled).max())
+    w_params = QuantParams(scale_from_range(*maxmin_range(weights), bits), bits)
     fallback = False
 
     if method == "maxmin":
-        w_params = QuantParams(scale_from_range(w_lo, w_hi, bits), bits)
         lo, hi = (-EPS_SCALE, EPS_SCALE) if a_max == 0.0 else (-a_max, a_max)
         a_params = QuantParams(scale_from_range(lo, hi, bits), bits)
     elif method == "entropy":
-        w_params = QuantParams(scale_from_range(w_lo, w_hi, bits), bits)
         if a_max == 0.0:
             a_params = QuantParams(EPS_SCALE, bits)
             fallback = True
@@ -480,18 +482,15 @@ def calibrate_layer(
             nonzeros = np.concatenate([b[b != 0.0] for b in batches])
             res = entropy_threshold(build_histogram(nonzeros, n_bins), bits)
             fallback = res.fallback
-            lo, hi = res.quant_range
-            a_params = QuantParams(scale_from_range(lo, hi, bits), bits)
+            a_params = QuantParams(scale_from_range(*res.quant_range, bits), bits)
     else:  # maxmin_grid
         w_params = grid_search_detail(weights, bits, cfg).params
-        info = grid_search_detail(np.concatenate(batches), bits, cfg)
+        info = grid_search_detail(pooled, bits, cfg)
         return LayerCalibration(w_params, info.params, False, info.mse, info.maxmin_mse)
 
     if a_max == 0.0:
         return LayerCalibration(w_params, a_params, fallback, 0.0, 0.0)
-    pooled = np.concatenate(batches).astype(np.float64)
-    nonzero = pooled != 0.0
-    a_mse = _direct_mse(pooled, nonzero, a_params)
+    a_mse = _direct_mse(pooled, a_params)
     mm = QuantParams(scale_from_range(-a_max, a_max, bits), bits)
-    a_maxmin_mse = a_mse if mm == a_params else _direct_mse(pooled, nonzero, mm)
+    a_maxmin_mse = a_mse if mm == a_params else _direct_mse(pooled, mm)
     return LayerCalibration(w_params, a_params, fallback, a_mse, a_maxmin_mse)

@@ -178,7 +178,8 @@ def _require_shared_bits(cfg: PipelineConfig) -> None:
 def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
     """Run the config's method (one of `methods`) on the calibration frames,
     after guarding the `outputs` file names; fail if a label file was read.
-    lidar-ptq also writes the float net's outputs on those frames to
+    lidar-ptq also writes the float net's outputs on those frames, computed
+    once and passed to `run_lidar_ptq` for its pseudo-labels, to
     fp_outputs.npz, guarded with the others and written after the audit.
     Returns the quantized net, its RunLog with the run's settings and read
     audit in `meta`, and the `outputs` paths."""
@@ -197,13 +198,14 @@ def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
         outputs = [*outputs, "fp_outputs.npz"]
     paths = [_guard(out / name, args.force) for name in outputs]
     if lidar_ptq:
-        qnet, log = run_lidar_ptq(net, feats, cfg, GRID)
+        fp_outs = fp_final_outputs(net, feats)
+        qnet, log = run_lidar_ptq(net, feats, cfg, GRID, fp_outs)
     else:
         qnet, log = run_baseline_calibration(net, feats, cfg.method, cfg.bits_a, cfg.search)
     if ds.audit.label_reads:
         raise PipelineError(f"label files were read during {args.verb}: {ds.audit.summary()}")
     if lidar_ptq:
-        heatmap, regression = zip(*fp_final_outputs(net, feats))
+        heatmap, regression = zip(*fp_outs)
         np.savez(paths.pop(), heatmap=np.stack(heatmap), regression=np.stack(regression))
     log.meta.update(
         {

@@ -318,10 +318,12 @@ def run_lidar_ptq(
     calib_feats: Sequence[np.ndarray],
     cfg: PipelineConfig,
     grid_cfg: GridConfig = GridConfig(),
+    fp_outs=None,
 ) -> Tuple[Network, RunLog]:
     """Pseudo-labels from the cached float outputs, then for each quantizable
     layer in order: grid-search initialization, scale/offset optimization with
-    keep-best admissibility, and a freeze at int8 before the next layer."""
+    keep-best admissibility, and a freeze at int8 before the next layer.
+    `fp_outs`, when given, is `fp_final_outputs(fp_net, calib_feats)`."""
     if any(l.precision != "fp" for l in fp_net.layers):
         raise PipelineError("run_lidar_ptq expects a fully float network")
     fp_exempt_layers(fp_net)  # raises if the structure can't mark them
@@ -334,8 +336,8 @@ def run_lidar_ptq(
     log = RunLog()
     rng = np.random.default_rng(cfg.seed)
 
-    # Cache float final outputs once; render pseudo-labels once.
-    fp_outs = fp_final_outputs(fp_net, calib_feats)
+    # Cache float final outputs once, unless given; render pseudo-labels once.
+    fp_outs = fp_outs or fp_final_outputs(fp_net, calib_feats)
     labels = [
         make_pseudo_labels(
             DetectorOutput(hm, reg),
@@ -359,7 +361,7 @@ def run_lidar_ptq(
             return x, np.stack([refs[i] for i in idx]), [labels[i] for i in idx]
 
         w_init = grid_search_detail(layer.weight, cfg.bits_w, cfg.search).params.scale
-        pooled = np.concatenate([a.ravel() for a in inputs])
+        pooled = np.concatenate([a.ravel() for a in inputs], dtype=np.float64)
         a_init = grid_search_detail(pooled, cfg.bits_a, cfg.search).params.scale
         params = {
             "s_w": Tensor(np.asarray(w_init), requires_grad=True),

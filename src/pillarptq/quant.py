@@ -5,8 +5,8 @@ integer range is [-2^(bits-1), 2^(bits-1) - 1] and level 0 is the value 0.
 
 `level` is the one level rule: round half away from zero, optionally steered
 up by a rounding offset, then clamp to the range. Every code in the toolkit
-comes from it: `fake_quant` (the numpy round trip that calibration measures
-error with), `autodiff.fake_quant_op` (the tape node scale optimization
+comes from it: `fake_quant` and `calib._direct_mse` (numpy round trips, the
+latter in place), `autodiff.fake_quant_op` (the tape node scale optimization
 differentiates), `network.freeze` (the integer weight codes an int8 layer
 holds and the model file stores) and the int8 forward (its input codes).
 
@@ -77,10 +77,12 @@ def level(x: np.ndarray, p: QuantParams, offset: Optional[np.ndarray] = None, *,
     With `in_range`, also returns the mask of the entries the clamp left as
     they were: the straight-through mask of `autodiff.fake_quant_op`.
     """
-    k = round_half_away(x / p.scale)
+    # round_half_away(x / scale), in place in one buffer: x / scale has x's sign
+    k = np.asarray(np.divide(x, p.scale))
+    np.copysign(np.floor(np.add(np.abs(k, out=k), 0.5, out=k), out=k), x, out=k)
     if offset is not None:
         k = np.clip(round_half_away((x + offset) / p.scale), k, k + 1)
-    clamped = np.clip(k, p.q_min, p.q_max)
+    clamped = np.clip(k, p.q_min, p.q_max, out=None if in_range else k)
     return (clamped, clamped == k) if in_range else clamped
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import pillarptq.autodiff as ad
 from pillarptq.autodiff import Tensor
+from pillarptq.detector import GridConfig, build_detector
 from pillarptq.losses import pow2
 from pillarptq.network import LayerSpec, freeze
 from pillarptq.quant import QuantParams, fake_quant, level
@@ -437,6 +438,60 @@ def test_conv_matches_the_per_sample_im2col_bitwise(case):
     assert_bitwise(got_out, want_out)
     for got, want in zip(got_grads, want_grads):
         assert_bitwise(got, want)
+
+
+def _detector_convs():
+    """Every conv of the detector, with the height and width of its input."""
+    net = build_detector(GridConfig())
+    side = net.input_spec[1]
+    for layer in net.layers:
+        yield pytest.param(layer, side, id=layer.name)
+        side = (side + 2 * layer.padding - layer.weight.shape[2]) // layer.stride + 1
+    for layer in net.heads.values():
+        yield pytest.param(layer, side, id=layer.name)
+
+
+@pytest.mark.parametrize("channel_major", [False, True], ids=["c_order", "channel_major"])
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("layer,side", list(_detector_convs()))
+def test_conv_matches_the_reference_at_the_detector_shapes(layer, side, b, channel_major):
+    # float32, as the engine runs; the upstream gradient holds zeros of both
+    # signs, as a relu mask leaves them
+    rng = np.random.default_rng(0)
+    shape = (layer.in_ch, b, side, side) if channel_major else (b, layer.in_ch, side, side)
+    x = rng.normal(size=shape).astype(np.float32)
+    x = x.transpose(1, 0, 2, 3) if channel_major else x
+    ho = (side + 2 * layer.padding - layer.weight.shape[2]) // layer.stride + 1
+    g = rng.normal(size=(b, layer.out_ch, ho, ho)).astype(np.float32)
+    upstream = g * (rng.random(g.shape) < 0.5)
+    arrays = (x, layer.weight, layer.bias)
+    args = (arrays, (True, True, True), upstream, layer.stride, layer.padding)
+    want_out, want_grads = run_conv(ref_conv2d, *args)
+    got_out, got_grads = run_conv(ad.conv2d, *args)
+    assert_bitwise(got_out, want_out)
+    for got, want in zip(got_grads, want_grads):
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("channel_major", [True, False], ids=["channel_major", "c_order"])
+@pytest.mark.parametrize("k,pad", [(1, 0), (3, 1)])
+def test_backward_adopts_the_conv_input_gradient_without_a_copy(rng, k, pad, channel_major):
+    # the vjp adds the taps into zeros laid out as the input is, so its array
+    # is the gradient; a 1x1 conv's is a view of w.T @ g, channel-major, as
+    # every conv output is (a C-order input's is copied into its layout)
+    shape = (32, 4, 16, 16) if channel_major else (4, 32, 16, 16)
+    x = rng.normal(size=shape).astype(np.float32)
+    x = Tensor(x.transpose(1, 0, 2, 3) if channel_major else x, requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 32, k, k)), requires_grad=True)
+    out = ad.conv2d(x, w, None, 1, pad)
+    vjp, handed = out._vjp, []
+    out._vjp = lambda g: handed.append(vjp(g)) or handed[-1]
+    ad.tsum(out).backward()
+    gx = handed[0][0]
+    assert (x.grad is gx) == (channel_major or k == 3)
+    assert x.grad.strides == x.data.strides
+    if k == 1:
+        assert gx.base.shape == (32, 4 * 16 * 16)
 
 
 def test_conv_vjp_skips_constant_weight_and_bias(rng):

@@ -26,7 +26,7 @@ from pillarptq.calib import (
     kl_divergence,
     maxmin_range,
 )
-from pillarptq.quant import EPS_SCALE, QuantParams, fake_quant, scale_from_range
+from pillarptq.quant import EPS_SCALE, QuantError, QuantParams, fake_quant, scale_from_range
 
 
 # -- naive references -----------------------------------------------------------------
@@ -106,6 +106,29 @@ def brute_force_grid_search(x: np.ndarray, bits: int, cfg: SearchConfig):
         if best is None or mse_of[s] < best[2] or (mse_of[s] == best[2] and t > best[0]):
             best = (float(t), s, mse_of[s])
     return best + (mse_of[scale_from_range(-t_max, t_max, bits)],)
+
+
+def scatter_direct_mse(x: np.ndarray, nonzero: np.ndarray, p: QuantParams) -> float:
+    """The grid search's scorer before it scored in one buffer: fake_quant
+    over the entries `nonzero` marks, their errors scattered into zeros."""
+    err = np.zeros_like(x)
+    values = x[nonzero]
+    err[nonzero] = values - fake_quant(values, p)
+    return float(np.mean(err * err))
+
+
+@st.composite
+def scorer_inputs(draw):
+    """A float64 tensor with +0.0 and -0.0, exact half-level ties and values
+    clamped at either end, on a grid of 4, 8 or 12 bits."""
+    p = QuantParams(draw(st.floats(1e-6, 1e3)), draw(st.sampled_from([4, 8, 12])))
+    top = (1 << (p.bits - 1)) + 3
+    x = [p.scale * draw(st.sampled_from([-top, top]))]
+    x += [p.scale * v for v in draw(st.lists(st.floats(-top, top), max_size=60))]
+    x += [(k + 0.5) * p.scale for k in draw(st.lists(st.integers(-top, top), max_size=20))]
+    x += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=10))
+    x = np.asarray(draw(st.permutations(x)), dtype=np.float64)
+    return (x.reshape(2, -1) if x.size % 2 == 0 else x), p
 
 
 @st.composite
@@ -337,24 +360,51 @@ class TestGridSearch:
         # At 8 bits the sorted sweep rules out all but a handful of the 101
         # candidates; at 32 bits a level sweep would cost more than a direct
         # pass, so each candidate is scored directly and no 2^31-level array
-        # is built.
+        # is built. Each scored scale is one scorer call on the whole tensor.
         x = np.maximum(rng.normal(size=20000), 0.0)
         cfg = SearchConfig(T=100)
         calls = []
+        scorer = calib._direct_mse
 
         def counting(values, p):
-            calls.append(values.size)
-            return fake_quant(values, p)
+            calls.append((values, p.scale))
+            return scorer(values, p)
 
-        monkeypatch.setattr(calib, "fake_quant", counting)
+        monkeypatch.setattr(calib, "_direct_mse", counting)
         info = grid_search_detail(x, bits=bits, cfg=cfg)
         want_t, want_s, want_mse, want_maxmin = brute_force_grid_search(x, bits, cfg)
         assert (info.threshold, info.params.scale, info.mse, info.maxmin_mse) == (
             want_t, want_s, want_mse, want_maxmin
         )
-        assert max(calls) == np.count_nonzero(x)  # the zeros are never quantized
+        assert all(values is calls[0][0] for values, _ in calls)
+        np.testing.assert_array_equal(calls[0][0], x)
+        scales = [s for _, s in calls]
+        assert len(set(scales)) == len(scales)  # no scale is scored twice
         if bits == 8:
             assert len(calls) <= 4
+        else:
+            t_max = float(x.max())
+            assert sorted(scales) == sorted(
+                {scale_from_range(-t, t, bits) for t in candidate_thresholds(t_max, cfg)}
+            )
+
+    def test_reading_only_the_scale_scores_nothing(self, rng, monkeypatch):
+        # the ranking leaves one candidate here, so the formula first runs
+        # when a caller reads an MSE, and once per scale
+        x = np.maximum(rng.normal(size=20000), 0.0)
+        cfg, calls, scorer = SearchConfig(T=20), [], calib._direct_mse
+
+        def counting(values, p):
+            calls.append(p.scale)
+            return scorer(values, p)
+
+        monkeypatch.setattr(calib, "_direct_mse", counting)
+        info = grid_search_detail(x, bits=8, cfg=cfg)
+        assert calls == []
+        _, want_s, want_mse, want_maxmin = brute_force_grid_search(x, 8, cfg)
+        assert info.params.scale == want_s
+        assert (info.mse, info.maxmin_mse, info.mse) == (want_mse, want_maxmin, want_mse)
+        assert calls == [want_s, scale_from_range(-x.max(), x.max(), 8)]
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.lists(st.floats(-100, 100), min_size=8, max_size=64), t_seed=st.integers(0, 10))
@@ -364,6 +414,19 @@ class TestGridSearch:
             return
         info = grid_search_detail(x, bits=8, cfg=SearchConfig(T=10 + t_seed))
         assert info.mse <= info.maxmin_mse + 1e-18
+
+
+class TestDirectMse:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scorer_inputs())
+    def test_property_matches_the_gather_scatter_scorer_bitwise(self, case):
+        x, p = case
+        before = x.tobytes()
+        got = calib._direct_mse(x, p)
+        assert x.tobytes() == before
+        assert got == scatter_direct_mse(x, x != 0.0, p)
+        err = x - fake_quant(x, p)
+        assert got == float(np.mean(err * err))
 
 
 # -- per-layer dispatch ---------------------------------------------------------------
@@ -464,6 +527,22 @@ class TestCalibrateLayer:
 
         assert res.a_mse == mse(res.a_params)
         assert res.a_maxmin_mse == mse(QuantParams(scale_from_range(-a_max, a_max, 8)))
+
+    @pytest.mark.parametrize(
+        "method,error",
+        [("maxmin", QuantError), ("entropy", CalibError), ("maxmin_grid", CalibError)],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_activations_raise(self, method, error, bad):
+        # the pooled tensor is checked once, whichever batch holds the value
+        w = np.ones((2, 2, 1, 1))
+        for acts in (
+            [np.array([1.0, bad, 2.0])],
+            [np.array([1.0, 2.0], np.float32), np.array([bad, 0.5], np.float32)],
+            [np.zeros(3), np.array([bad, 0.5])],
+        ):
+            with pytest.raises(error):
+                calibrate_layer(acts, w, method=method)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(CalibError):

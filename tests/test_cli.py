@@ -1,15 +1,19 @@
 """The CLI verbs end to end on the tiny dataset."""
 
+import io
 import json
 import math
 import struct
+import zipfile
 
 import numpy as np
 import pytest
 
-from pillarptq.cli import _write_json, main
+from pillarptq import cli, pipeline
+from pillarptq.cli import GRID, _rel_drop, _write_json, main
+from pillarptq.config import PipelineConfig
 from pillarptq.detector import Box3D, quantizable_layers
-from pillarptq.evalharness import evaluate
+from pillarptq.evalharness import EvalReport, evaluate
 from pillarptq.modelio import load_model, save_model
 
 SMALL = [
@@ -67,6 +71,31 @@ def test_quantize_keeps_an_existing_fp_outputs_file(tiny_dataset, model_path, tm
     assert _run("quantize", tiny_dataset, model_path, tmp_path, "method=lidar-ptq", "--force") == 0
     with np.load(placeholder) as fp:
         assert fp["heatmap"].shape[0] == fp["regression"].shape[0] == 8
+
+
+def test_lidar_ptq_runs_the_float_forward_once(
+    tiny_dataset, model_path, tmp_path, monkeypatch
+):
+    calls, forward = [], pipeline.fp_final_outputs
+
+    def counting(net, feats):
+        calls.append(len(feats))
+        return forward(net, feats)
+
+    monkeypatch.setattr(cli, "fp_final_outputs", counting)
+    monkeypatch.setattr(pipeline, "fp_final_outputs", counting)
+    assert _run("quantize", tiny_dataset, model_path, tmp_path, "method=lidar-ptq") == 0
+    assert calls == [8]
+    # each member is the .npy the float outputs' stacks serialize to
+    ids = pipeline.sample_calibration_set(tiny_dataset, 8, PipelineConfig().seed)
+    feats = pipeline.pillar_features(tiny_dataset, ids, GRID)
+    heatmap, regression = zip(*forward(load_model(model_path), feats))
+    with zipfile.ZipFile(tmp_path / "fp_outputs.npz") as z:
+        assert z.namelist() == ["heatmap.npy", "regression.npy"]
+        for name, arrays in (("heatmap", heatmap), ("regression", regression)):
+            want = io.BytesIO()
+            np.save(want, np.stack(arrays))
+            assert z.read(f"{name}.npy") == want.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -195,6 +224,37 @@ def test_compare_rows_are_eval_reports_with_drops_against_the_first_model(
         assert row["mean_ap_rel_drop"] in (0.0, None)
         assert list(row["bucket_rel_drop"]) == list(report["bucket_ap"])
         assert all(d in (0.0, None) for d in row["bucket_rel_drop"].values())
+
+
+def test_rel_drop_is_relative_to_a_positive_reference():
+    assert _rel_drop(0.8, 0.6) == (0.8 - 0.6) / 0.8
+    assert _rel_drop(0.5, 0.5) == 0.0
+    assert _rel_drop(0.5, 0.75) == -0.5  # better than the reference
+    assert _rel_drop(0.5, 0.0) == 1.0
+    assert math.isnan(_rel_drop(0.0, 0.3)) and math.isnan(_rel_drop(math.nan, 0.3))
+
+
+def test_compare_drops_against_a_reference_with_positive_ap(
+    tiny_dataset, model_path, tmp_path, monkeypatch
+):
+    def report(mean_ap, buckets):
+        return EvalReport({0: mean_ap, 1: mean_ap}, mean_ap, buckets, 3, 1, 2, 5, 0.1)
+
+    # evaluated in --models order: the reference "ref" first
+    reports = iter([
+        report(0.8, {"0-10": 0.9, "10-20": 0.5, "20-inf": math.nan}),
+        report(0.6, {"0-10": 0.45, "10-20": 0.6, "20-inf": 0.2}),
+    ])
+    monkeypatch.setattr(cli, "evaluate_model", lambda *args, **kw: next(reports))
+    models = f"ref={model_path}", f"q={model_path}"
+    assert _compare(tiny_dataset, tmp_path / "cmp", *models) == 0
+    table = _strict_json(tmp_path / "cmp" / "compare.json")
+    assert table["baseline"] == "ref"
+    ref, q = table["rows"]
+    assert (ref["model"], q["model"]) == ("ref", "q")
+    assert ref["mean_ap_rel_drop"] == 0.0
+    assert q["mean_ap_rel_drop"] == (0.8 - 0.6) / 0.8
+    assert q["bucket_rel_drop"] == {"0-10": 0.5, "10-20": (0.5 - 0.6) / 0.5, "20-inf": None}
 
 
 @pytest.mark.parametrize("names,message", [
