@@ -36,7 +36,6 @@ from .detector import (
     pillarize,
 )
 from .losses import (
-    LossWeights,
     PseudoLabels,
     focal_loss,
     l1_reg_loss,

@@ -7,12 +7,13 @@ config would invalidate the run's provenance.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, get_type_hints
 
 from .calib import METHODS, SearchConfig
-from .losses import LossWeights
+from .scenegen import SceneSpec
 
 
 class ConfigError(ValueError):
@@ -20,6 +21,12 @@ class ConfigError(ValueError):
 
 
 QUANT_METHODS = ("lidar-ptq", *METHODS)
+
+
+def _check_nonnegative(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -33,18 +40,12 @@ class PipelineConfig:
     batch: int = 4
     seed: int = 0
     method: str = "lidar-ptq"
-    # task-loss weights
-    alpha_reg: float = 0.25
-    lambda1: float = 1.0
+    # task term's weight against the local reconstruction term (0 = local only)
     lambda2: float = 1.0
     # grid-search geometry
     search_T: int = 100
     search_alpha: float = 0.01
     search_beta: float = 1.2
-    # pseudo-label generation
-    score_floor: float = 0.1
-    top_k: int = 500
-    nms_iou: float = 0.2
     # optimizer switches
     optimize_theta: bool = True
     snapshot_every: int = 20
@@ -65,14 +66,8 @@ class PipelineConfig:
             raise ConfigError("bit-widths below 2 are not representable")
         if self.snapshot_every < 1 or self.score_frames < 1:
             raise ConfigError("snapshot_every and score_frames must be >= 1")
-
-    @property
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.alpha_reg, self.lambda1, self.lambda2)
-
-    @property
-    def search(self) -> SearchConfig:
-        return SearchConfig(self.search_T, self.search_alpha, self.search_beta)
+        _check_nonnegative(lr_scale=self.lr_scale, lr_theta=self.lr_theta, lambda2=self.lambda2)
+        self.search = SearchConfig(self.search_T, self.search_alpha, self.search_beta)
 
 
 @dataclass
@@ -82,13 +77,13 @@ class TrainConfig:
     batch: int = 8
     ap_floor: float = 0.6
     seed: int = 0
-    alpha_reg: float = 0.25
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch < 1:
             raise ConfigError("epochs and batch must be >= 1")
         if not (0.0 <= self.ap_floor <= 1.0):
             raise ConfigError("ap_floor must be in [0, 1]")
+        _check_nonnegative(lr=self.lr)
 
 
 @dataclass
@@ -108,20 +103,12 @@ class GenConfig:
     def __post_init__(self):
         if self.n_train < 1 or self.n_val < 1:
             raise ConfigError("need at least one frame per split")
+        self.scene_spec()  # SceneSpec refuses a bad scene value here, not mid-run
 
-    def scene_spec(self):
-        from .scenegen import SceneSpec
-
-        return SceneSpec(
-            n_objects_min=self.n_objects_min,
-            n_objects_max=self.n_objects_max,
-            falloff=self.falloff,
-            base_points=self.base_points,
-            ref_range=self.ref_range,
-            clutter_points=self.clutter_points,
-            sensor_range=self.sensor_range,
-            min_range=self.min_range,
-        )
+    def scene_spec(self) -> SceneSpec:
+        """The scene fields as a SceneSpec; the rest keep SceneSpec's defaults."""
+        split = ("n_train", "n_val", "seed")
+        return SceneSpec(**{k: v for k, v in vars(self).items() if k not in split})
 
 
 def parse_kv_text(text: str, where: str = "<config>") -> Dict[str, str]:

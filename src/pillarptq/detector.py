@@ -27,6 +27,9 @@ COUNT_NORM = 16.0
 
 REG_CHANNELS = 8  # dx, dy, z, log h, log w, log l, sin yaw, cos yaw
 
+# The detection policy, of evaluation and LiDAR-PTQ's pseudo-labels alike.
+SCORE_FLOOR, TOP_K, NMS_IOU = 0.1, 500, 0.2
+
 
 def wrap_angle(a: float) -> float:
     """Normalize an angle to (-pi, pi]. Python's float `%` is `np.mod`'s
@@ -249,8 +252,8 @@ def _local_peaks(hm: np.ndarray) -> np.ndarray:
 def decode_boxes(
     out: DetectorOutput,
     cfg: GridConfig,
-    score_floor: float = 0.1,
-    max_boxes: int = 500,
+    score_floor: float = SCORE_FLOOR,
+    max_boxes: int = TOP_K,
 ) -> List[Box3D]:
     """Heatmap peaks above the floor, best-first, turned into boxes."""
     hm, reg = np.asarray(out.heatmap), np.asarray(out.regression)
@@ -298,7 +301,7 @@ def score_order(boxes: Sequence[Box3D]) -> List[int]:
     return np.lexsort((keys[:, 2], keys[:, 1], -keys[:, 0])).tolist()
 
 
-def nms_bev(boxes: List[Box3D], iou_threshold: float = 0.2) -> List[Box3D]:
+def nms_bev(boxes: List[Box3D], iou_threshold: float = NMS_IOU) -> List[Box3D]:
     """Greedy suppression by (score desc, x asc, y asc) at axis-aligned IoU."""
     ranked = [boxes[i] for i in score_order(boxes)]
     # Row i holds the boxes that kept box i would suppress: ranked after it

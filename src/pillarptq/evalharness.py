@@ -1,7 +1,7 @@
 """BEV detection metrics: greedy IoU matching, 101-point interpolated AP and
-range-bucketed AP, at one scoring policy: the defaults of `model_predictions`
-and `evaluate` (score floor 0.1, top-K 500, NMS IoU 0.2, match IoU 0.3,
-DEFAULT_BUCKETS). `evaluate_model` takes no knob to change it.
+range-bucketed AP, at one scoring policy: `detector`'s detection policy, which
+LiDAR-PTQ's pseudo-labels follow too, then match IoU 0.3 and DEFAULT_BUCKETS.
+`evaluate_model` takes no knob to change it.
 
 Matching builds one pred x GT IoU matrix per scene (detector.iou_matrix, the
 helper NMS uses) and matches exactly as the per-pair loop it replaced did.
@@ -19,6 +19,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .detector import (
+    NMS_IOU,
+    SCORE_FLOOR,
+    TOP_K,
     Box3D,
     GridConfig,
     decode_boxes,
@@ -192,9 +195,9 @@ def model_predictions(
     dataset,
     frames: Sequence[str],
     cfg: GridConfig,
-    score_floor: float = 0.1,
-    top_k: int = 500,
-    nms_iou: float = 0.2,
+    score_floor: float = SCORE_FLOOR,
+    top_k: int = TOP_K,
+    nms_iou: float = NMS_IOU,
 ) -> List[List[Box3D]]:
     preds = []
     for fid in frames:

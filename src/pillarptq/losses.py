@@ -1,10 +1,11 @@
 """Loss stack for scale fine-tuning: pseudo-labels rendered from the float
-model's detections, penalty-reduced focal loss on the center heatmap, masked
-L1 on box regression, and the weights that combine them with the local
-conv-reconstruction term (computed in `pipeline._layer_losses`).
+model's detections, penalty-reduced focal loss on the center heatmap and masked
+L1 on box regression at one weight. The float baseline trains on this task
+loss, and `pipeline._layer_losses` adds it to the local reconstruction term.
 
 No ground-truth label ever enters this module's pipeline path; the float
-model's own post-NMS detections are the only supervision.
+model's own detections at `detector`'s detection policy, the one the
+evaluation scores, are the only supervision.
 """
 
 from __future__ import annotations
@@ -28,17 +29,7 @@ from .detector import (
 
 HEATMAP_CLAMP = 1e-4
 MIN_RADIUS = 1
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha_reg: float = 0.25  # regression weight inside the task loss
-    lambda1: float = 1.0  # local reconstruction term
-    lambda2: float = 1.0  # task (pseudo-label) term
-
-    def __post_init__(self):
-        if self.alpha_reg < 0 or self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be >= 0")
+REG_WEIGHT = 0.25  # regression term's weight inside the task loss
 
 
 @dataclass
@@ -128,19 +119,11 @@ def render_targets(
     return PseudoLabels(kept, hm, reg, mask)
 
 
-def make_pseudo_labels(
-    fp_out: DetectorOutput,
-    cfg: GridConfig,
-    score_floor: float = 0.1,
-    top_k: int = 500,
-    nms_iou: float = 0.2,
-) -> PseudoLabels:
-    """Float-model detections -> score filter -> top-K -> NMS -> soft targets."""
-    hm = np.asarray(fp_out.heatmap)
-    out_stride = cfg.h_bev // hm.shape[1]
-    boxes = decode_boxes(fp_out, cfg, score_floor=score_floor, max_boxes=top_k)
-    boxes = nms_bev(boxes, nms_iou)
-    return render_targets(boxes, cfg, out_stride)
+def make_pseudo_labels(fp_out: DetectorOutput, cfg: GridConfig) -> PseudoLabels:
+    """The float model's detections, decoded and suppressed as the evaluation
+    scores them, rendered as soft targets."""
+    out_stride = cfg.h_bev // np.shape(fp_out.heatmap)[1]
+    return render_targets(nms_bev(decode_boxes(fp_out, cfg)), cfg, out_stride)
 
 
 # -- losses (tape-aware; targets are constants) ----------------------------------
@@ -197,10 +180,8 @@ def l1_reg_loss(pred_reg, target_reg: np.ndarray, mask: np.ndarray) -> Tensor:
     return ad.tsum(ad.mul(diff, m)) * (1.0 / (n * channels))
 
 
-def pseudo_label_loss(
-    q_out: DetectorOutput, labels: Sequence[PseudoLabels], w: LossWeights
-) -> Tensor:
-    """Task loss against float-model pseudo-labels: focal + alpha * L1.
+def pseudo_label_loss(q_out: DetectorOutput, labels: Sequence[PseudoLabels]) -> Tensor:
+    """Task loss against rendered targets: focal + REG_WEIGHT * L1.
 
     `labels` holds one PseudoLabels per frame of q_out's (B, C, H, W) maps.
     """
@@ -209,4 +190,4 @@ def pseudo_label_loss(
     mask = np.stack([l.reg_mask for l in labels])
     cls = focal_loss(q_out.heatmap, hm_t)
     reg_l = l1_reg_loss(q_out.regression, reg_t, mask)
-    return cls + reg_l * w.alpha_reg
+    return cls + reg_l * REG_WEIGHT

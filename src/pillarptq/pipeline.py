@@ -35,7 +35,7 @@ from .detector import (
     quantizable_layers,
 )
 from .evalharness import evaluate_model
-from .losses import LossWeights, PseudoLabels, make_pseudo_labels, pseudo_label_loss, pow2
+from .losses import PseudoLabels, make_pseudo_labels, pseudo_label_loss, pow2
 from .network import LayerSpec, Network
 from .optim import Adam
 from .quant import EPS_SCALE, QuantParams
@@ -157,7 +157,6 @@ def train_fp_baseline(
     net = build_detector(grid_cfg, seed=cfg.seed)
     params = _trainable_params(net)
     opt = Adam(params, lr=cfg.lr)
-    weights = LossWeights(alpha_reg=cfg.alpha_reg)
     rng = np.random.default_rng(cfg.seed)
     frames = dataset.frames("train")
     if not frames:
@@ -187,7 +186,7 @@ def train_fp_baseline(
                     target_cache[fid] = lab
                 labels.append(lab)
             hm, reg = network.run(net, feats, heads=True, weights=params)
-            loss = pseudo_label_loss(DetectorOutput(hm, reg), labels, weights)
+            loss = pseudo_label_loss(DetectorOutput(hm, reg), labels)
             if not np.isfinite(loss.data):
                 raise PipelineError(f"non-finite training loss at step {len(losses)}")
             losses.append(float(loss.data))
@@ -290,8 +289,10 @@ def _layer_losses(
     cfg: PipelineConfig,
 ):
     """Tape forward for one batch: the layer's conv reconstruction term plus
-    the task loss of the layer as freezing it at these scales would make it
-    (input and weight fake-quantized) through the float tail."""
+    `cfg.lambda2` times the task loss of the layer as freezing it at these
+    scales would make it (input and weight fake-quantized) through the float
+    tail. The local term has no weight of its own: Adam's step is invariant to
+    a positive rescaling of the loss, so (w, lambda2) would run (1, lambda2/w)."""
 
     def w_hat():
         return ad.fake_quant_op(
@@ -307,9 +308,8 @@ def _layer_losses(
     # rounds differently.
     live = {f"{layer.name}.w": w_hat()}
     out = network.run(qnet, x_hat, qnet.layer_index(layer.name), heads=True, weights=live)
-    weights = cfg.loss_weights
-    task = pseudo_label_loss(DetectorOutput(*out), labels, weights)
-    total = local * weights.lambda1 + task * weights.lambda2
+    task = pseudo_label_loss(DetectorOutput(*out), labels)
+    total = local + task * cfg.lambda2
     return local, task, total
 
 
@@ -338,16 +338,7 @@ def run_lidar_ptq(
 
     # Cache float final outputs once, unless given; render pseudo-labels once.
     fp_outs = fp_outs or fp_final_outputs(fp_net, calib_feats)
-    labels = [
-        make_pseudo_labels(
-            DetectorOutput(hm, reg),
-            grid_cfg,
-            score_floor=cfg.score_floor,
-            top_k=cfg.top_k,
-            nms_iou=cfg.nms_iou,
-        )
-        for hm, reg in fp_outs
-    ]
+    labels = [make_pseudo_labels(DetectorOutput(hm, reg), grid_cfg) for hm, reg in fp_outs]
 
     n = len(calib_feats)
     score_idx = np.arange(min(cfg.score_frames, n))

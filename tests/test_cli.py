@@ -279,12 +279,57 @@ def test_ablate_range_is_gone(tiny_dataset, model_path, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["eval_iou=0.3", "score_floor=0.1"])
-def test_train_fp_takes_no_scoring_keys(tiny_dataset, tmp_path, capsys, key):
-    argv = ["train-fp", "--data", str(tiny_dataset.root), "--out", str(tmp_path / "out"), key]
-    assert main(argv) == 2
+# The detection policy and the task loss's regression weight are constants of
+# the library: no verb takes a key for them, and LiDAR-PTQ has no weight on
+# its local term.
+POLICY_KEYS = ["score_floor=0.1", "top_k=500", "nms_iou=0.2", "alpha_reg=0.25", "lambda1=1"]
+
+
+@pytest.mark.parametrize("verb,key", [
+    pytest.param("train-fp", "eval_iou=0.3", id="eval_iou=0.3"),
+    pytest.param("train-fp", "score_floor=0.1", id="score_floor=0.1"),
+    *(pytest.param("train-fp", k, id=f"train-fp-{k}") for k in POLICY_KEYS[1:]),
+    *(pytest.param(v, k, id=f"{v}-{k}") for v in ("quantize", "calibrate") for k in POLICY_KEYS),
+])
+def test_train_fp_takes_no_scoring_keys(tiny_dataset, model_path, tmp_path, capsys, verb, key):
+    out = tmp_path / "out"
+    if verb == "train-fp":
+        code = main(["train-fp", "--data", str(tiny_dataset.root), "--out", str(out), key])
+    else:
+        code = _run(verb, tiny_dataset, model_path, out, "method=maxmin", key)
+    assert code == 2
     assert "unknown config key" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,overrides", [
+    ("gen-data", ["falloff=-1"]),
+    ("gen-data", ["n_objects_min=5", "n_objects_max=2"]),
+    ("quantize", ["search_T=0"]),
+    ("quantize", ["search_alpha=0"]),
+    ("calibrate", ["method=maxmin", "search_T=0"]),
+    ("calibrate", ["method=entropy", "search_alpha=0"]),
+    ("quantize", ["lambda2=-1"]),
+    ("quantize", ["lr_scale=-1"]),
+    ("quantize", ["lr_theta=-1"]),
+    ("quantize", ["lr_scale=nan"]),
+    ("train-fp", ["lr=-1", "epochs=1", "batch=2", "ap_floor=0"]),
+])
+def test_bad_values_fail_before_any_output(
+    tiny_dataset, model_path, tmp_path, capsys, verb, overrides
+):
+    # a value the config refuses is a config error (exit 2), raised before
+    # the verb reads its inputs or creates --out
+    out = tmp_path / "out"
+    if verb == "gen-data":
+        code = main(["gen-data", "--out", str(out), "n_train=2", "n_val=1", *overrides])
+    elif verb == "train-fp":
+        code = main(["train-fp", "--data", str(tiny_dataset.root), "--out", str(out), *overrides])
+    else:
+        code = _run(verb, tiny_dataset, model_path, out, *overrides)
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_undefined_values_are_written_null(tmp_path):

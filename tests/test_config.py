@@ -1,6 +1,7 @@
 """Config parsing and validation: key=value text, type coercion, unknown-key
 rejection, and the pinned defaults the rest of the suite relies on."""
 
+import math
 from argparse import Namespace
 
 import pytest
@@ -112,7 +113,7 @@ class TestPipelineConfig:
         assert cfg.lr_theta == 5e-3
         assert cfg.batch == 4
         assert cfg.method == "lidar-ptq"
-        assert (cfg.alpha_reg, cfg.lambda1, cfg.lambda2) == (0.25, 1.0, 1.0)
+        assert cfg.lambda2 == 1.0
         assert (cfg.search_T, cfg.search_alpha, cfg.search_beta) == (100, 0.01, 1.2)
         assert cfg.optimize_theta is True
 
@@ -130,15 +131,14 @@ class TestPipelineConfig:
         (dict(bits_a=0), "bit-widths"),
         (dict(snapshot_every=0), "snapshot_every"),
         (dict(score_frames=0), "snapshot_every"),
+        (dict(lambda2=-1.0), "lambda2"),
+        (dict(lr_scale=-1.0), "lr_scale"),
+        (dict(lr_theta=math.nan), "lr_theta"),
+        (dict(lr_scale=math.inf), "lr_scale"),
     ])
     def test_validation(self, kwargs, pattern):
         with pytest.raises(ConfigError, match=pattern):
             PipelineConfig(**kwargs)
-
-    def test_derived_loss_weights(self):
-        cfg = PipelineConfig(alpha_reg=0.5, lambda1=2.0, lambda2=0.25)
-        lw = cfg.loss_weights
-        assert (lw.alpha_reg, lw.lambda1, lw.lambda2) == (0.5, 2.0, 0.25)
 
     def test_derived_search_config(self):
         sc = PipelineConfig(search_T=7, search_alpha=0.2, search_beta=0.9).search
@@ -150,7 +150,9 @@ class TestTrainAndGenConfig:
         cfg = TrainConfig()
         assert (cfg.epochs, cfg.lr, cfg.batch, cfg.ap_floor) == (6, 2e-3, 8, 0.6)
 
-    @pytest.mark.parametrize("kwargs", [dict(epochs=0), dict(batch=0), dict(ap_floor=1.5)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(epochs=0), dict(batch=0), dict(ap_floor=1.5), dict(lr=-1e-3), dict(lr=math.nan),
+    ])
     def test_train_validation(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)

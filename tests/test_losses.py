@@ -1,6 +1,6 @@
 """Loss-function tests: focal/L1 against plain-numpy references, target rendering,
 and the per-layer objective of LiDAR-PTQ (`pipeline._layer_losses`): the local
-reconstruction term and its weighting against the task loss."""
+reconstruction term plus lambda2 times the task loss."""
 
 import math
 
@@ -13,7 +13,6 @@ from pillarptq.config import PipelineConfig
 from pillarptq.detector import Box3D, DetectorOutput, GridConfig, REG_CHANNELS
 from pillarptq.losses import (
     HEATMAP_CLAMP,
-    LossWeights,
     draw_gaussian,
     focal_loss,
     gaussian_radius,
@@ -34,14 +33,6 @@ def numpy_focal(pred: np.ndarray, target: np.ndarray) -> float:
     neg = ~pos
     neg_term = ((1 - target[neg]) ** 4 * p[neg] ** 2 * np.log(1 - p[neg])).sum()
     return -(pos_term + neg_term) / n_pos
-
-
-class TestLossWeights:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LossWeights(alpha_reg=-0.1)
-        with pytest.raises(ValueError):
-            LossWeights(lambda2=-1.0)
 
 
 class TestGaussianRadius:
@@ -187,8 +178,7 @@ class TestCompositeLosses:
         hm = rng.uniform(0.05, 0.95, (1, 2, 64, 64)).astype(np.float32)
         reg = rng.normal(size=(1, REG_CHANNELS, 64, 64)).astype(np.float32)
         lab = render_targets([Box3D(1, 1, 0, 1, 2, 4, 0.2, 0)], grid_cfg)
-        w = LossWeights(alpha_reg=0.25)
-        got = float(pseudo_label_loss(DetectorOutput(Tensor(hm), Tensor(reg)), [lab], w).data)
+        got = float(pseudo_label_loss(DetectorOutput(Tensor(hm), Tensor(reg)), [lab]).data)
         want = float(focal_loss(Tensor(hm[0]), lab.heatmap_target).data) + 0.25 * float(
             l1_reg_loss(Tensor(reg[0]), lab.reg_target, lab.reg_mask).data
         )
@@ -200,17 +190,20 @@ class TestCompositeLosses:
         reg = rng.normal(size=(1, REG_CHANNELS, 64, 64)).astype(np.float32)
         batched = DetectorOutput(Tensor(hm), Tensor(reg))
         twice = DetectorOutput(Tensor(np.concatenate([hm, hm])), Tensor(np.concatenate([reg, reg])))
-        a = float(pseudo_label_loss(batched, [lab], LossWeights()).data)
-        b = float(pseudo_label_loss(twice, [lab, lab], LossWeights()).data)
+        a = float(pseudo_label_loss(batched, [lab]).data)
+        b = float(pseudo_label_loss(twice, [lab, lab]).data)
         # both terms are normalized over the batch: a repeated frame changes nothing
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_total_loss_weighting(self, first_layer):
         net, layer, inputs = first_layer
-        cfg = PipelineConfig(lambda1=2.0, lambda2=0.5)
+        cfg = PipelineConfig(lambda2=0.5)
         _, (local, task, total) = layer_losses(net, layer, inputs, cfg)
-        want = 2.0 * float(local.data) + 0.5 * float(task.data)
+        want = float(local.data) + 0.5 * float(task.data)
         assert float(total.data) == pytest.approx(want, rel=1e-6)
+        # lambda2=0 leaves the local term alone: the ablation without TGPL
+        _, (local, _, total) = layer_losses(net, layer, inputs, PipelineConfig(lambda2=0.0))
+        assert float(total.data) == float(local.data)
 
 
 @pytest.fixture()

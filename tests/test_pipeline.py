@@ -162,7 +162,7 @@ def test_task_loss_is_the_deployed_layers_loss(tiny_net, tiny_calib_feats, grid_
         _, task, _ = _layer_losses(qnet, layer, params, x, ref, labels, SMALL)
         network.freeze(layer, QuantParams(s_w, SMALL.bits_w), QuantParams(s_a, SMALL.bits_a))
         out = network.run(qnet, x, qnet.layer_index(layer.name), heads=True)
-        deployed = pseudo_label_loss(DetectorOutput(*out), labels, SMALL.loss_weights)
+        deployed = pseudo_label_loss(DetectorOutput(*out), labels)
         assert task.data.tobytes() == deployed.data.tobytes()
 
 
