@@ -6,10 +6,10 @@ from .quant import (
     EPS_SCALE,
     QuantError,
     QuantParams,
+    clip_scale,
     fake_quant,
     level,
     round_half_away,
-    scale_from_range,
 )
 from .calib import (
     CalibError,
@@ -20,7 +20,6 @@ from .calib import (
     entropy_threshold,
     grid_search_detail,
     kl_divergence,
-    maxmin_range,
 )
 from .network import LayerSpec, Network, NetworkError
 from .detector import (

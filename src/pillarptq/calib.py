@@ -1,8 +1,9 @@
-"""Calibration strategies for picking quantization ranges.
+"""Calibration strategies: each picks a clipping threshold t, and
+`quant.clip_scale` turns it into the symmetric grid that clips at +-t.
 
-Three methods: symmetric max-min, entropy (KL) threshold search over an
-absolute-value histogram, and grid search over candidate clipping thresholds
-minimizing reconstruction MSE.
+Three methods: max-min (t = max|x|), entropy (the KL threshold search over an
+absolute-value histogram) and grid search (the candidate threshold with the
+lowest reconstruction MSE).
 
 The entropy scan returns bitwise what scoring every clip point returns, but
 scores them in ascending order of a closed-form lower bound on their KL and
@@ -21,13 +22,13 @@ again over the whole tensor; see `_direct_mse` and `grid_search_detail`.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quant import EPS_SCALE, QuantParams, level, scale_from_range
+from .quant import QuantParams, clip_scale, level
 
 DEFAULT_BINS = 2048
 _KL_SMOOTH = 1e-10
@@ -77,20 +78,18 @@ class Histogram:
         return int(self.bin_counts.sum())
 
 
-# -- range estimators ---------------------------------------------------------------
+# -- histograms -----------------------------------------------------------------------
 
 
-def maxmin_range(x: np.ndarray) -> Tuple[float, float]:
-    """Symmetric cover of the full dynamic range: (-max|x|, +max|x|)."""
-    x = np.asarray(x)
+def _max_abs(x: np.ndarray, what: str) -> float:
+    """max|x|. Refuses an empty tensor, and a non-finite one through the max
+    itself, which is finite only when every entry is."""
     if x.size == 0:
-        raise CalibError("maxmin_range: empty tensor")
-    if not np.isfinite(x).all():
-        raise CalibError("maxmin_range: non-finite values")
+        raise CalibError(f"{what}: empty tensor")
     m = float(np.abs(x).max())
-    if m == 0.0:
-        return (-EPS_SCALE, EPS_SCALE)
-    return (-m, m)
+    if not math.isfinite(m):
+        raise CalibError(f"{what}: non-finite values")
+    return m
 
 
 def build_histogram(x: np.ndarray, n_bins: int = DEFAULT_BINS) -> Histogram:
@@ -98,9 +97,7 @@ def build_histogram(x: np.ndarray, n_bins: int = DEFAULT_BINS) -> Histogram:
     if n_bins < 2:
         raise CalibError(f"build_histogram: n_bins must be >= 2, got {n_bins}")
     x = np.asarray(x)
-    if x.size == 0 or not np.isfinite(x).all():
-        raise CalibError("build_histogram: empty or non-finite tensor")
-    hi = float(np.abs(x).max())
+    hi = _max_abs(x, "build_histogram")
     if hi == 0.0:
         raise CalibError(
             "build_histogram: all-zero tensor; skip entropy calibration for this layer"
@@ -221,13 +218,12 @@ def _kl_lower_bounds(counts: np.ndarray, levels: int) -> np.ndarray:
 
 class EntropyResult(NamedTuple):
     threshold: float
-    quant_range: Tuple[float, float]
     fallback: bool  # True when the histogram was too degenerate for a KL scan
 
 
 def entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
     """Scan clipping points and keep the one whose quantized distribution
-    stays closest (in KL) to the reference; returns a symmetric range.
+    stays closest (in KL) to the reference; returns its clip threshold.
 
     For each candidate i in [2^(bits-1), N): fold mass beyond bin i into the
     reference's last kept bin, requantize the kept bins to 2^(bits-1) levels,
@@ -255,7 +251,7 @@ def entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
     if nonzero.size == 1 and nonzero[0] < levels:
         # Everything sits in one low bin: a KL scan is meaningless, cover it.
         t = (int(nonzero[0]) + 1) * h.bin_width
-        return EntropyResult(t, (-t, t), fallback=True)
+        return EntropyResult(t, fallback=True)
 
     counts = h.bin_counts
     bounds = _kl_lower_bounds(counts, levels)
@@ -267,8 +263,7 @@ def entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
         kl = kl_divergence(*_candidate_distributions(counts, i, levels))
         if kl < best_kl or (kl == best_kl and i < best_i):
             best_kl, best_i = kl, i
-    t = (best_i + 0.5) * h.bin_width
-    return EntropyResult(t, (-t, t), fallback=False)
+    return EntropyResult((best_i + 0.5) * h.bin_width, fallback=False)
 
 
 # -- grid search ----------------------------------------------------------------------
@@ -287,21 +282,10 @@ def candidate_thresholds(t_max: float, cfg: SearchConfig) -> np.ndarray:
 
 
 class GridSearchInfo(NamedTuple):
-    """A grid search's scale and clip; `mse` and `maxmin_mse` are scored when read."""
+    """A grid search's clip threshold and the grid `clip_scale` makes of it."""
 
     params: QuantParams
     threshold: float
-    degenerate: bool
-    score: Callable[[float], float]  # a scale's MSE on the searched tensor, which it holds
-    maxmin_scale: float
-
-    @property
-    def mse(self) -> float:
-        return self.score(self.params.scale)
-
-    @property
-    def maxmin_mse(self) -> float:
-        return self.score(self.maxmin_scale)
 
 
 def _direct_mse(x: np.ndarray, p: QuantParams) -> float:
@@ -401,30 +385,24 @@ def grid_search_detail(
     one the ranking's rounding bound cannot rule out, almost always one.
     Only those, when more than one is left, are scored with the formula
     itself, over the whole tensor (see `_direct_mse`), so the winner is the
-    brute-force one. Its MSE and the max-min MSE are scored the same way when
-    first read: a caller that needs only the scale pays no scoring pass. Cost:
-    a sort of the nonzeros, then per candidate min(2^(bits-1) log N, N), plus
-    one scoring pass, in one buffer, per scored scale.
+    brute-force one. Cost: a sort of the nonzeros, then per candidate
+    min(2^(bits-1) log N, N), plus one scoring pass, in one buffer, per
+    scored scale. An all-zero tensor clips at 0.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise CalibError("grid_search_detail: empty tensor")
-    if not np.isfinite(x).all():
-        raise CalibError("grid_search_detail: non-finite values")
-    t_max = float(np.abs(x).max())
+    t_max = _max_abs(x, "grid_search_detail")
     if t_max == 0.0:
-        p = QuantParams(scale=EPS_SCALE, bits=bits)
-        return GridSearchInfo(p, EPS_SCALE, True, lambda scale: 0.0, EPS_SCALE)
+        return GridSearchInfo(QuantParams(clip_scale(0.0, bits), bits), 0.0)
 
     thresholds = candidate_thresholds(t_max, cfg)
-    scales = [scale_from_range(-t, t, bits) for t in thresholds]
-    mse = functools.cache(lambda scale: _direct_mse(x, QuantParams(scale, bits)))
+    scales = [clip_scale(t, bits) for t in thresholds]
     best, *rest = _shortlist(x[x != 0.0], scales, bits)
     if rest:  # candidates the ranking cannot tell apart: the formula decides
-        best = min((best, *rest), key=lambda c: (mse(scales[c]), -thresholds[c]))
-    p = QuantParams(scale=scales[best], bits=bits)
-    maxmin = scale_from_range(-t_max, t_max, bits)
-    return GridSearchInfo(p, float(thresholds[best]), False, mse, maxmin)
+        best = min(
+            (best, *rest),
+            key=lambda c: (_direct_mse(x, QuantParams(scales[c], bits)), -thresholds[c]),
+        )
+    return GridSearchInfo(QuantParams(scales[best], bits), float(thresholds[best]))
 
 
 # -- per-layer dispatch ---------------------------------------------------------------
@@ -448,11 +426,17 @@ def calibrate_layer(
     cfg: SearchConfig = SearchConfig(),
     n_bins: int = DEFAULT_BINS,
 ) -> LayerCalibration:
-    """Pick weight and activation QuantParams from pooled calibration batches.
+    """Pick weight and activation QuantParams from pooled calibration batches:
+    each method picks a clip threshold per tensor, `clip_scale` its grid.
 
-    maxmin:      symmetric full-range cover for both tensors.
-    entropy:     KL threshold for activations, max-min for weights.
-    maxmin_grid: grid-search refined scales for both tensors.
+    maxmin:      max|x| for both tensors.
+    entropy:     the KL threshold for activations, max|w| for weights.
+    maxmin_grid: the grid search's threshold for both tensors.
+
+    The MSEs are those of the pooled activations at the chosen scale and at
+    the max-min one. Two rules hold for every method: a non-finite
+    activation or weight raises CalibError, and an all-zero tensor gets
+    `EPS_SCALE` (an all-zero activation tensor, MSEs of 0.0).
     """
     if method not in METHODS:
         raise CalibError(f"unknown calibration method {method!r}")
@@ -461,36 +445,25 @@ def calibrate_layer(
         raise CalibError("empty calibration set")
     pooled = np.concatenate(batches, dtype=np.float64)
     weights = np.asarray(weights)
+    a_max = _max_abs(pooled, "calibrate_layer activations")
+    t_w = _max_abs(weights, "calibrate_layer weights")
+    t_a, fallback = a_max, method == "entropy"  # an all-zero tensor has no KL scan
 
-    # Not finite unless every activation is; each method's range check rejects it.
-    a_max = float(np.abs(pooled).max())
-    w_params = QuantParams(scale_from_range(*maxmin_range(weights), bits), bits)
-    fallback = False
-
-    if method == "maxmin":
-        lo, hi = (-EPS_SCALE, EPS_SCALE) if a_max == 0.0 else (-a_max, a_max)
-        a_params = QuantParams(scale_from_range(lo, hi, bits), bits)
-    elif method == "entropy":
-        if a_max == 0.0:
-            a_params = QuantParams(EPS_SCALE, bits)
-            fallback = True
-        else:
-            # Exact zeros are representable under every symmetric scale, so
-            # they say nothing about where to clip; with sparse BEV maps they
-            # would otherwise swamp bin 0 and drag the threshold to the
-            # smallest candidate.
-            nonzeros = np.concatenate([b[b != 0.0] for b in batches])
-            res = entropy_threshold(build_histogram(nonzeros, n_bins), bits)
-            fallback = res.fallback
-            a_params = QuantParams(scale_from_range(*res.quant_range, bits), bits)
-    else:  # maxmin_grid
-        w_params = grid_search_detail(weights, bits, cfg).params
-        info = grid_search_detail(pooled, bits, cfg)
-        return LayerCalibration(w_params, info.params, False, info.mse, info.maxmin_mse)
+    if method == "maxmin_grid":
+        t_w = grid_search_detail(weights, bits, cfg).threshold
+        t_a = grid_search_detail(pooled, bits, cfg).threshold
+    elif method == "entropy" and a_max > 0.0:
+        # Exact zeros are representable under every symmetric scale, so they
+        # say nothing about where to clip; with sparse BEV maps they would
+        # otherwise swamp bin 0 and drag the threshold to the smallest
+        # candidate.
+        nonzeros = np.concatenate([b[b != 0.0] for b in batches])
+        t_a, fallback = entropy_threshold(build_histogram(nonzeros, n_bins), bits)
+    w_params, a_params = (QuantParams(clip_scale(t, bits), bits) for t in (t_w, t_a))
 
     if a_max == 0.0:
         return LayerCalibration(w_params, a_params, fallback, 0.0, 0.0)
     a_mse = _direct_mse(pooled, a_params)
-    mm = QuantParams(scale_from_range(-a_max, a_max, bits), bits)
+    mm = QuantParams(clip_scale(a_max, bits), bits)
     a_maxmin_mse = a_mse if mm == a_params else _direct_mse(pooled, mm)
     return LayerCalibration(w_params, a_params, fallback, a_mse, a_maxmin_mse)

@@ -91,14 +91,14 @@ class GenConfig:
     n_train: int = 2000
     n_val: int = 200
     seed: int = 0
-    n_objects_min: int = 3
-    n_objects_max: int = 8
-    falloff: float = 1.8
-    base_points: int = 900
-    ref_range: float = 8.0
-    clutter_points: int = 1400
-    sensor_range: float = 32.0
-    min_range: float = 3.0
+    n_objects_min: int = SceneSpec.n_objects_min
+    n_objects_max: int = SceneSpec.n_objects_max
+    falloff: float = SceneSpec.falloff
+    base_points: int = SceneSpec.base_points
+    ref_range: float = SceneSpec.ref_range
+    clutter_points: int = SceneSpec.clutter_points
+    sensor_range: float = SceneSpec.sensor_range
+    min_range: float = SceneSpec.min_range
 
     def __post_init__(self):
         if self.n_train < 1 or self.n_val < 1:

@@ -17,9 +17,9 @@ heads. A version 2 record is
     <I bias length, float32 bias
 
 The scheme is symmetric, so the zero point slot is always 0; the reader
-refuses any other value, and any other flag. An int8 record has flag 1 and a
-float record no quantizer flag. The `<d` scale is the one the layer holds,
-rounded to the engine dtype, float32, by `network.freeze`
+refuses any other value, and any other flag. An int8 record has flags 3,
+both quantizers, and a float record flags 0. The `<d` scale is the one the
+layer holds, rounded to the engine dtype, float32, by `network.freeze`
 (`network.engine_grid`).
 
 An int8 layer's weight is the integer codes the layer holds, little-endian
@@ -55,6 +55,7 @@ _PREC_INV = {v: k for k, v in _PREC.items()}
 
 _FLAG_WQ, _FLAG_AQ = 1, 2
 _FLAGS = (_FLAG_WQ, _FLAG_AQ)
+_INT8_FLAGS = _FLAG_WQ | _FLAG_AQ  # an int8 layer holds both quantizers
 
 
 class ModelIOError(IOError):
@@ -70,11 +71,7 @@ def _code_dtype(q: QuantParams) -> np.dtype:
 
 def _pack_layer(layer: LayerSpec, role: int) -> bytes:
     name = layer.name.encode("utf-8")
-    flags = 0
-    if layer.w_quant is not None:
-        flags |= _FLAG_WQ
-    if layer.a_quant is not None:
-        flags |= _FLAG_AQ
+    flags = 0 if layer.w_quant is None else _INT8_FLAGS
     out = [
         struct.pack("<H", len(name)),
         name,
@@ -142,7 +139,7 @@ def _read_layer(r: _Reader):
         raise ModelIOError(f"{name}: stride {stride} < 1")
     if flags & ~sum(_FLAGS):
         raise ModelIOError(f"{name}: unknown quantizer flags {flags}")
-    if (_PREC_INV[prec] == "int8") != bool(flags & _FLAG_WQ):
+    if flags != (_INT8_FLAGS if _PREC_INV[prec] == "int8" else 0):
         raise ModelIOError(f"{name}: precision code {prec} with quantizer flags {flags}")
     w_quant, a_quant = [_read_quantizer(r, name) if flags & f else None for f in _FLAGS]
     (ndim,) = r.unpack("<B")

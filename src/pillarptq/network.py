@@ -1,12 +1,13 @@
 """Conv layers with their quantization state, and `run`, the one forward
 over an ordered layer stack.
 
-A layer is "int8" exactly when it holds a weight quantizer, and "fp"
-otherwise; `precision` reads that, it is not set. `freeze` is the one place
-that makes a layer int8: it replaces the float weight by its integer codes,
-any learned rounding offsets folded in, and holds `engine_grid` quantizers,
-the scales rounded to the engine dtype. The codes and scales are what the
-model file stores. Offsets are optimizer state and never outlive the freeze.
+A layer is "int8" exactly when it holds its weight and activation
+quantizers, and "fp" when it holds neither; `precision` reads that, it is
+not set. `freeze` is the one place that makes a layer int8: it replaces the
+float weight by its integer codes, any learned rounding offsets folded in,
+and holds `engine_grid` quantizers, the scales rounded to the engine dtype.
+The codes and scales are what the model file stores. Offsets are optimizer
+state and never outlive the freeze.
 
 The int8 forward is integer arithmetic plus one rescale (Jacob et al.): the
 input's levels k_x, no tape and no masks; acc = conv(k_x, k_w), in a dtype
@@ -38,9 +39,9 @@ class NetworkError(ValueError):
 class LayerSpec:
     """One conv layer plus its per-layer quantization state.
 
-    An int8 layer (one with a `w_quant`) holds `engine_grid` quantizers and,
-    as its weight, integer codes inside the `w_quant` range; `freeze` and the
-    model reader are what set them. An `a_quant` needs a `w_quant`.
+    An int8 layer holds both `engine_grid` quantizers and, as its weight,
+    integer codes inside the `w_quant` range; `freeze` and the model reader
+    are what set them. A float layer holds neither quantizer.
     """
 
     name: str
@@ -63,8 +64,8 @@ class LayerSpec:
             )
         if self.activation not in ("relu", "none"):
             raise NetworkError(f"{self.name}: unknown activation {self.activation!r}")
-        if self.a_quant is not None and self.w_quant is None:
-            raise NetworkError(f"{self.name}: activation quantizer without a weight quantizer")
+        if (self.a_quant is None) != (self.w_quant is None):
+            raise NetworkError(f"{self.name}: a layer holds both quantizers or neither")
         q, w = self.w_quant, self.weight
         if q is not None and not (
             np.issubdtype(w.dtype, np.integer) and np.all((q.q_min <= w) & (w <= q.q_max))
@@ -146,7 +147,7 @@ def engine_grid(q: QuantParams) -> QuantParams:
 def freeze(
     layer: LayerSpec,
     w_quant: QuantParams,
-    a_quant: Optional[QuantParams],
+    a_quant: QuantParams,
     offsets: Optional[np.ndarray] = None,
 ) -> None:
     """Put `layer` in int8 mode: it holds `engine_grid` of these quantizers,
@@ -171,7 +172,7 @@ def freeze(
     codes = level(np.asarray(layer.weight, dtype), grid, theta)
     layer.weight = codes.astype(grid.code_dtype)
     layer.w_quant = grid
-    layer.a_quant = None if a_quant is None else engine_grid(a_quant)
+    layer.a_quant = engine_grid(a_quant)
 
 
 def _int8_conv(x: Tensor, layer: LayerSpec) -> Tensor:
@@ -180,22 +181,16 @@ def _int8_conv(x: Tensor, layer: LayerSpec) -> Tensor:
     The codes' GEMM in float32 is exact while no partial sum can pass 2^24:
     K * 2^(bits_a - 1) * 2^(bits_w - 1) <= 2^24, up to K = 1024 at 8 bits.
     Wider sums run in float64, exact up to 2^53, and wider ones than that
-    are refused. Without an activation quantizer the input is convolved as
-    given and scaled by s_w.
+    are refused.
     """
     w_q, a_q = layer.w_quant, layer.a_quant
-    if a_q is None:
-        acc = ad.conv2d(x.data, layer.weight, None, layer.stride, layer.padding).data
-        scale = w_q.scale
-    else:
-        bound = layer.weight[0].size << (a_q.bits + w_q.bits - 2)
-        if bound > 1 << 53:
-            raise NetworkError(f"{layer.name}: no float64 sum of its codes is exact")
-        k_x = level(x.data, a_q)
-        with ad.using_dtype(np.float64 if bound > 1 << 24 else ad.current_dtype()):
-            acc = ad.conv2d(k_x, layer.weight, None, layer.stride, layer.padding).data
-        scale = a_q.scale * w_q.scale
-    acc *= scale  # in place: the conv's output array is this call's own
+    bound = layer.weight[0].size << (a_q.bits + w_q.bits - 2)
+    if bound > 1 << 53:
+        raise NetworkError(f"{layer.name}: no float64 sum of its codes is exact")
+    k_x = level(x.data, a_q)
+    with ad.using_dtype(np.float64 if bound > 1 << 24 else ad.current_dtype()):
+        acc = ad.conv2d(k_x, layer.weight, None, layer.stride, layer.padding).data
+    acc *= a_q.scale * w_q.scale  # in place: the conv's output array is this call's own
     acc += layer.bias.reshape(1, -1, 1, 1)
     return Tensor(acc)
 

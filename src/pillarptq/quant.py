@@ -3,6 +3,11 @@
 The scheme has no zero point: a scale and a bit-width define the grid, the
 integer range is [-2^(bits-1), 2^(bits-1) - 1] and level 0 is the value 0.
 
+`clip_scale` is the one clip rule: a grid that clips at +-t has the scale
+2t / (2^bits - 1). Every calibrator in `calib` picks a threshold t (max|x|,
+the KL scan's clip, the grid search's best candidate) and this turns it into
+a scale; an all-zero tensor (t = 0) gets `EPS_SCALE`.
+
 `level` is the one level rule: round half away from zero, optionally steered
 up by a rounding offset, then clamp to the range. Every code in the toolkit
 comes from it: `fake_quant` and `calib._direct_mse` (numpy round trips, the
@@ -93,11 +98,13 @@ def _check_finite(x: np.ndarray) -> None:
         raise QuantError(f"non-finite input element at index {idx}")
 
 
-def scale_from_range(x_min: float, x_max: float, bits: int) -> float:
-    """Derive the scale from a quantization range: (x_max - x_min) / (2^bits - 1)."""
-    if not (x_max > x_min):
-        raise QuantError(f"need x_max > x_min, got [{x_min}, {x_max}]")
-    return (float(x_max) - float(x_min)) / (2 ** int(bits) - 1)
+def clip_scale(t: float, bits: int) -> float:
+    """The scale of the symmetric grid that clips at +-t: 2t / (2^bits - 1),
+    and `EPS_SCALE` at t = 0. Every calibrator picks a threshold t; this is
+    the one place it becomes a scale."""
+    if not 0.0 <= t < math.inf:
+        raise QuantError(f"need a finite clip threshold >= 0, got {t!r}")
+    return 2.0 * float(t) / (2 ** int(bits) - 1) if t > 0.0 else EPS_SCALE
 
 
 def fake_quant(x: np.ndarray, p: QuantParams) -> np.ndarray:

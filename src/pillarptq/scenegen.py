@@ -57,8 +57,16 @@ class SceneSpec:
             raise ValueError("densities must be non-negative")
         if self.n_clusters_min < 0 or self.n_clusters_max < self.n_clusters_min:
             raise ValueError("bad cluster-count range")
-        if not 0 <= self.cluster_range_min <= self.sensor_range:
-            raise ValueError("cluster_range_min outside sensor range")
+        # Clutter radii start at 1 m; objects and clusters end at 0.95 x range.
+        if not self.sensor_range > 1.0:
+            raise ValueError(f"sensor_range must be > 1 m, got {self.sensor_range}")
+        if not self.ref_range > 0.0:
+            raise ValueError(f"ref_range must be > 0, got {self.ref_range}")
+        far = 0.95 * self.sensor_range
+        if not 0 <= self.min_range < far:
+            raise ValueError(f"min_range must be in [0, {far}), got {self.min_range}")
+        if not 0 <= self.cluster_range_min <= far:
+            raise ValueError(f"cluster_range_min must be in [0, {far}]")
         for mean, _ in self.sizes.values():
             if min(mean) <= 0:
                 raise ValueError("object sizes must be positive")

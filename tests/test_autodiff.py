@@ -589,8 +589,9 @@ class TestFakeQuantOp:
             # its ends
             w = np.full((4, 1, 1, 1), 0.52)
             raw, boxed = LayerSpec("c", w, np.zeros(4)), LayerSpec("c", w, np.zeros(4))
-            freeze(raw, QuantParams(s), None, np.array([-0.02, 0.0, 0.12, 5.0]).reshape(w.shape))
-            freeze(boxed, QuantParams(s), None, np.array([0.0, 0.0, s, s]).reshape(w.shape))
+            a = QuantParams(1.0)
+            freeze(raw, QuantParams(s), a, np.array([-0.02, 0.0, 0.12, 5.0]).reshape(w.shape))
+            freeze(boxed, QuantParams(s), a, np.array([0.0, 0.0, s, s]).reshape(w.shape))
             np.testing.assert_array_equal(raw.weight, boxed.weight)
             np.testing.assert_array_equal(raw.weight.ravel(), [5, 5, 6, 6])
 

@@ -24,9 +24,8 @@ from pillarptq.calib import (
     entropy_threshold,
     grid_search_detail,
     kl_divergence,
-    maxmin_range,
 )
-from pillarptq.quant import EPS_SCALE, QuantError, QuantParams, fake_quant, scale_from_range
+from pillarptq.quant import EPS_SCALE, QuantParams, clip_scale, fake_quant
 
 
 # -- naive references -----------------------------------------------------------------
@@ -94,18 +93,27 @@ def naive_grid_search(x: np.ndarray, bits: int, cfg: SearchConfig):
 
 def brute_force_grid_search(x: np.ndarray, bits: int, cfg: SearchConfig):
     """One fake_quant pass over the whole tensor per candidate; returns the
-    four fields a grid search reports."""
+    threshold, scale and MSE of the best candidate and the max-min MSE."""
     x = np.asarray(x, dtype=np.float64)
     t_max = float(np.abs(x).max())
     mse_of = {}
     best = None
     for t in candidate_thresholds(t_max, cfg):
-        s = scale_from_range(-t, t, bits)
+        s = clip_scale(t, bits)
         err = x - fake_quant(x, QuantParams(s, bits))
         mse_of[s] = float(np.mean(err * err))
         if best is None or mse_of[s] < best[2] or (mse_of[s] == best[2] and t > best[0]):
             best = (float(t), s, mse_of[s])
-    return best + (mse_of[scale_from_range(-t_max, t_max, bits)],)
+    return best + (mse_of[clip_scale(t_max, bits)],)
+
+
+def searched_mses(x: np.ndarray, info):
+    """The MSEs of a grid search's grid and of the max-min grid over x, scored
+    as `calibrate_layer` scores them."""
+    x = np.asarray(x, dtype=np.float64)
+    bits = info.params.bits
+    maxmin = QuantParams(clip_scale(float(np.abs(x).max()), bits), bits)
+    return calib._direct_mse(x, info.params), calib._direct_mse(x, maxmin)
 
 
 def scatter_direct_mse(x: np.ndarray, nonzero: np.ndarray, p: QuantParams) -> float:
@@ -145,7 +153,7 @@ def grid_inputs(draw):
     t_max = draw(st.floats(1e-6, 1e3))
     x = [t_max * draw(st.sampled_from([1.0, -1.0]))]
     x += [t_max * v for v in draw(st.lists(st.floats(-1.0, 1.0), max_size=40))]
-    scales = [scale_from_range(-t, t, bits) for t in candidate_thresholds(t_max, cfg)]
+    scales = [clip_scale(t, bits) for t in candidate_thresholds(t_max, cfg)]
     s = scales[draw(st.integers(0, len(scales) - 1))]
     top = (1 << (bits - 1)) + 2
     ties = ((k + 0.5) * s for k in draw(st.lists(st.integers(-top, top), max_size=20)))
@@ -197,25 +205,6 @@ class TestHistogram:
         np.testing.assert_array_equal(parts[0] + parts[1], whole.bin_counts)
 
 
-# -- range estimators -----------------------------------------------------------------
-
-
-class TestMaxminRange:
-    def test_symmetric_cover(self):
-        lo, hi = maxmin_range(np.array([-3.0, 2.0, 0.5]))
-        assert (lo, hi) == (-3.0, 3.0)
-
-    def test_zero_tensor_gets_epsilon_range(self):
-        lo, hi = maxmin_range(np.zeros(5))
-        assert (lo, hi) == (-EPS_SCALE, EPS_SCALE)
-
-    def test_rejects_empty_and_non_finite(self):
-        with pytest.raises(CalibError):
-            maxmin_range(np.array([]))
-        with pytest.raises(CalibError):
-            maxmin_range(np.array([1.0, np.inf]))
-
-
 # -- KL divergence --------------------------------------------------------------------
 
 
@@ -262,7 +251,6 @@ class TestEntropyThreshold:
         h = build_histogram(x, n_bins=512)
         res = entropy_threshold(h, bits=8)
         assert res.threshold < 40.0 * 0.5  # far below the lone outlier
-        assert res.quant_range == (-res.threshold, res.threshold)
 
     def test_single_low_bin_falls_back_to_cover(self):
         counts = np.zeros(300, dtype=np.int64)
@@ -317,13 +305,14 @@ class TestGridSearch:
             want_t, want_s, want_mse = naive_grid_search(x, 8, cfg)
             assert info.threshold == want_t
             assert info.params.scale == want_s
-            assert info.mse == want_mse
+            assert searched_mses(x, info)[0] == want_mse
 
     def test_never_worse_than_full_range(self, rng):
         x = rng.standard_t(3, size=3000)
         info = grid_search_detail(x, bits=8)
-        assert info.mse <= info.maxmin_mse
-        assert not info.degenerate
+        mse, maxmin_mse = searched_mses(x, info)
+        assert mse <= maxmin_mse
+        assert info.threshold > 0.0
 
     def test_heavy_tails_pull_threshold_inward(self, rng):
         # the squared clip penalty keeps rare lone spikes covered, but a
@@ -331,11 +320,13 @@ class TestGridSearch:
         x = rng.standard_t(2, size=20000)
         info = grid_search_detail(x, bits=8)
         assert info.threshold < float(np.abs(x).max())
-        assert info.mse < info.maxmin_mse
+        mse, maxmin_mse = searched_mses(x, info)
+        assert mse < maxmin_mse
 
     def test_zero_tensor_is_degenerate(self):
+        # it clips at 0, and the grid that clips at 0 has EPS_SCALE
         info = grid_search_detail(np.zeros(10))
-        assert info.degenerate
+        assert info.threshold == 0.0
         assert info.params.scale == EPS_SCALE
 
     def test_rejects_empty_and_non_finite(self):
@@ -352,8 +343,7 @@ class TestGridSearch:
         want_t, want_s, want_mse, want_maxmin = brute_force_grid_search(x, bits, cfg)
         assert info.threshold == want_t
         assert info.params == QuantParams(want_s, bits)
-        assert info.mse == want_mse
-        assert info.maxmin_mse == want_maxmin
+        assert searched_mses(x, info) == (want_mse, want_maxmin)
 
     @pytest.mark.parametrize("bits", [8, 32])
     def test_scores_few_candidates_in_full(self, rng, monkeypatch, bits):
@@ -372,12 +362,13 @@ class TestGridSearch:
 
         monkeypatch.setattr(calib, "_direct_mse", counting)
         info = grid_search_detail(x, bits=bits, cfg=cfg)
+        monkeypatch.setattr(calib, "_direct_mse", scorer)
         want_t, want_s, want_mse, want_maxmin = brute_force_grid_search(x, bits, cfg)
-        assert (info.threshold, info.params.scale, info.mse, info.maxmin_mse) == (
-            want_t, want_s, want_mse, want_maxmin
-        )
-        assert all(values is calls[0][0] for values, _ in calls)
-        np.testing.assert_array_equal(calls[0][0], x)
+        assert (info.threshold, info.params.scale) == (want_t, want_s)
+        assert searched_mses(x, info) == (want_mse, want_maxmin)
+        for values, _ in calls:
+            assert values is calls[0][0]
+            np.testing.assert_array_equal(values, x)
         scales = [s for _, s in calls]
         assert len(set(scales)) == len(scales)  # no scale is scored twice
         if bits == 8:
@@ -385,26 +376,19 @@ class TestGridSearch:
         else:
             t_max = float(x.max())
             assert sorted(scales) == sorted(
-                {scale_from_range(-t, t, bits) for t in candidate_thresholds(t_max, cfg)}
+                {clip_scale(t, bits) for t in candidate_thresholds(t_max, cfg)}
             )
 
-    def test_reading_only_the_scale_scores_nothing(self, rng, monkeypatch):
-        # the ranking leaves one candidate here, so the formula first runs
-        # when a caller reads an MSE, and once per scale
+    def test_scores_nothing_when_the_shortlist_holds_one_candidate(self, rng, monkeypatch):
+        # the ranking leaves one candidate here, so the formula never runs
         x = np.maximum(rng.normal(size=20000), 0.0)
-        cfg, calls, scorer = SearchConfig(T=20), [], calib._direct_mse
-
-        def counting(values, p):
-            calls.append(p.scale)
-            return scorer(values, p)
-
-        monkeypatch.setattr(calib, "_direct_mse", counting)
+        cfg, calls = SearchConfig(T=20), []
+        scales = [clip_scale(t, 8) for t in candidate_thresholds(float(x.max()), cfg)]
+        assert len(calib._shortlist(x[x != 0.0], scales, 8)) == 1
+        monkeypatch.setattr(calib, "_direct_mse", lambda values, p: calls.append(p.scale))
         info = grid_search_detail(x, bits=8, cfg=cfg)
         assert calls == []
-        _, want_s, want_mse, want_maxmin = brute_force_grid_search(x, 8, cfg)
-        assert info.params.scale == want_s
-        assert (info.mse, info.maxmin_mse, info.mse) == (want_mse, want_maxmin, want_mse)
-        assert calls == [want_s, scale_from_range(-x.max(), x.max(), 8)]
+        assert info.params.scale == brute_force_grid_search(x, 8, cfg)[1]
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.lists(st.floats(-100, 100), min_size=8, max_size=64), t_seed=st.integers(0, 10))
@@ -413,7 +397,8 @@ class TestGridSearch:
         if np.abs(x).max() == 0:
             return
         info = grid_search_detail(x, bits=8, cfg=SearchConfig(T=10 + t_seed))
-        assert info.mse <= info.maxmin_mse + 1e-18
+        mse, maxmin_mse = searched_mses(x, info)
+        assert mse <= maxmin_mse + 1e-18
 
 
 class TestDirectMse:
@@ -438,10 +423,8 @@ class TestCalibrateLayer:
         w = rng.normal(0, 0.2, (8, 4, 3, 3))
         a_max = max(float(np.abs(a).max()) for a in acts)
         res = calibrate_layer(acts, w, method="maxmin")
-        assert res.a_params.scale == scale_from_range(-a_max, a_max, 8)
-        assert res.w_params.scale == scale_from_range(
-            -np.abs(w).max(), np.abs(w).max(), 8
-        )
+        assert res.a_params.scale == clip_scale(a_max, 8)
+        assert res.w_params.scale == clip_scale(np.abs(w).max(), 8)
         assert not res.entropy_fallback
 
     def test_entropy_clips_tighter_than_maxmin_on_outliers(self, rng):
@@ -488,7 +471,7 @@ class TestCalibrateLayer:
                 width = float(edges[1] - edges[0])
         want = entropy_threshold(Histogram(counts, width), bits=8)
         assert res.entropy_fallback == want.fallback
-        assert res.a_params == QuantParams(scale_from_range(*want.quant_range, 8), 8)
+        assert res.a_params == QuantParams(clip_scale(want.threshold, 8), 8)
 
     def test_all_zero_activations(self):
         w = np.ones((2, 2, 1, 1))
@@ -496,7 +479,7 @@ class TestCalibrateLayer:
         assert res.entropy_fallback
         assert res.a_params.scale == EPS_SCALE
         res = calibrate_layer([np.zeros((1, 8))], w, method="maxmin")
-        assert res.a_params.scale == scale_from_range(-EPS_SCALE, EPS_SCALE, 8)
+        assert res.a_params.scale == EPS_SCALE
 
     def test_grid_method_refines_both_tensors(self, rng):
         acts = [rng.standard_t(2, 30000)]
@@ -526,15 +509,16 @@ class TestCalibrateLayer:
             return float(np.mean(err * err))
 
         assert res.a_mse == mse(res.a_params)
-        assert res.a_maxmin_mse == mse(QuantParams(scale_from_range(-a_max, a_max, 8)))
+        assert res.a_maxmin_mse == mse(QuantParams(clip_scale(a_max, 8)))
 
     @pytest.mark.parametrize(
         "method,error",
-        [("maxmin", QuantError), ("entropy", CalibError), ("maxmin_grid", CalibError)],
+        [("maxmin", CalibError), ("entropy", CalibError), ("maxmin_grid", CalibError)],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_activations_raise(self, method, error, bad):
-        # the pooled tensor is checked once, whichever batch holds the value
+        # the pooled tensor is checked once, whichever batch holds the value,
+        # and every method raises the same error
         w = np.ones((2, 2, 1, 1))
         for acts in (
             [np.array([1.0, bad, 2.0])],
@@ -543,6 +527,28 @@ class TestCalibrateLayer:
         ):
             with pytest.raises(error):
                 calibrate_layer(acts, w, method=method)
+
+    @pytest.mark.parametrize("method", calib.METHODS)
+    @pytest.mark.parametrize("tensor", ["activations", "weights"])
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf, -np.inf])
+    def test_one_edge_case_rule_for_every_method(self, rng, method, tensor, value):
+        # an all-zero tensor gets EPS_SCALE (all-zero activations, MSEs of
+        # 0.0); a non-finite entry in either tensor raises CalibError
+        acts, w = np.abs(rng.normal(size=(4, 50))), rng.normal(size=(2, 2, 3, 3))
+        x = acts if tensor == "activations" else w
+        if value == 0.0:
+            x[...] = 0.0
+        else:
+            x.flat[7] = value
+            with pytest.raises(CalibError):
+                calibrate_layer([acts], w, method=method)
+            return
+        res = calibrate_layer([acts], w, method=method)
+        if tensor == "weights":
+            assert res.w_params.scale == EPS_SCALE
+        else:
+            assert res.a_params.scale == EPS_SCALE
+            assert (res.a_mse, res.a_maxmin_mse) == (0.0, 0.0)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(CalibError):

@@ -314,6 +314,10 @@ def test_train_fp_takes_no_scoring_keys(tiny_dataset, model_path, tmp_path, caps
     ("quantize", ["lr_theta=-1"]),
     ("quantize", ["lr_scale=nan"]),
     ("train-fp", ["lr=-1", "epochs=1", "batch=2", "ap_floor=0"]),
+    ("gen-data", ["min_range=-5"]),
+    ("gen-data", ["min_range=31"]),
+    ("gen-data", ["ref_range=0"]),
+    ("gen-data", ["sensor_range=0.5"]),
 ])
 def test_bad_values_fail_before_any_output(
     tiny_dataset, model_path, tmp_path, capsys, verb, overrides

@@ -170,3 +170,8 @@ class TestTrainAndGenConfig:
         from pillarptq.scenegen import SceneSpec
 
         assert spec.cluster_points == SceneSpec().cluster_points
+
+    def test_gen_scene_defaults_are_scene_spec_defaults(self):
+        from pillarptq.scenegen import SceneSpec
+
+        assert GenConfig().scene_spec() == SceneSpec()

@@ -1,6 +1,8 @@
 """The bound-and-rescore entropy scan against the plain scan it replaced,
-kept here verbatim as `ref_entropy_threshold`. Results are compared bitwise:
-the same threshold float, range and fallback flag."""
+kept here verbatim as `ref_entropy_threshold`, except that it returns the
+threshold alone, as `EntropyResult` now holds it, not the symmetric range
+too. Results are compared bitwise: the same threshold float and fallback
+flag."""
 
 import tracemalloc
 
@@ -26,7 +28,7 @@ from pillarptq.pipeline import run_baseline_calibration
 
 def ref_entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
     """Scan clipping points and keep the one whose quantized distribution
-    stays closest (in KL) to the reference; returns a symmetric range.
+    stays closest (in KL) to the reference; returns its clip threshold.
 
     For each candidate i in [2^(bits-1), N): fold mass beyond bin i into the
     reference's last kept bin, requantize the kept bins to 2^(bits-1) levels,
@@ -43,7 +45,7 @@ def ref_entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
     if nonzero.size == 1 and nonzero[0] < levels:
         # Everything sits in one low bin: a KL scan is meaningless, cover it.
         t = (int(nonzero[0]) + 1) * h.bin_width
-        return EntropyResult(t, (-t, t), fallback=True)
+        return EntropyResult(t, fallback=True)
 
     counts = h.bin_counts
     best_i, best_kl = -1, np.inf
@@ -53,7 +55,7 @@ def ref_entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
         if kl < best_kl:
             best_kl, best_i = kl, i
     t = (best_i + 0.5) * h.bin_width
-    return EntropyResult(t, (-t, t), fallback=False)
+    return EntropyResult(t, fallback=False)
 
 
 # -- histograms -------------------------------------------------------------------------

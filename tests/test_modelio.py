@@ -235,6 +235,18 @@ class TestCorruption:
         with pytest.raises(ModelIOError, match="with quantizer flags"):
             load_model(tmp_path / "f.ptqf")
 
+    def test_int8_record_with_the_weight_quantizer_alone(self, tmp_path, grid_cfg):
+        # an int8 record holds both quantizers (flags 3); a record that holds
+        # the weight's alone (flag 1) is refused
+        raw = saved(tmp_path / "w.ptqf", quantize_some_layers(build_detector(grid_cfg)))
+        rec = v2_records(raw)[1]
+        at, _, _ = rec.quants[1]
+        raw = bytearray(raw[:at] + raw[at + 13 :])
+        raw[rec.head + 5] = 1
+        (tmp_path / "w.ptqf").write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError, match="precision code 1 with quantizer flags 1"):
+            load_model(tmp_path / "w.ptqf")
+
     def test_offsets_flag_in_a_version_2_file(self, tmp_path, grid_cfg):
         # flag 4 marked a version 1 offsets record; version 2 knows flags 1 and 2
         raw = bytearray(saved(tmp_path / "o.ptqf", quantize_some_layers(build_detector(grid_cfg))))

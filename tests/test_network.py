@@ -33,7 +33,7 @@ def make_layer(name="c0", out_ch=4, in_ch=3, k=3, seed=0, **kw):
     )
 
 
-def frozen_layer(w_quant=QuantParams(0.01), a_quant=None, **kw):
+def frozen_layer(w_quant=QuantParams(0.01), a_quant=QuantParams(0.05), **kw):
     """`make_layer(**kw)` frozen at these quantizers."""
     layer = make_layer(**kw)
     freeze(layer, w_quant, a_quant)
@@ -81,14 +81,14 @@ class TestLayerSpec:
     def test_int8_weight_must_be_codes_in_range(self):
         # an int8 layer holds integer codes on its weight grid, nothing else
         codes = np.array([-128, 0, 127], np.int8).reshape(3, 1, 1, 1)
-        bias, q = np.zeros(3, np.float32), QuantParams(0.01)
-        assert LayerSpec("c", codes, bias, w_quant=q).precision == "int8"
+        bias, q, a = np.zeros(3, np.float32), QuantParams(0.01), QuantParams(0.05)
+        assert LayerSpec("c", codes, bias, w_quant=q, a_quant=a).precision == "int8"
         with pytest.raises(NetworkError, match="must be integer codes"):
-            LayerSpec("c", codes.astype(np.float32), bias, w_quant=q)
+            LayerSpec("c", codes.astype(np.float32), bias, w_quant=q, a_quant=a)
         with pytest.raises(NetworkError, match=r"outside \[-8, 7\]"):
-            LayerSpec("c", codes, bias, w_quant=QuantParams(0.01, 4))
+            LayerSpec("c", codes, bias, w_quant=QuantParams(0.01, 4), a_quant=a)
         with pytest.raises(NetworkError, match=r"outside \[-128, 127\]"):
-            LayerSpec("c", codes.astype(np.int16) + 1, bias, w_quant=q)
+            LayerSpec("c", codes.astype(np.int16) + 1, bias, w_quant=q, a_quant=a)
         # float codes stay legal on a float layer, and a frozen copy re-checks
         assert LayerSpec("c", codes.astype(np.float32), bias).precision == "fp"
         dup = frozen_layer()
@@ -102,7 +102,7 @@ class TestLayerSpec:
         layer = make_layer()
         w = layer.weight.copy()
         with pytest.raises(ValueError):
-            freeze(layer, QuantParams(0.01), None, np.zeros((1, 1, 1, 1)))
+            freeze(layer, QuantParams(0.01), QuantParams(0.05), np.zeros((1, 1, 1, 1)))
         np.testing.assert_array_equal(layer.weight, w)
         assert layer.precision == "fp" and layer.w_quant is None
 
@@ -155,19 +155,12 @@ class TestNetwork:
 
 class TestQuantizedForward:
     def test_fp_layer_ignores_quantizers(self, rng):
-        # a float layer holds none and convolves its weight; an int8 layer
-        # without an activation quantizer convolves its input as given with
-        # its codes, and rescales by s_w
+        # a float layer holds none and convolves its weight
         layer = make_layer()
-        int8 = frozen_layer()
         x = rng.normal(size=(1, 3, 6, 6)).astype(np.float32)
         want = ad.conv2d(Tensor(x), Tensor(layer.weight), Tensor(layer.bias), 1, 1).data
-        assert layer.precision == "fp" and int8.precision == "int8"
-        assert int8.a_quant is None
+        assert layer.precision == "fp" and (layer.w_quant, layer.a_quant) == (None, None)
         assert layer_conv2d(Tensor(x), layer).data.tobytes() == want.tobytes()
-        acc = ad.conv2d(Tensor(x), Tensor(int8.weight), None, 1, 1).data
-        want = acc * int8.w_quant.scale + int8.bias.reshape(1, -1, 1, 1)
-        assert layer_conv2d(Tensor(x), int8).data.tobytes() == want.tobytes()
 
     def test_int8_layer_quantizes_both_tensors(self, rng):
         # freeze quantizes the weight once, the forward the input on each
@@ -193,10 +186,12 @@ class TestQuantizedForward:
             layer_conv2d(Tensor(rng.normal(size=(1, 3, 4, 4))), layer)
 
     def test_int8_without_weight_quantizer_raises(self):
-        # an activation quantizer alone would make an int8 layer without a
-        # weight quantizer; such a layer cannot be built
-        with pytest.raises(NetworkError, match="without a weight quantizer"):
+        # a layer holds both quantizers or neither: one alone cannot be built
+        with pytest.raises(NetworkError, match="both quantizers or neither"):
             make_layer(a_quant=QuantParams(0.05))
+        codes = np.zeros((1, 1, 1, 1), np.int8)
+        with pytest.raises(NetworkError, match="both quantizers or neither"):
+            LayerSpec("c", codes, np.zeros(1), w_quant=QuantParams(0.01))
 
     def test_quantized_weight_honors_offsets(self):
         w_quant = QuantParams(0.01)
@@ -208,7 +203,7 @@ class TestQuantizedForward:
         assert base.precision == "int8"
         assert base.w_quant == QuantParams(float(np.float32(0.01)))
         assert base.a_quant == QuantParams(float(np.float32(0.05)))
-        freeze(steered, w_quant, None, np.full(steered.weight.shape, 1.0))
+        freeze(steered, w_quant, QuantParams(0.05), np.full(steered.weight.shape, 1.0))
         assert (steered.weight >= base.weight).all() and (steered.weight > base.weight).any()
 
     def test_live_weight_carries_gradients_to_the_scales(self, rng):
@@ -364,11 +359,11 @@ def test_property_freeze_folds_offsets_exactly(case):
         boxed = Tensor(np.clip(Tensor(theta).data, 0.0, s))
         steered = ad.fake_quant_op(Tensor(w), Tensor(s), bits, theta=boxed).data
         layer = LayerSpec("c", w, np.zeros(w.shape[0], dtype))
-        freeze(layer, w_quant, None, theta)
+        freeze(layer, w_quant, QuantParams(1.0), theta)
         assert layer.w_quant == engine_grid(w_quant)
         # the layer holds the levels the tape steers to, as integer codes
         assert layer.weight.dtype == np.int8
         assert np.array_equal(layer.weight.astype(dtype) * s, steered)
         # codes are no float weight: a second freeze is refused
         with pytest.raises(NetworkError, match="already int8"):
-            freeze(layer, w_quant, None)
+            freeze(layer, w_quant, QuantParams(1.0))

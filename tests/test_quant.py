@@ -13,10 +13,10 @@ from pillarptq.quant import (
     EPS_SCALE,
     QuantError,
     QuantParams,
+    clip_scale,
     fake_quant,
     level,
     round_half_away,
-    scale_from_range,
 )
 
 
@@ -111,17 +111,32 @@ class TestQuantizeDequantize:
 
 
 class TestScaleFromRange:
+    """`clip_scale`: the scale of the symmetric range [-t, t]."""
+
     def test_symmetric_range_int8(self):
         # (t - (-t)) / (2^8 - 1)
-        assert scale_from_range(-1.0, 1.0, 8) == pytest.approx(2.0 / 255.0)
+        assert clip_scale(1.0, 8) == pytest.approx(2.0 / 255.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        bits=st.integers(2, 32),
+    )
+    def test_property_is_the_width_of_the_range_over_its_steps_bitwise(self, t, bits):
+        assert clip_scale(t, bits) == (t - (-t)) / (2**bits - 1)
+
+    def test_zero_threshold_gets_eps_scale(self):
+        assert clip_scale(0.0, 8) == EPS_SCALE
 
     def test_rejects_empty_range(self):
-        with pytest.raises(QuantError):
-            scale_from_range(1.0, 1.0, 8)
+        # a negative threshold clips to an empty range; an infinite or NaN one to none
+        for t in (-1.0, math.inf, math.nan):
+            with pytest.raises(QuantError):
+                clip_scale(t, 8)
 
     def test_widest_representable_value_is_covered(self):
         t = 3.7
-        p = QuantParams(scale=scale_from_range(-t, t, 8), bits=8)
+        p = QuantParams(scale=clip_scale(t, 8), bits=8)
         # t itself must survive the round trip within half a step
         assert abs(fake_quant(np.array(t), p) - t) <= p.scale / 2 + 1e-12
 
@@ -160,7 +175,7 @@ def offset_round_trip(x, scale, theta, bits=8):
     x = np.asarray(x, dtype=np.float64)
     layer = LayerSpec("w", x.reshape(1, 1, 1, -1), np.zeros(1))
     with ad.using_dtype(np.float64):
-        freeze(layer, QuantParams(scale, bits), None, np.reshape(theta, (1, 1, 1, -1)))
+        freeze(layer, QuantParams(scale, bits), QuantParams(1.0), np.reshape(theta, (1, 1, 1, -1)))
     return layer.weight.reshape(x.shape) * layer.w_quant.scale
 
 

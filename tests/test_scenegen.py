@@ -20,6 +20,14 @@ class TestSceneSpec:
             {"n_clusters_min": 4, "n_clusters_max": 1},
             {"cluster_range_min": 99.0},
             {"sizes": {0: ((0.0, 1.0, 1.0), (0.1, 0.1, 0.1))}},
+            # objects and raised clutter are placed out to 0.95 x sensor_range,
+            # ground clutter from 1 m
+            {"min_range": -5.0},
+            {"min_range": 31.0},
+            {"min_range": float("nan")},
+            {"cluster_range_min": 31.0},
+            {"ref_range": 0.0},
+            {"sensor_range": 0.5},
         ],
     )
     def test_validation(self, kw):
