@@ -7,8 +7,17 @@ straight-through gradients for the input, the scale, and the per-weight
 rounding offsets.
 
 A vjp may return None for a parent that needs no gradient (`requires_grad`
-False); `Tensor.backward` skips it. `conv2d` and `mul` do so, so a constant
-weight, bias or mask costs no gradient GEMM or product.
+False); `Tensor.backward` skips it. `conv2d`, `mul`, `add` and
+`fake_quant_op` do so, so a constant weight, bias, mask, target or quantized
+input costs no gradient GEMM, product or sum.
+
+`Tensor.backward` copies a parent's first gradient only when it must: an
+array handed to no other parent (a vjp's own, or the incoming gradient `add`
+passes on) becomes the parent's buffer if it is laid out as
+zeros_like(parent.data) would be, or in any dense layout where the parent's
+own vjp is `_any_layout`: it multiplies its gradient elementwise, or reads it
+only through a C-order copy, so no later sum changes order. Leaves keep their
+own layout.
 
 A tape is single-use: once every gradient is in, `Tensor.backward` unlinks
 the nodes it walked, freeing interior tensors and their vjps' arrays; a conv
@@ -23,9 +32,15 @@ that buffer for a 1x1 stride-1 conv); `Tensor.backward` adopts it. Outputs and
 gradients are bitwise those of a per-sample (B, C*kh*kw, Ho*Wo) im2col (the
 reference in tests/test_autodiff.py): the GEMMs read the same operands in the
 same layout, and every input cell receives its patch gradients in the same
-(i, j) order. The exception is a 1x1 output map, where the per-sample patch
-matrix is a column-major view and BLAS may sum in another order; the two
-agree to rounding there, and the detector has no such layer.
+(i, j) order. The weight gradient is (patches @ gout.T).T, the reference's
+gout @ flat.T with the operands swapped: the same sums over the same B*Ho*Wo
+axis, in 0.6-0.8x the time at the detector's shapes, and bitwise equal under
+OpenBLAS on 1 or 2 threads at every detector conv and B = 1 to 16. The
+reference keeps gout @ flat.T, so the detector-shape and per-sample conv
+tests fail on a BLAS that sums the two in another order. The exception is a 1x1
+output map, where the per-sample patch matrix is a column-major view and BLAS
+may sum in another order; the two agree to rounding there, and the detector
+has no such layer.
 
 Engine math runs in `current_dtype()` (float32 by default; tests switch to
 float64 via `using_dtype`).
@@ -67,7 +82,7 @@ def using_dtype(dtype):
 class Tensor:
     """A numpy array plus (optionally) a vjp closure linking it to its parents."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_any_layout")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE)
@@ -75,16 +90,20 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: Sequence[Tensor] = ()
         self._vjp: Optional[Callable[[np.ndarray], tuple]] = None
+        self._any_layout = False
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _from_op(data, parents, vjp) -> "Tensor":
+    def _from_op(data, parents, vjp, any_layout: bool = False) -> "Tensor":
+        """`any_layout`: the vjp's results are bitwise the same in any memory
+        layout of its incoming gradient (see the module docstring)."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp
+            out._any_layout = any_layout
         return out
 
     @property
@@ -120,23 +139,21 @@ class Tensor:
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
                 continue
-            handed_out = [node.grad]
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                # A vjp's own array (not the incoming gradient, which `add`
-                # passes on, nor one handed to another parent) becomes the first
-                # gradient buffer if laid out as zeros_like(parent.data) would be,
-                # so later sums over parent.grad run in the same order.
-                own = not any(np.may_share_memory(g, h) for h in handed_out)
+            grads = [
+                (parent, g)
+                for parent, g in zip(node._parents, node._vjp(node.grad))
+                if g is not None and parent.requires_grad
+            ]
+            for i, (parent, g) in enumerate(grads):
+                # adopted only if no other parent is handed the same memory
+                others = (h for j, (_, h) in enumerate(grads) if j != i)
                 if parent.grad is not None:
                     parent.grad += g
-                elif own and _zeros_like_layout(g, parent.data):
+                elif _adoptable(g, parent) and not any(np.may_share_memory(g, h) for h in others):
                     parent.grad = g
                 else:
                     parent.grad = np.zeros_like(parent.data)
                     parent.grad += g
-                handed_out.append(g)
         for node in topo:
             node._vjp, node._parents = None, ()
 
@@ -159,14 +176,18 @@ class Tensor:
         return add(mul(self, -1.0), other)
 
 
-def _zeros_like_layout(g: np.ndarray, d: np.ndarray) -> bool:
-    """True when g is laid out as np.zeros_like(d) would be: d's shape, dtype
-    and strides, where those strides tile memory without gaps, overlaps or
-    negative steps (the case in which zeros_like keeps d's element order)."""
-    if (g.shape, g.strides, g.dtype) != (d.shape, d.strides, d.dtype):
+def _adoptable(g: np.ndarray, parent: Tensor) -> bool:
+    """True when g may become parent's gradient buffer: parent's shape and
+    dtype, strides that tile memory without gaps, overlaps or negative steps
+    (as zeros_like's do), and parent.data's strides unless parent is
+    `_any_layout`. A leaf never is, so its gradient keeps its layout."""
+    d = parent.data
+    if (g.shape, g.dtype) != (d.shape, d.dtype):
         return False
-    step = d.itemsize
-    for stride, n in sorted((s, n) for s, n in zip(d.strides, d.shape) if n > 1):
+    if not parent._any_layout and g.strides != d.strides:
+        return False
+    step = g.itemsize
+    for stride, n in sorted((s, n) for s, n in zip(g.strides, g.shape) if n > 1):
         if stride != step:
             return False
         step *= n
@@ -193,14 +214,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise ops --------------------------------------------------------------
 
 
+def _no_sum(out: np.ndarray, *parents: Tensor) -> bool:
+    """True when no parent needing a gradient is broadcast, so the vjp sums
+    nothing: it acts elementwise on any layout of its incoming gradient."""
+    return all(p.data.shape == out.shape for p in parents if p.requires_grad)
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
-    return Tensor._from_op(out, (a, b), vjp)
+    return Tensor._from_op(out, (a, b), vjp, _no_sum(out, a, b))
 
 
 def mul(a, b) -> Tensor:
@@ -213,7 +243,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
-    return Tensor._from_op(out, (a, b), vjp)
+    return Tensor._from_op(out, (a, b), vjp, _no_sum(out, a, b))
 
 
 def log(a) -> Tensor:
@@ -223,7 +253,7 @@ def log(a) -> Tensor:
     def vjp(g):
         return (g / a.data,)
 
-    return Tensor._from_op(out, (a,), vjp)
+    return Tensor._from_op(out, (a,), vjp, any_layout=True)
 
 
 def absolute(a) -> Tensor:
@@ -233,7 +263,7 @@ def absolute(a) -> Tensor:
     def vjp(g):
         return (g * np.sign(a.data),)
 
-    return Tensor._from_op(out, (a,), vjp)
+    return Tensor._from_op(out, (a,), vjp, any_layout=True)
 
 
 def relu(a) -> Tensor:
@@ -243,7 +273,7 @@ def relu(a) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return Tensor._from_op(a.data * mask, (a,), vjp)
+    return Tensor._from_op(a.data * mask, (a,), vjp, any_layout=True)
 
 
 def sigmoid(a) -> Tensor:
@@ -256,7 +286,7 @@ def sigmoid(a) -> Tensor:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return Tensor._from_op(out, (a,), vjp)
+    return Tensor._from_op(out, (a,), vjp, any_layout=True)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -268,7 +298,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return Tensor._from_op(out, (a,), vjp)
+    return Tensor._from_op(out, (a,), vjp, any_layout=True)
 
 
 def tsum(a) -> Tensor:
@@ -340,9 +370,10 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     One BLAS call, (Cout, K) @ (K, B*P) with K = Cin*kh*kw and P = Ho*Wo, on
     the patch matrix `_im2col` builds in its single copy, plus the bias in
     place. The vjp returns None for each of x, weight and bias that needs no
-    gradient, keeps the patch matrix only until the weight gradient and needs
-    no padded buffer or crop copy for the input's. Outputs and gradients are
-    bitwise the per-sample im2col's (see the module docstring).
+    gradient, keeps the patch matrix only until the weight gradient, which it
+    takes as (patches @ gout.T).T in C order, and needs no padded buffer or
+    crop copy for the input's. Outputs and gradients are bitwise the
+    per-sample im2col's (see the module docstring).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if bias is not None:
@@ -372,7 +403,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         gout = gflat.transpose(1, 0, 2).reshape(cout, bsz * ho * wo)
         gx = gw = gb = None
         if patches is not None:
-            gw = (gout @ patches.T).reshape(weight.data.shape)
+            gw = np.ascontiguousarray((patches @ gout.T).T).reshape(weight.data.shape)
             patches = None  # freed before w2.T @ gout allocates its own matrix
         if x.requires_grad:
             gx = _col2im(w2.T @ gout, x.data, kh, kw, stride, padding)
@@ -381,7 +412,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         return (gx, gw) if bias is None else (gx, gw, gb)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._from_op(out, parents, vjp)
+    # Without a bias gradient the vjp reads g only through the C-order gout.
+    any_layout = bias is None or not bias.requires_grad
+    return Tensor._from_op(out, parents, vjp, any_layout)
 
 
 # -- fake quantization with straight-through gradients ------------------------------
@@ -420,8 +453,12 @@ def fake_quant_op(
     out = k * grid.scale
 
     def vjp(g):
-        gx = g * in_range
-        gs = np.asarray((g * k).sum(), dtype=g.dtype).reshape(scale.data.shape)
+        gx = None  # one pass-through array serves x and theta, if either needs it
+        if x.requires_grad or (theta is not None and theta.requires_grad):
+            gx = g * in_range
+        gs = None
+        if scale.requires_grad:
+            gs = np.asarray((g * k).sum(), dtype=g.dtype).reshape(scale.data.shape)
         grads = [gx, gs]
         if theta is not None:
             grads.append(gx)

@@ -440,10 +440,10 @@ def calibrate_layer(
     """
     if method not in METHODS:
         raise CalibError(f"unknown calibration method {method!r}")
-    batches = [np.asarray(b).ravel() for b in activations]
+    batches = [np.asarray(b) for b in activations]
     if sum(b.size for b in batches) == 0:
         raise CalibError("empty calibration set")
-    pooled = np.concatenate(batches, dtype=np.float64)
+    pooled = np.concatenate(batches, axis=None, dtype=np.float64)  # in C order, one copy
     weights = np.asarray(weights)
     a_max = _max_abs(pooled, "calibrate_layer activations")
     t_w = _max_abs(weights, "calibrate_layer weights")

@@ -6,6 +6,8 @@ turned into pseudo-labels, then for each quantizable layer in turn a
 grid-search initialization and an optimization of its activation/weight
 scales and rounding offsets, with a keep-best-iterate rule that guarantees
 the layer's reconstruction error never ends above its initialization value.
+Keep-best tests admissibility first: a snapshot's task term runs through the
+float tail and heads only once its local term (one conv) admits it.
 
 Every arm ends a layer with `network.freeze`, which replaces its float
 weight by integer codes. The offsets exist only while they are optimized:
@@ -35,7 +37,7 @@ from .detector import (
     quantizable_layers,
 )
 from .evalharness import evaluate_model
-from .losses import PseudoLabels, make_pseudo_labels, pseudo_label_loss, pow2
+from .losses import PseudoLabels, make_pseudo_labels, pseudo_label_loss, pow2, render_targets
 from .network import LayerSpec, Network
 from .optim import Adam
 from .quant import EPS_SCALE, QuantParams
@@ -96,10 +98,12 @@ def pillar_features(dataset, frames: Sequence[str], cfg: GridConfig) -> List[np.
 
 def _chunked(fn, frames: Sequence[np.ndarray]) -> List[np.ndarray]:
     """`fn` of `frames` stacked FORWARD_CHUNK at a time; the (B, ...) array it
-    returns, made contiguous, split back into one array per frame."""
+    returns, split back into one view per frame in the layout `fn` left it
+    (channel-major for a conv). The consumer's own stack or concatenate is
+    the one copy, and reads each frame in C order as a copy would hold it."""
     out: List[np.ndarray] = []
     for i in range(0, len(frames), FORWARD_CHUNK):
-        out.extend(np.ascontiguousarray(fn(np.stack(frames[i : i + FORWARD_CHUNK]))))
+        out.extend(fn(np.stack(frames[i : i + FORWARD_CHUNK])))
     return out
 
 
@@ -146,14 +150,30 @@ def _trainable_params(net: Network) -> Dict[str, Tensor]:
     return params
 
 
+def _pack(dense: np.ndarray, mask: np.ndarray, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """A (C, H, W) array that is zero off the (H, W) mask, kept as its (C, n)
+    values at the mask's cells, in `dtype`, and the mask."""
+    return dense[:, mask].astype(dtype), mask
+
+
+def _unpack(values: np.ndarray, mask: np.ndarray, dtype) -> np.ndarray:
+    """The dense (C, H, W) array `_pack` kept, in `dtype`: zeros off the mask."""
+    dense = np.zeros((len(values),) + mask.shape, dtype=dtype)
+    dense[:, mask] = values
+    return dense
+
+
 def train_fp_baseline(
     dataset,
     cfg: TrainConfig,
     grid_cfg: GridConfig = GridConfig(),
 ) -> Tuple[Network, dict]:
-    """Train the float detector on ground truth until the val AP floor holds."""
-    from .losses import render_targets
+    """Train the float detector on ground truth until the val AP floor holds.
 
+    Each frame's pillar features and targets are rendered once and cached
+    compactly: the features as float16 at the occupied pillars, the
+    regression target at its mask's cells; every step rebuilds the dense
+    arrays from them."""
     net = build_detector(grid_cfg, seed=cfg.seed)
     params = _trainable_params(net)
     opt = Adam(params, lr=cfg.lr)
@@ -161,30 +181,32 @@ def train_fp_baseline(
     frames = dataset.frames("train")
     if not frames:
         raise PipelineError("dataset has no training frames")
-    target_cache: Dict[str, PseudoLabels] = {}
-    feat_cache: Dict[str, np.ndarray] = {}
+    feat_cache: Dict[str, tuple] = {}
+    target_cache: Dict[str, tuple] = {}
     losses: List[float] = []
 
     def frame_feats(fid: str) -> np.ndarray:
-        f = feat_cache.get(fid)
-        if f is None:
-            f = pillarize(dataset.point_cloud(fid), grid_cfg).features.astype(np.float16)
-            feat_cache[fid] = f
-        return f.astype(ad.current_dtype())
+        packed = feat_cache.get(fid)
+        if packed is None:
+            grid = pillarize(dataset.point_cloud(fid), grid_cfg)
+            packed = feat_cache[fid] = _pack(grid.features, grid.occupancy, np.float16)
+        return _unpack(*packed, ad.current_dtype())
+
+    def frame_labels(fid: str) -> PseudoLabels:
+        packed = target_cache.get(fid)
+        if packed is None:
+            lab = render_targets(dataset.labels(fid), grid_cfg)
+            reg = _pack(lab.reg_target, lab.reg_mask, lab.reg_target.dtype)
+            packed = target_cache[fid] = (lab.boxes, lab.heatmap_target, reg)
+        boxes, heatmap, (reg, mask) = packed
+        return PseudoLabels(boxes, heatmap, _unpack(reg, mask, reg.dtype), mask)
 
     for _epoch in range(cfg.epochs):
         order = rng.permutation(len(frames))
         for at in range(0, len(order) - cfg.batch + 1, cfg.batch):
-            idx = order[at : at + cfg.batch]
-            batch = [frames[i] for i in idx]
+            batch = [frames[i] for i in order[at : at + cfg.batch]]
             feats = np.stack([frame_feats(f) for f in batch])
-            labels = []
-            for fid in batch:
-                lab = target_cache.get(fid)
-                if lab is None:
-                    lab = render_targets(dataset.labels(fid), grid_cfg)
-                    target_cache[fid] = lab
-                labels.append(lab)
+            labels = [frame_labels(f) for f in batch]
             hm, reg = network.run(net, feats, heads=True, weights=params)
             loss = pseudo_label_loss(DetectorOutput(hm, reg), labels)
             if not np.isfinite(loss.data):
@@ -279,6 +301,32 @@ def _conv_refs(layer, inputs: List[np.ndarray]) -> List[np.ndarray]:
     return _chunked(conv, inputs)
 
 
+def _w_hat(layer, params: Dict[str, Tensor], cfg: PipelineConfig) -> Tensor:
+    """The layer's weight fake-quantized at the live scale and offsets."""
+    return ad.fake_quant_op(
+        Tensor(layer.weight), params["s_w"], cfg.bits_w, theta=params.get("theta")
+    )
+
+
+def _local_loss(layer, params: Dict[str, Tensor], x: Tensor, ref: np.ndarray, cfg) -> Tensor:
+    """The layer's conv reconstruction term: the squared error of its conv
+    with the fake-quantized weight against the float conv, per frame."""
+    q = ad.conv2d(x, _w_hat(layer, params, cfg), None, layer.stride, layer.padding)
+    return ad.tsum(pow2(q - ref)) * (1.0 / ref.shape[0])
+
+
+def _task_loss(qnet: Network, layer, params, x: Tensor, labels, cfg) -> Tensor:
+    """The task loss of the layer as freezing it at these scales would make it
+    (input and weight fake-quantized) through the float tail and heads. The
+    weight is quantized in a node of its own: one node shared with the local
+    term would add the two paths' weight gradients before the scale's vjp,
+    which rounds differently."""
+    x_hat = ad.fake_quant_op(x, params["s_a"], cfg.bits_a)
+    live = {f"{layer.name}.w": _w_hat(layer, params, cfg)}
+    out = network.run(qnet, x_hat, qnet.layer_index(layer.name), heads=True, weights=live)
+    return pseudo_label_loss(DetectorOutput(*out), labels)
+
+
 def _layer_losses(
     qnet: Network,
     layer,
@@ -288,29 +336,13 @@ def _layer_losses(
     labels: List[PseudoLabels],
     cfg: PipelineConfig,
 ):
-    """Tape forward for one batch: the layer's conv reconstruction term plus
-    `cfg.lambda2` times the task loss of the layer as freezing it at these
-    scales would make it (input and weight fake-quantized) through the float
-    tail. The local term has no weight of its own: Adam's step is invariant to
-    a positive rescaling of the loss, so (w, lambda2) would run (1, lambda2/w)."""
-
-    def w_hat():
-        return ad.fake_quant_op(
-            Tensor(layer.weight), params["s_w"], cfg.bits_w, theta=params.get("theta")
-        )
-
-    q = ad.conv2d(x, w_hat(), None, layer.stride, layer.padding)
-    local = ad.tsum(pow2(q - ref)) * (1.0 / ref.shape[0])
-
-    x_hat = ad.fake_quant_op(x, params["s_a"], cfg.bits_a)
-    # Each path quantizes the weight in a node of its own: one shared node
-    # would add the two paths' weight gradients before the scale's vjp, which
-    # rounds differently.
-    live = {f"{layer.name}.w": w_hat()}
-    out = network.run(qnet, x_hat, qnet.layer_index(layer.name), heads=True, weights=live)
-    task = pseudo_label_loss(DetectorOutput(*out), labels)
-    total = local + task * cfg.lambda2
-    return local, task, total
+    """Tape forward for one batch: the local term plus `cfg.lambda2` times the
+    task term. The local term has no weight of its own: Adam's step is
+    invariant to a positive rescaling of the loss, so (w, lambda2) would run
+    (1, lambda2/w)."""
+    local = _local_loss(layer, params, x, ref, cfg)
+    task = _task_loss(qnet, layer, params, x, labels, cfg)
+    return local, task, local + task * cfg.lambda2
 
 
 def run_lidar_ptq(
@@ -323,7 +355,13 @@ def run_lidar_ptq(
     """Pseudo-labels from the cached float outputs, then for each quantizable
     layer in order: grid-search initialization, scale/offset optimization with
     keep-best admissibility, and a freeze at int8 before the next layer.
-    `fp_outs`, when given, is `fp_final_outputs(fp_net, calib_feats)`."""
+    `fp_outs`, when given, is `fp_final_outputs(fp_net, calib_feats)`.
+
+    The initialization's score and every step compute and log all three
+    losses. A snapshot (every `snapshot_every` steps and the last) is kept
+    when its local term is at most the initialization's and its total is below
+    the best so far; its task term runs only once the local term admits it, so
+    a rejected snapshot's task and total, never logged, are never computed."""
     if any(l.precision != "fp" for l in fp_net.layers):
         raise PipelineError("run_lidar_ptq expects a fully float network")
     fp_exempt_layers(fp_net)  # raises if the structure can't mark them
@@ -352,7 +390,7 @@ def run_lidar_ptq(
             return x, np.stack([refs[i] for i in idx]), [labels[i] for i in idx]
 
         w_init = grid_search_detail(layer.weight, cfg.bits_w, cfg.search).params.scale
-        pooled = np.concatenate([a.ravel() for a in inputs], dtype=np.float64)
+        pooled = np.concatenate(inputs, axis=None, dtype=np.float64)
         a_init = grid_search_detail(pooled, cfg.bits_a, cfg.search).params.scale
         params = {
             "s_w": Tensor(np.asarray(w_init), requires_grad=True),
@@ -364,15 +402,14 @@ def run_lidar_ptq(
             params, lr={k: cfg.lr_theta if k == "theta" else cfg.lr_scale for k in params}
         )
 
-        score_batch = batch(score_idx)
+        x_s, ref_s, labels_s = batch(score_idx)
 
-        def score():
-            frozen = {k: Tensor(p.data) for k, p in params.items()}
-            return tuple(
-                float(v.data) for v in _layer_losses(qnet, layer, frozen, *score_batch, cfg)
-            )
+        def frozen():
+            return {k: Tensor(p.data) for k, p in params.items()}
 
-        init_local, init_task, init_total = score()
+        init_local, init_task, init_total = (
+            float(v.data) for v in _layer_losses(qnet, layer, frozen(), x_s, ref_s, labels_s, cfg)
+        )
         best_params = {k: p.data.copy() for k, p in params.items()}
         best_local, best_total = init_local, init_total
         log.log(name, 0, init_local, init_task, init_total)
@@ -403,10 +440,15 @@ def run_lidar_ptq(
                     params["theta"].data, 0.0, float(params["s_w"].data)
                 )
             if it % cfg.snapshot_every == 0 or it == cfg.iters_T:
-                local_s, _, total_s = score()
-                if local_s <= init_local and total_s < best_total:
-                    best_params = {k: p.data.copy() for k, p in params.items()}
-                    best_local, best_total = local_s, total_s
+                # Admissibility first: no task forward for a rejected snapshot.
+                snap = frozen()
+                local = _local_loss(layer, snap, x_s, ref_s, cfg)
+                if float(local.data) <= init_local:
+                    task = _task_loss(qnet, layer, snap, x_s, labels_s, cfg)
+                    total_s = float((local + task * cfg.lambda2).data)
+                    if total_s < best_total:
+                        best_params = {k: p.data.copy() for k, p in params.items()}
+                        best_local, best_total = float(local.data), total_s
 
         network.freeze(
             layer,

@@ -172,6 +172,38 @@ class TestTapeMechanics:
                 assert x.grad.strides == np.zeros_like(x.data).strides
                 assert (x.grad is seen[0]) == (cols == 6)
 
+    def test_pass_through_gradient_is_adopted_by_its_only_receiver(self):
+        # `add` with a constant hands its incoming gradient to one parent,
+        # which takes that array as its buffer; no copy is made
+        with ad.using_dtype(F64):
+            x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            a = ad.mul(x, 3.0)
+            s = ad.add(a, 1.0)
+            ad.tsum(ad.mul(s, s)).backward()
+            assert a.grad is s.grad
+            np.testing.assert_array_equal(x.grad, 6.0 * (3.0 * x.data + 1.0))
+
+    def test_elementwise_vjp_adopts_a_gradient_in_any_layout(self):
+        # relu only multiplies its gradient elementwise, so a Fortran-order
+        # gradient of its C-order output is taken as is; a leaf, or a conv
+        # whose bias gradient sums over it, copies it into its own layout
+        with ad.using_dtype(F64):
+            x = Tensor(np.arange(-8.0, 8.0).reshape(2, 2, 2, 2), requires_grad=True)
+            b = Tensor(np.zeros(2), requires_grad=True)
+            relu, conv = ad.relu(x), ad.conv2d(x, np.ones((2, 2, 1, 1)), b)
+            for node, adopts in ((relu, True), (conv, False), (x, False)):
+                handed = []
+
+                def vjp(g):
+                    handed.append(np.asfortranarray(g))
+                    return (handed[-1],)
+
+                x.grad = None
+                ad.tsum(Tensor._from_op(node.data.copy(), [node], vjp)).backward()
+                assert (node.grad is handed[0]) == adopts
+                assert adopts or node.grad.strides == node.data.strides
+                np.testing.assert_array_equal(node.grad, np.ones(node.data.shape))
+
     def test_same_tensor_twice_in_add_counts_both_paths(self):
         with ad.using_dtype(F64):
             x = Tensor(np.array([1.5]), requires_grad=True)
@@ -452,7 +484,7 @@ def _detector_convs():
 
 
 @pytest.mark.parametrize("channel_major", [False, True], ids=["c_order", "channel_major"])
-@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("b", [1, 2, 4, 8])
 @pytest.mark.parametrize("layer,side", list(_detector_convs()))
 def test_conv_matches_the_reference_at_the_detector_shapes(layer, side, b, channel_major):
     # float32, as the engine runs; the upstream gradient holds zeros of both
@@ -594,6 +626,16 @@ class TestFakeQuantOp:
             freeze(boxed, QuantParams(s), a, np.array([0.0, 0.0, s, s]).reshape(w.shape))
             np.testing.assert_array_equal(raw.weight, boxed.weight)
             np.testing.assert_array_equal(raw.weight.ravel(), [5, 5, 6, 6])
+
+    def test_vjp_skips_constant_input_and_scale(self, rng):
+        # the task loss quantizes a constant layer input at a live scale
+        g = np.ones((3, 4))
+        x, s = rng.normal(size=(3, 4)), 0.1
+        gx, gs = ad.fake_quant_op(Tensor(x), Tensor(s, requires_grad=True), 8)._vjp(g)
+        assert gx is None and gs is not None
+        gx, gs = ad.fake_quant_op(Tensor(x, requires_grad=True), Tensor(s), 8)._vjp(g)
+        assert gs is None
+        np.testing.assert_array_equal(gx, g)
 
     def test_zero_offsets_match_plain_op(self, rng):
         x = rng.normal(size=10)

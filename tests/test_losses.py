@@ -266,6 +266,36 @@ class TestLocalReconLoss:
             layer_losses(net, layer, wrong)
 
 
+def test_layer_loss_backward_copies_only_a_gradient_two_parents_share(first_layer):
+    # Every node takes a gradient array some vjp handed it as its buffer,
+    # except the total's two parents, which `add` hands the same array.
+    net, layer, inputs = first_layer
+    _, (_, _, total) = layer_losses(net, layer, inputs, PipelineConfig(lambda2=1.0))
+    nodes, stack, handed = {}, [total], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes and node.requires_grad:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+
+    def recording(vjp):
+        def wrapped(g):
+            grads = vjp(g)
+            handed.extend(grads)
+            return grads
+
+        return wrapped
+
+    for node in nodes.values():
+        if node._vjp is not None:
+            node._vjp = recording(node._vjp)
+    shared = total._parents
+    total.backward()
+    copied = [n for n in nodes.values() if n is not total and not any(n.grad is h for h in handed)]
+    assert len(nodes) > 20
+    assert {id(n) for n in copied} == {id(n) for n in shared}
+
+
 class TestMakePseudoLabels:
     def test_detections_become_soft_targets(self, grid_cfg):
         hm = np.zeros((2, 64, 64))

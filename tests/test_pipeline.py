@@ -10,24 +10,28 @@ import numpy as np
 import pytest
 
 from pillarptq import autodiff as ad
-from pillarptq import network
+from pillarptq import network, pipeline
 from pillarptq.autodiff import Tensor
-from pillarptq.calib import calibrate_layer
+from pillarptq.calib import calibrate_layer, grid_search_detail
 from pillarptq.config import PipelineConfig
-from pillarptq.detector import DetectorOutput, fp_exempt_layers, quantizable_layers
-from pillarptq.losses import make_pseudo_labels, pseudo_label_loss
+from pillarptq.detector import DetectorOutput, fp_exempt_layers, pillarize, quantizable_layers
+from pillarptq.losses import make_pseudo_labels, pseudo_label_loss, render_targets
 from pillarptq.modelio import save_model
+from pillarptq.optim import Adam
 from pillarptq.pipeline import (
     FORWARD_CHUNK,
     PipelineError,
+    RunLog,
     _conv_refs,
+    _pack,
+    _unpack,
     fp_final_outputs,
     _layer_inputs,
     _layer_losses,
     run_baseline_calibration,
     run_lidar_ptq,
 )
-from pillarptq.quant import QuantParams, level, round_half_away
+from pillarptq.quant import EPS_SCALE, QuantParams, level, round_half_away
 
 SMALL = PipelineConfig(
     calib_frames=8, iters_T=4, search_T=10, batch=4, snapshot_every=2, score_frames=4
@@ -124,6 +128,164 @@ class TestLidarPTQ:
         qnet, _ = small_job
         with pytest.raises(PipelineError, match="fully float"):
             run_lidar_ptq(qnet, tiny_calib_feats, SMALL, grid_cfg)
+
+
+def _keep_best_scoring_every_term(fp_net, feats, cfg, grid_cfg):
+    """Brute-force keep-best: `run_lidar_ptq`'s initialization and steps (with
+    offsets, as SMALL runs), but every snapshot runs the whole `_layer_losses`
+    forward (local, task and total) and is kept when local <= the
+    initialization's and total < the best so far. Also returns, per snapshot,
+    whether its local term admitted it."""
+    qnet, log = fp_net.copy(), RunLog()
+    rng = np.random.default_rng(cfg.seed)
+    fp_outs = fp_final_outputs(fp_net, feats)
+    labels = [make_pseudo_labels(DetectorOutput(*o), grid_cfg) for o in fp_outs]
+    n, admitted = len(feats), []
+    score_idx = np.arange(min(cfg.score_frames, n))
+    for layer, inputs in _layer_inputs(qnet, feats):
+        refs = _conv_refs(layer, inputs)
+
+        def batch(idx):
+            x = Tensor(np.stack([inputs[i] for i in idx]))
+            return x, np.stack([refs[i] for i in idx]), [labels[i] for i in idx]
+
+        pooled = np.concatenate([a.ravel() for a in inputs], dtype=np.float64)
+        params = {
+            "s_w": Tensor(grid_search_detail(layer.weight, cfg.bits_w, cfg.search).params.scale),
+            "s_a": Tensor(grid_search_detail(pooled, cfg.bits_a, cfg.search).params.scale),
+            "theta": Tensor(np.zeros_like(layer.weight)),
+        }
+        for p in params.values():
+            p.requires_grad = True
+        opt = Adam(params, lr={k: cfg.lr_theta if k == "theta" else cfg.lr_scale for k in params})
+
+        def score():
+            frozen = {k: Tensor(p.data) for k, p in params.items()}
+            losses = _layer_losses(qnet, layer, frozen, *batch(score_idx), cfg)
+            return [float(v.data) for v in losses]
+
+        init_local, init_task, init_total = score()
+        best = {k: p.data.copy() for k, p in params.items()}
+        best_local, best_total = init_local, init_total
+        log.log(layer.name, 0, init_local, init_task, init_total)
+        order, pos = rng.permutation(n), 0
+        for it in range(1, cfg.iters_T + 1):
+            if pos + cfg.batch > n:
+                order, pos = rng.permutation(n), 0
+            step = batch(order[pos : pos + cfg.batch])
+            pos += cfg.batch
+            local, task, total = _layer_losses(qnet, layer, params, *step, cfg)
+            log.log(layer.name, it, float(local.data), float(task.data), float(total.data))
+            network.backward(total, params)
+            opt.step()
+            for k in ("s_w", "s_a"):
+                params[k].data = np.maximum(params[k].data, EPS_SCALE)
+            params["theta"].data = np.clip(params["theta"].data, 0.0, float(params["s_w"].data))
+            if it % cfg.snapshot_every == 0 or it == cfg.iters_T:
+                local_s, _, total_s = score()
+                admitted.append(local_s <= init_local)
+                if local_s <= init_local and total_s < best_total:
+                    best = {k: p.data.copy() for k, p in params.items()}
+                    best_local, best_total = local_s, total_s
+        w_q = QuantParams(float(best["s_w"]), cfg.bits_w)
+        network.freeze(layer, w_q, QuantParams(float(best["s_a"]), cfg.bits_a), best["theta"])
+        log.layer_stats[layer.name] = {
+            "pre_mse": init_local,
+            "post_mse": best_local,
+            "w_scale": layer.w_quant.scale,
+            "a_scale": layer.a_quant.scale,
+        }
+    return qnet, log, admitted
+
+
+@pytest.mark.parametrize(
+    "seed,lambda2,iters_T,snapshot_every",
+    [(0, 0.0, 4, 1), (1, 1.0, 3, 2), (2, 100.0, 4, 1), (3, 1.0, 6, 4)],
+)
+def test_keep_best_agrees_with_scoring_every_term(
+    tiny_net, tiny_calib_feats, grid_cfg, tmp_path, seed, lambda2, iters_T, snapshot_every
+):
+    # Admissibility first skips the task forward of a snapshot whose local
+    # term already rules it out; the model, the log and the layer stats are
+    # those of the brute force, which scores every term of every snapshot.
+    changes = dict(seed=seed, lambda2=lambda2, iters_T=iters_T, snapshot_every=snapshot_every)
+    cfg = dataclasses.replace(SMALL, **changes)
+    qnet, log = run_lidar_ptq(tiny_net, tiny_calib_feats, cfg, grid_cfg)
+    want, want_log, admitted = _keep_best_scoring_every_term(
+        tiny_net, tiny_calib_feats, cfg, grid_cfg
+    )
+    assert True in admitted and False in admitted  # both branches ran
+    assert _saved_bytes(qnet, tmp_path / "a.ptqf") == _saved_bytes(want, tmp_path / "b.ptqf")
+    assert log.to_csv() == want_log.to_csv()
+    assert log.layer_stats == want_log.layer_stats
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [dict(seed=2, lambda2=100.0), dict(lr_scale=0.0, lr_theta=0.0)],
+    ids=["some_rejected", "all_tied"],
+)
+def test_a_snapshot_rejected_by_its_local_term_runs_no_task_loss(
+    tiny_net, tiny_calib_feats, grid_cfg, monkeypatch, changes
+):
+    # Events in call order: each local term's value, and "task" for each
+    # pseudo_label_loss call. Per layer: the initialization's score, then per
+    # step the training forward and (every step here) a snapshot, whose task
+    # term runs only when its local term is at most the initialization's.
+    # With no learning rate every snapshot ties the initialization, and runs it.
+    events = []
+    local_loss, task_loss = pipeline._local_loss, pipeline.pseudo_label_loss
+
+    def recording_local(*args):
+        out = local_loss(*args)
+        events.append(float(out.data))
+        return out
+
+    monkeypatch.setattr(pipeline, "_local_loss", recording_local)
+    monkeypatch.setattr(
+        pipeline, "pseudo_label_loss", lambda *a: events.append("task") or task_loss(*a)
+    )
+    cfg = dataclasses.replace(SMALL, snapshot_every=1, **changes)
+    run_lidar_ptq(tiny_net, tiny_calib_feats, cfg, grid_cfg)
+    pos, rejected, tied = 0, 0, 0
+    for _ in quantizable_layers(tiny_net):
+        init = events[pos]
+        assert events[pos + 1] == "task"
+        pos += 2
+        for _ in range(cfg.iters_T):
+            assert isinstance(events[pos], float) and events[pos + 1] == "task"
+            snapshot = events[pos + 2]
+            assert isinstance(snapshot, float)
+            runs_task = pos + 3 < len(events) and events[pos + 3] == "task"
+            assert runs_task == (snapshot <= init)
+            rejected += not runs_task
+            tied += snapshot == init
+            pos += 3 + runs_task
+    assert pos == len(events)
+    if cfg.lr_scale:
+        assert rejected > 0
+    else:
+        assert tied == len(quantizable_layers(tiny_net)) * cfg.iters_T
+
+
+def test_training_caches_rebuild_features_and_targets_bitwise(tiny_dataset, grid_cfg):
+    # train_fp_baseline keeps float16 features at occupied pillars only and
+    # the regression target at its mask's cells; the dense arrays it rebuilds
+    # each step are those of a dense cache.
+    packed_bytes = dense_bytes = 0
+    for fid in tiny_dataset.frames("train"):
+        grid = pillarize(tiny_dataset.point_cloud(fid), grid_cfg)
+        packed = _pack(grid.features, grid.occupancy, np.float16)
+        dense = grid.features.astype(np.float16).astype(ad.current_dtype())
+        assert _unpack(*packed, ad.current_dtype()).tobytes() == dense.tobytes()
+        packed_bytes += packed[0].nbytes
+        dense_bytes += grid.features.astype(np.float16).nbytes
+
+        lab = render_targets(tiny_dataset.labels(fid), grid_cfg)
+        reg, mask = _pack(lab.reg_target, lab.reg_mask, lab.reg_target.dtype)
+        assert _unpack(reg, mask, reg.dtype).tobytes() == lab.reg_target.tobytes()
+        assert reg.shape == (lab.reg_target.shape[0], len(lab.boxes))
+    assert packed_bytes < 0.25 * dense_bytes
 
 
 def test_layer_inputs_match_forward_on_a_partly_frozen_net(tiny_net, tiny_calib_feats):
