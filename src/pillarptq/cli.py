@@ -159,19 +159,14 @@ def cmd_train_fp(args) -> None:
 
 
 def _require_shared_bits(cfg: PipelineConfig) -> None:
-    """The calibration arms quantize weights and activations at one integer
-    width; bits=32 would leave every layer float."""
-    hint = ""
-    if cfg.method == "maxmin_grid":
-        hint = "; method=lidar-ptq iters_T=0 runs the same grid search at these widths"
+    """The calibration arms quantize weights and activations at one width,
+    which `PipelineConfig` holds to 2..8 bits."""
     if cfg.bits_w != cfg.bits_a:
+        hint = "; method=lidar-ptq iters_T=0 runs the same grid search at these widths"
         raise ConfigError(
             f"method {cfg.method} uses one bit-width for weights and activations, "
-            f"got bits_w={cfg.bits_w} and bits_a={cfg.bits_a}{hint}"
-        )
-    if cfg.bits_a == 32:
-        raise ConfigError(
-            f"method {cfg.method} needs an integer bit-width; bits=32 is the float model{hint}"
+            f"got bits_w={cfg.bits_w} and bits_a={cfg.bits_a}"
+            + (hint if cfg.method == "maxmin_grid" else "")
         )
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Dict, get_type_hints
 
 from .calib import METHODS, SearchConfig
+from .quant import MAX_BITS
 from .scenegen import SceneSpec
 
 
@@ -31,6 +32,8 @@ def _check_nonnegative(**values: float) -> None:
 
 @dataclass
 class PipelineConfig:
+    """One quantization job; it makes an int8 model (`bits_w`, `bits_a`: 2..8)."""
+
     bits_w: int = 8
     bits_a: int = 8
     calib_frames: int = 256
@@ -42,10 +45,8 @@ class PipelineConfig:
     method: str = "lidar-ptq"
     # task term's weight against the local reconstruction term (0 = local only)
     lambda2: float = 1.0
-    # grid-search geometry
+    # grid-search candidates, over SearchConfig's span
     search_T: int = 100
-    search_alpha: float = 0.01
-    search_beta: float = 1.2
     # optimizer switches
     optimize_theta: bool = True
     snapshot_every: int = 20
@@ -62,12 +63,12 @@ class PipelineConfig:
             raise ConfigError("iters_T must be >= 0 (0 = calibration only)")
         if self.method not in QUANT_METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {QUANT_METHODS}")
-        if self.bits_w < 2 or self.bits_a < 2:
-            raise ConfigError("bit-widths below 2 are not representable")
+        if not (2 <= self.bits_w <= MAX_BITS and 2 <= self.bits_a <= MAX_BITS):
+            raise ConfigError(f"bit-widths must be 2..{MAX_BITS}, got W{self.bits_w}A{self.bits_a}")
         if self.snapshot_every < 1 or self.score_frames < 1:
             raise ConfigError("snapshot_every and score_frames must be >= 1")
         _check_nonnegative(lr_scale=self.lr_scale, lr_theta=self.lr_theta, lambda2=self.lambda2)
-        self.search = SearchConfig(self.search_T, self.search_alpha, self.search_beta)
+        self.search = SearchConfig(self.search_T)
 
 
 @dataclass

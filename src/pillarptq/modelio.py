@@ -22,10 +22,10 @@ both quantizers, and a float record flags 0. The `<d` scale is the one the
 layer holds, rounded to the engine dtype, float32, by `network.freeze`
 (`network.engine_grid`).
 
-An int8 layer's weight is the integer codes the layer holds, little-endian
-signed: 1 byte a code when bits <= 8, 2 bytes when bits <= 16, 4 bytes up
-to 32 bits. The reader keeps them as codes. Every other layer's weight is a
-float32 blob.
+An int8 layer's weight is the integer codes the layer holds, one signed
+byte each; the reader keeps them as codes and refuses a record the int8 rule
+(`network.check_int8`: grids of 8 bits or fewer) refuses. Every other
+layer's weight is a float32 blob.
 
 Older files may state float64 scales that float32 cannot hold; the reader
 rounds every scale it reads with `network.engine_grid`, which is the grid
@@ -38,16 +38,19 @@ from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from .network import LayerSpec, Network, NetworkError, engine_grid
+from .network import LayerSpec, Network, NetworkError, check_int8, engine_grid
 from .quant import QuantError, QuantParams
 
 MAGIC = b"PTQF"
 VERSION = 2
 
-_ROLE_TRUNK, _ROLE_HEATMAP, _ROLE_REG = 0, 1, 2
+_ROLE_TRUNK = 0
+_HEAD_ROLES = {"heatmap": 1, "regression": 2}
+_ROLE_HEADS = {v: k for k, v in _HEAD_ROLES.items()}
 _ACT = {"none": 0, "relu": 1}
 _ACT_INV = {v: k for k, v in _ACT.items()}
 _PREC = {"fp": 0, "int8": 1}
@@ -60,13 +63,6 @@ _INT8_FLAGS = _FLAG_WQ | _FLAG_AQ  # an int8 layer holds both quantizers
 
 class ModelIOError(IOError):
     pass
-
-
-def _code_dtype(q: QuantParams) -> np.dtype:
-    """The little-endian signed integer type of the weight codes on grid `q`."""
-    if q.bits > 32:
-        raise ModelIOError(f"no integer code holds {q.bits}-bit weights")
-    return q.code_dtype.newbyteorder("<")
 
 
 def _pack_layer(layer: LayerSpec, role: int) -> bytes:
@@ -88,10 +84,7 @@ def _pack_layer(layer: LayerSpec, role: int) -> bytes:
     for q in (layer.w_quant, layer.a_quant):
         if q is not None:
             out.append(struct.pack("<diB", q.scale, 0, q.bits))
-    if layer.w_quant is not None:
-        w = layer.weight.astype(_code_dtype(layer.w_quant))
-    else:
-        w = np.ascontiguousarray(layer.weight, dtype="<f4")
+    w = np.ascontiguousarray(layer.weight, dtype="<f4" if flags == 0 else np.int8)
     out.append(struct.pack("<B", w.ndim))
     out.append(struct.pack(f"<{w.ndim}I", *w.shape))
     out.append(w.tobytes())
@@ -144,7 +137,9 @@ def _read_layer(r: _Reader):
     w_quant, a_quant = [_read_quantizer(r, name) if flags & f else None for f in _FLAGS]
     (ndim,) = r.unpack("<B")
     shape = r.unpack(f"<{ndim}I")
-    dtype = np.dtype("<f4") if w_quant is None else _code_dtype(w_quant)
+    if w_quant is not None:  # before reading its codes a byte each
+        check_int8(name, math.prod(shape[1:]), w_quant, a_quant)
+    dtype = np.dtype("<f4" if w_quant is None else np.int8)
     w = np.frombuffer(r.take(dtype.itemsize * math.prod(shape)), dtype=dtype)
     w = w.astype(w.dtype.newbyteorder("=")).reshape(shape)
     (blen,) = r.unpack("<I")
@@ -163,11 +158,12 @@ def _read_layer(r: _Reader):
 
 
 def save_model(path, net: Network) -> None:
+    """Write `net` as a PTQF file; a head other than heatmap or regression is refused."""
+    other = sorted(set(net.heads) - set(_HEAD_ROLES))
+    if other:
+        raise ModelIOError(f"head {other[0]!r} has no PTQF role; heads are {tuple(_HEAD_ROLES)}")
     records = [_pack_layer(l, _ROLE_TRUNK) for l in net.layers]
-    if "heatmap" in net.heads:
-        records.append(_pack_layer(net.heads["heatmap"], _ROLE_HEATMAP))
-    if "regression" in net.heads:
-        records.append(_pack_layer(net.heads["regression"], _ROLE_REG))
+    records += [_pack_layer(net.heads[k], r) for k, r in _HEAD_ROLES.items() if k in net.heads]
     c, h, w = net.input_spec
     header = MAGIC + struct.pack("<HHHHH", VERSION, c, h, w, len(records))
     with open(path, "wb") as f:
@@ -177,7 +173,7 @@ def save_model(path, net: Network) -> None:
 
 
 def load_model(path) -> Network:
-    buf = open(path, "rb").read()
+    buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ModelIOError(f"{path}: not a PTQF file")
     r = _Reader(buf[4:])
@@ -192,10 +188,8 @@ def load_model(path) -> Network:
             raise ModelIOError(f"{path}: record {i}: {e}") from e
         if role == _ROLE_TRUNK:
             layers.append(layer)
-        elif role == _ROLE_HEATMAP:
-            heads["heatmap"] = layer
-        elif role == _ROLE_REG:
-            heads["regression"] = layer
+        elif role in _ROLE_HEADS:
+            heads[_ROLE_HEADS[role]] = layer
         else:
             raise ModelIOError(f"{path}: unknown layer role {role}")
     if not r.done():

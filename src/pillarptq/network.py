@@ -10,8 +10,8 @@ The codes and scales are what the model file stores. Offsets are optimizer
 state and never outlive the freeze.
 
 The int8 forward is integer arithmetic plus one rescale (Jacob et al.): the
-input's levels k_x, no tape and no masks; acc = conv(k_x, k_w), in a dtype
-that holds every partial sum exactly; out = acc * (s_a * s_w) + bias.
+input's levels k_x, no tape and no masks; acc = conv(k_x, k_w), a float32
+sum that `check_int8` keeps exact; out = acc * (s_a * s_w) + bias.
 
 `run` serves every caller: float training (live weights and biases), layer
 input capture (one trunk layer at a time), the task loss of scale
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .quant import QuantParams, level
+from .quant import MAX_BITS, QuantParams, level
 
 
 class NetworkError(ValueError):
@@ -39,9 +39,10 @@ class NetworkError(ValueError):
 class LayerSpec:
     """One conv layer plus its per-layer quantization state.
 
-    An int8 layer holds both `engine_grid` quantizers and, as its weight,
-    integer codes inside the `w_quant` range; `freeze` and the model reader
-    are what set them. A float layer holds neither quantizer.
+    An int8 layer holds both `engine_grid` quantizers, which pass
+    `check_int8`, and, as its weight, integer codes inside the `w_quant`
+    range; `freeze` and the model reader are what set them. A float layer
+    holds neither quantizer.
     """
 
     name: str
@@ -67,9 +68,10 @@ class LayerSpec:
         if (self.a_quant is None) != (self.w_quant is None):
             raise NetworkError(f"{self.name}: a layer holds both quantizers or neither")
         q, w = self.w_quant, self.weight
-        if q is not None and not (
-            np.issubdtype(w.dtype, np.integer) and np.all((q.q_min <= w) & (w <= q.q_max))
-        ):
+        if q is None:
+            return
+        check_int8(self.name, w[0].size, q, self.a_quant)
+        if not (np.issubdtype(w.dtype, np.integer) and np.all((q.q_min <= w) & (w <= q.q_max))):
             raise NetworkError(
                 f"{self.name}: an int8 layer's weight must be integer codes, none "
                 f"outside [{q.q_min}, {q.q_max}]; got {w.dtype} in [{w.min()}, {w.max()}]"
@@ -135,6 +137,17 @@ class Network:
         )
 
 
+def check_int8(name: str, k: int, w_quant: QuantParams, a_quant: QuantParams) -> None:
+    """The int8 rule for a layer whose outputs each sum k products: grids of at
+    most `MAX_BITS` bits, and k * 2^(bits_w + bits_a - 2) <= 2^24, so float32
+    sums the code GEMM exactly (k <= 1024 at W8A8)."""
+    bits = f"W{w_quant.bits}A{a_quant.bits}"
+    if max(w_quant.bits, a_quant.bits) > MAX_BITS:
+        raise NetworkError(f"{name}: an int8 layer holds at most {MAX_BITS}-bit grids, got {bits}")
+    if k << (w_quant.bits + a_quant.bits - 2) > 1 << 24:
+        raise NetworkError(f"{name}: {k} products at {bits} can sum past 2^24, inexact in float32")
+
+
 # -- forward ------------------------------------------------------------------------
 
 
@@ -156,6 +169,7 @@ def freeze(
 
     `offsets` are per-weight rounding offsets, as `autodiff.fake_quant_op`
     takes them; they are clipped into [0, scale] and steer the codes.
+    A layer the int8 rule (`check_int8`) refuses is left as it was.
     """
     if layer.precision == "int8":
         raise NetworkError(f"{layer.name}: already int8; its weight is integer codes")
@@ -163,6 +177,7 @@ def freeze(
         raise NetworkError(
             f"{layer.name}: offset shape {np.shape(offsets)} != weight shape {layer.weight.shape}"
         )
+    check_int8(layer.name, layer.weight[0].size, w_quant, a_quant)
     grid = engine_grid(w_quant)
     dtype = ad.current_dtype()
     theta = None
@@ -170,26 +185,17 @@ def freeze(
         # clipped in the engine dtype, in which the bound is exact
         theta = np.clip(np.asarray(offsets, dtype), 0.0, grid.scale)
     codes = level(np.asarray(layer.weight, dtype), grid, theta)
-    layer.weight = codes.astype(grid.code_dtype)
+    layer.weight = codes.astype(np.int8)
     layer.w_quant = grid
     layer.a_quant = engine_grid(a_quant)
 
 
 def _int8_conv(x: Tensor, layer: LayerSpec) -> Tensor:
-    """The int8 forward, off the tape: conv(k_x, k_w) * (s_a * s_w) + bias.
-
-    The codes' GEMM in float32 is exact while no partial sum can pass 2^24:
-    K * 2^(bits_a - 1) * 2^(bits_w - 1) <= 2^24, up to K = 1024 at 8 bits.
-    Wider sums run in float64, exact up to 2^53, and wider ones than that
-    are refused.
-    """
+    """The int8 forward, off the tape: conv(k_x, k_w) * (s_a * s_w) + bias,
+    the codes' GEMM exact in the engine dtype (`check_int8`)."""
     w_q, a_q = layer.w_quant, layer.a_quant
-    bound = layer.weight[0].size << (a_q.bits + w_q.bits - 2)
-    if bound > 1 << 53:
-        raise NetworkError(f"{layer.name}: no float64 sum of its codes is exact")
     k_x = level(x.data, a_q)
-    with ad.using_dtype(np.float64 if bound > 1 << 24 else ad.current_dtype()):
-        acc = ad.conv2d(k_x, layer.weight, None, layer.stride, layer.padding).data
+    acc = ad.conv2d(k_x, layer.weight, None, layer.stride, layer.padding).data
     acc *= a_q.scale * w_q.scale  # in place: the conv's output array is this call's own
     acc += layer.bias.reshape(1, -1, 1, 1)
     return Tensor(acc)

@@ -265,10 +265,9 @@ def run_baseline_calibration(
     names the method. `layer_stats[name]` holds the frozen layer's `w_scale`
     and `a_scale` as its model file states them, the activation MSE at the
     max-min scale (`pre_mse`) and at the chosen one (`post_mse`), and
-    `entropy_fallback`."""
+    `entropy_fallback`. `bits` is 2 to 8: `network.freeze` refuses a wider
+    grid at the first layer, before it changes it."""
     log = RunLog(meta={"method": method})
-    if bits == 32:
-        return fp_net.copy(), log
     if not calib_feats:
         raise PipelineError("empty calibration set")
 

@@ -17,6 +17,11 @@ holds and the model file stores) and the int8 forward (its input codes).
 
 Rounding offsets are optimizer state: `network.freeze` folds them into the
 weight codes, so no offsets are kept on a layer or written to a model file.
+
+Int8 means 8 bits: `QuantParams` is a grid of 2 bits or more (the grid
+search builds wider ones internally), but a quantized layer holds grids of 2
+to `MAX_BITS` = 8 bits, its codes one `np.int8` each, and `network.check_int8`
+keeps its code GEMM exact in float32. `PipelineConfig` refuses other widths.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ import numpy as np
 # Scale assigned to tensors that are identically zero; keeps downstream
 # arithmetic finite while making the degenerate path explicit.
 EPS_SCALE = 1e-8
+
+MAX_BITS = 8
 
 
 class QuantError(ValueError):
@@ -56,11 +63,6 @@ class QuantParams:
     @property
     def q_max(self) -> int:
         return (1 << (self.bits - 1)) - 1
-
-    @property
-    def code_dtype(self) -> np.dtype:
-        """The narrowest signed integer type that holds every level."""
-        return np.min_scalar_type(self.q_min)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:

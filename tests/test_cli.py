@@ -124,19 +124,38 @@ def test_calibration_arms_reject_mixed_bit_widths(
     assert not any(tmp_path.iterdir())
 
 
-def test_calibrate_rejects_the_float_width(tiny_dataset, model_path, tmp_path, capsys):
-    # calibrate and the calibration-only quantize arms share one rule
-    arms = [("calibrate", "maxmin"), ("quantize", "maxmin"), ("quantize", "entropy"),
-            ("quantize", "maxmin_grid")]
-    for verb, method in arms:
-        out = tmp_path / f"{verb}-{method}"
-        code = _run(
-            verb, tiny_dataset, model_path, out, f"method={method}", "bits_w=32", "bits_a=32"
-        )
-        assert code == 2, (verb, method)
-        err = capsys.readouterr().err
-        assert f"error[config]: method {method} needs an integer bit-width" in err
-        assert not out.exists()
+@pytest.mark.parametrize("verb,method", [
+    ("calibrate", "maxmin"),
+    ("calibrate", "entropy"),
+    ("calibrate", "maxmin_grid"),
+    ("quantize", "maxmin"),
+    ("quantize", "entropy"),
+    ("quantize", "maxmin_grid"),
+    ("quantize", "lidar-ptq"),
+])
+def test_bit_widths_outside_2_to_8_fail_before_any_output(
+    tiny_dataset, model_path, tmp_path, capsys, verb, method
+):
+    # an int8 model: the config refuses any other width, before the verb
+    # reads its inputs or creates --out
+    for bits in (1, 9, 32):
+        for key in ("bits_w", "bits_a"):
+            out = tmp_path / f"{key}={bits}"
+            code = _run(verb, tiny_dataset, model_path, out, f"method={method}", f"{key}={bits}")
+            assert code == 2, (key, bits)
+            assert "error[config]: bit-widths must be 2..8, got W" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,method", [("calibrate", "maxmin"), ("quantize", "lidar-ptq")])
+@pytest.mark.parametrize("key", ["search_alpha", "search_beta"])
+def test_grid_span_is_not_a_config_key(
+    tiny_dataset, model_path, tmp_path, capsys, verb, method, key
+):
+    out = tmp_path / "out"
+    assert _run(verb, tiny_dataset, model_path, out, f"method={method}", f"{key}=0.5") == 2
+    assert f"unknown config key {key!r} for PipelineConfig" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_maxmin_grid_report_shows_the_quantized_scales(
@@ -306,9 +325,9 @@ def test_train_fp_takes_no_scoring_keys(tiny_dataset, model_path, tmp_path, caps
     ("gen-data", ["falloff=-1"]),
     ("gen-data", ["n_objects_min=5", "n_objects_max=2"]),
     ("quantize", ["search_T=0"]),
-    ("quantize", ["search_alpha=0"]),
+    ("quantize", ["iters_T=-1"]),
     ("calibrate", ["method=maxmin", "search_T=0"]),
-    ("calibrate", ["method=entropy", "search_alpha=0"]),
+    ("calibrate", ["method=entropy", "calib_frames=2"]),
     ("quantize", ["lambda2=-1"]),
     ("quantize", ["lr_scale=-1"]),
     ("quantize", ["lr_theta=-1"]),

@@ -6,6 +6,7 @@ from argparse import Namespace
 
 import pytest
 
+from pillarptq.calib import SearchConfig
 from pillarptq.cli import _load_cfg
 from pillarptq.config import (
     ConfigError,
@@ -114,7 +115,7 @@ class TestPipelineConfig:
         assert cfg.batch == 4
         assert cfg.method == "lidar-ptq"
         assert cfg.lambda2 == 1.0
-        assert (cfg.search_T, cfg.search_alpha, cfg.search_beta) == (100, 0.01, 1.2)
+        assert cfg.search_T == 100 and cfg.search == SearchConfig(100, 0.01, 1.2)
         assert cfg.optimize_theta is True
 
     def test_method_catalog(self):
@@ -135,14 +136,20 @@ class TestPipelineConfig:
         (dict(lr_scale=-1.0), "lr_scale"),
         (dict(lr_theta=math.nan), "lr_theta"),
         (dict(lr_scale=math.inf), "lr_scale"),
+        (dict(bits_w=9), "bit-widths must be 2..8"),
+        (dict(bits_a=9), "bit-widths must be 2..8"),
+        (dict(bits_w=32, bits_a=32), "bit-widths must be 2..8"),
     ])
     def test_validation(self, kwargs, pattern):
         with pytest.raises(ConfigError, match=pattern):
             PipelineConfig(**kwargs)
 
     def test_derived_search_config(self):
-        sc = PipelineConfig(search_T=7, search_alpha=0.2, search_beta=0.9).search
-        assert (sc.T, sc.alpha, sc.beta) == (7, 0.2, 0.9)
+        # the job sets the candidate count; the span is SearchConfig's own
+        assert PipelineConfig(search_T=7).search == SearchConfig(7)
+        for key in ("search_alpha", "search_beta"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                build_config(PipelineConfig, {key: "0.2"})
 
 
 class TestTrainAndGenConfig:

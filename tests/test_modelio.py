@@ -12,6 +12,7 @@ from pillarptq.cli import main
 from pillarptq.config import PipelineConfig
 from pillarptq.detector import build_detector
 from pillarptq.modelio import ModelIOError, load_model, save_model
+from pillarptq.network import Network
 from pillarptq.network import conv2d as layer_conv2d
 from pillarptq.network import freeze, run
 from pillarptq.pipeline import run_baseline_calibration, run_lidar_ptq
@@ -77,10 +78,7 @@ def v2_records(raw):
         rec.ndim_at = at
         shape = struct.unpack_from(f"<{raw[at]}I", raw, at + 1)
         at += 1 + 4 * len(shape)
-        dtype = np.dtype("<f4")
-        if prec == 1:
-            bits = rec.quants[0][2]
-            dtype = np.dtype("<i1" if bits <= 8 else "<i2" if bits <= 16 else "<i4")
+        dtype = np.dtype("<i1" if prec == 1 else "<f4")
         size = int(np.prod(shape))
         rec.weight = (at, np.frombuffer(raw, dtype, size, at).reshape(shape))
         at += dtype.itemsize * size
@@ -114,6 +112,14 @@ class TestRoundTrip:
         assert got.layer("conv1").precision == "int8"
         assert got.layer("conv1").w_quant.scale == float(np.float32(0.011))
         assert got.layer("conv0").w_quant is None
+
+    @pytest.mark.parametrize("heads", [("hm",), ("heatmap", "regression", "aux")])
+    def test_a_head_without_a_role_is_refused(self, tmp_path, grid_cfg, heads):
+        net = build_detector(grid_cfg, seed=1)
+        net = Network(net.layers, {k: net.heads["heatmap"] for k in heads}, net.input_spec)
+        with pytest.raises(ModelIOError, match=f"head {heads[-1]!r} has no PTQF role"):
+            save_model(tmp_path / "h.ptqf", net)
+        assert not (tmp_path / "h.ptqf").exists()
 
     def test_weights_survive_exactly_in_float32(self, tmp_path, grid_cfg):
         net = build_detector(grid_cfg, seed=2)
@@ -307,7 +313,7 @@ class TestIntegerCodes:
             else:
                 assert w.tobytes() == layer.weight.astype("<f4").tobytes()
 
-    @pytest.mark.parametrize("bits,width", [(4, 1), (8, 1), (12, 2), (16, 2), (24, 4)])
+    @pytest.mark.parametrize("bits,width", [(4, 1), (8, 1)])
     def test_code_width_follows_the_bit_width(self, tmp_path, grid_cfg, bits, width):
         net = build_detector(grid_cfg, seed=2)
         layer = net.layer("conv1")
@@ -318,11 +324,27 @@ class TestIntegerCodes:
         assert w.dtype.itemsize == width and np.abs(w).max() == (1 << (bits - 1)) - 1
         assert_nets_equal(net, load_model(tmp_path / "b.ptqf"))
 
-    def test_no_code_wider_than_32_bits(self, tmp_path, grid_cfg):
-        net = build_detector(grid_cfg)
-        freeze(net.layer("conv1"), QuantParams(1e-9, 33), A_QUANT)
-        with pytest.raises(ModelIOError, match="33-bit"):
-            save_model(tmp_path / "w.ptqf", net)
+    @pytest.mark.parametrize("which", [0, 1], ids=["weight", "activation"])
+    def test_reader_refuses_a_record_with_9_bit_quantizers(self, tmp_path, grid_cfg, which):
+        raw = bytearray(saved(tmp_path / "n.ptqf", quantize_some_layers(build_detector(grid_cfg))))
+        at, _, _ = v2_records(raw)[1].quants[which]
+        raw[at + 12] = 9
+        (tmp_path / "n.ptqf").write_bytes(bytes(raw))
+        want = "W9A8" if which == 0 else "W8A9"
+        with pytest.raises(ModelIOError, match=f"record 1: conv1: .*8-bit grids, got {want}"):
+            load_model(tmp_path / "n.ptqf")
+
+    def test_file_of_wide_codes_is_refused(self, tmp_path, grid_cfg):
+        # earlier writers stored 12-bit codes two bytes each; the reader
+        # refuses the record before it reads them
+        raw = bytearray(saved(tmp_path / "w.ptqf", quantize_some_layers(build_detector(grid_cfg))))
+        rec = v2_records(raw)[1]
+        (at, _, _), (w_at, codes) = rec.quants[0], rec.weight
+        raw[at + 12] = 12
+        wide = raw[:w_at] + codes.astype("<i2").tobytes() + raw[w_at + codes.size :]
+        (tmp_path / "w.ptqf").write_bytes(bytes(wide))
+        with pytest.raises(ModelIOError, match="record 1: conv1: .*8-bit grids, got W12A8"):
+            load_model(tmp_path / "w.ptqf")
 
     @pytest.mark.parametrize("method", ["maxmin", "entropy", "maxmin_grid", "lidar-ptq"])
     def test_file_states_the_scale_its_codes_count(
@@ -373,11 +395,10 @@ class TestIntegerCodes:
     def test_file_holds_what_integer_arithmetic_computes(self, tiny_net, tiny_calib_feats, tmp_path):
         # An int8 layer's output is bitwise the int64 accumulation of its
         # input codes and the file's weight codes, times s_a * s_w, plus the
-        # bias. At 8 bits every partial sum stays below K * 2^14 <= 2^24 and
-        # the forward sums in float32; at 12 bits K * 2^22 passes 2^24 and it
-        # sums in float64, then rounds the rescaled output to float32.
+        # bias: every partial sum stays within K * 2^(bits_w + bits_a - 2)
+        # <= 2^24, so the forward's float32 sum is exact.
         feats = np.stack(tiny_calib_feats[:2])
-        for bits, acc_dtype in [(8, np.float32), (12, np.float64)]:
+        for bits in (8, 4):
             qnet, _ = run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin", bits=bits)
             raw = saved(tmp_path / f"q{bits}.ptqf", qnet)
             checked = []
@@ -390,10 +411,9 @@ class TestIntegerCodes:
                 top = 1 << (bits_a - 1)
                 x_codes = np.clip(round_half_away(x / s_a), -top, top - 1).astype(np.int64)
                 acc = int_conv(x_codes, w_codes, layer.stride, layer.padding)
-                assert (w_codes[0].size << (2 * bits - 2) > 1 << 24) == (acc_dtype == np.float64)
-                rescaled = acc.astype(acc_dtype) * (s_a * s_w) + layer.bias.reshape(1, -1, 1, 1)
+                assert bits_a == bits and np.abs(acc).max() <= w_codes[0].size << (2 * bits - 2)
+                rescaled = acc.astype(np.float32) * (s_a * s_w) + layer.bias.reshape(1, -1, 1, 1)
                 got = layer_conv2d(Tensor(x), layer).data
-                assert got.dtype == np.float32
-                assert got.tobytes() == rescaled.astype(np.float32).tobytes()
+                assert got.dtype == np.float32 and got.tobytes() == rescaled.tobytes()
                 checked.append(layer.name)
             assert checked == [l.name for l in qnet.layers if l.precision == "int8"] != []

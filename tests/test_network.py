@@ -40,6 +40,13 @@ def frozen_layer(w_quant=QuantParams(0.01), a_quant=QuantParams(0.05), **kw):
     return layer
 
 
+def assert_untouched(layer):
+    """`layer` is still the float layer `make_layer` built with its arguments."""
+    fresh = make_layer(in_ch=layer.in_ch, k=layer.weight.shape[-1])
+    assert layer.precision == "fp" and (layer.w_quant, layer.a_quant) == (None, None)
+    assert layer.weight.dtype == np.float32 and layer.weight.tobytes() == fresh.weight.tobytes()
+
+
 def int_conv(x, w, stride, pad):
     """Integer cross-correlation, accumulated in int64 over the kernel window."""
     b, _, h, wd = x.shape
@@ -179,11 +186,44 @@ class TestQuantizedForward:
         assert got.data.dtype == np.float64 and got.data.tobytes() == want.tobytes()
         assert got._parents == () and not got.requires_grad
 
-    def test_int8_forward_refuses_a_sum_past_float64(self, rng):
-        # 9 products of 32-bit codes can reach 9 * 2^62 > 2^53
-        layer = frozen_layer(QuantParams(1e-3, 32), QuantParams(1e-3, 32))
-        with pytest.raises(NetworkError, match="no float64 sum"):
-            layer_conv2d(Tensor(rng.normal(size=(1, 3, 4, 4))), layer)
+    def test_int8_forward_is_exact_in_float32_at_the_widest_sum(self, rng):
+        # K = 1024 products of 8-bit codes: every partial sum stays within
+        # K * 2^14 = 2^24, so the float32 GEMM is the int64 accumulation
+        layer = make_layer(in_ch=1024, k=1)
+        layer.weight = np.sign(rng.normal(size=layer.weight.shape)).astype(np.float32)
+        layer.weight[0] = 1.0  # a sum near the bound: -1024 * 127 * 128 at x = -1
+        freeze(layer, QuantParams(1 / 127), QuantParams(1 / 128))
+        assert np.abs(layer.weight).min() == 127
+        x = np.where(rng.random((1, 1024, 2, 2)) < 0.9, -1.0, 1.0).astype(np.float32)
+        got = layer_conv2d(Tensor(x), layer).data
+        w_q, a_q = layer.w_quant, layer.a_quant
+        acc = int_conv(level(x, a_q).astype(np.int64), layer.weight.astype(np.int64), 1, 0)
+        assert np.abs(acc).max() > 1 << 23
+        want = acc.astype(np.float32) * (a_q.scale * w_q.scale) + layer.bias.reshape(1, -1, 1, 1)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bits_w,bits_a", [(9, 8), (8, 9), (32, 32)])
+    def test_freeze_refuses_grids_past_8_bits(self, bits_w, bits_a):
+        layer = make_layer()
+        with pytest.raises(NetworkError, match=f"at most 8-bit grids, got W{bits_w}A{bits_a}"):
+            freeze(layer, QuantParams(1e-3, bits_w), QuantParams(1e-3, bits_a))
+        assert_untouched(layer)
+        # nor can such a layer be built from codes
+        codes = np.zeros((1, 1, 1, 1), np.int8)
+        with pytest.raises(NetworkError, match="at most 8-bit grids"):
+            LayerSpec("c", codes, np.zeros(1), w_quant=QuantParams(1e-3, bits_w),
+                      a_quant=QuantParams(1e-3, bits_a))
+
+    def test_freeze_refuses_a_sum_past_float32(self):
+        # K * 2^(bits_w + bits_a - 2) <= 2^24: at W8A8 a 1x1 conv over 1024
+        # input channels is the widest, at W4A4 the same K is far inside
+        freeze(make_layer(in_ch=1024, k=1), QuantParams(0.01), QuantParams(0.05))
+        layer = make_layer(in_ch=1025, k=1)
+        with pytest.raises(NetworkError, match=r"1025 products at W8A8 can sum past 2\^24"):
+            freeze(layer, QuantParams(0.01), QuantParams(0.05), np.zeros(layer.weight.shape))
+        assert_untouched(layer)
+        freeze(layer, QuantParams(0.01, 4), QuantParams(0.05, 4))
+        assert layer.precision == "int8" and layer.weight.dtype == np.int8
 
     def test_int8_without_weight_quantizer_raises(self):
         # a layer holds both quantizers or neither: one alone cannot be built

@@ -54,7 +54,7 @@ def _saved_bytes(net, path):
 
 def _nearest(w_fp, layer):
     """The codes `layer`'s weight quantizer gives w_fp without offsets."""
-    return level(w_fp, layer.w_quant).astype(layer.w_quant.code_dtype)
+    return level(w_fp, layer.w_quant).astype(np.int8)
 
 
 class TestLidarPTQ:
@@ -360,11 +360,19 @@ class TestBaselineCalibration:
         ref, _ = _run(tiny_net, tiny_calib_feats, grid_cfg, iters_T=0)
         assert _saved_bytes(qnet, tmp_path / "a.ptqf") == _saved_bytes(ref, tmp_path / "b.ptqf")
 
-    def test_float_width_returns_an_untouched_copy(self, tiny_net, tiny_calib_feats):
-        qnet, log = run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin", bits=32)
-        assert log.layer_stats == {} and log.records == []
-        assert qnet is not tiny_net
-        assert all(l.precision == "fp" for l in qnet.layers)
+    @pytest.mark.parametrize("bits", [9, 32])
+    def test_a_width_past_8_bits_is_refused_at_the_first_layer(
+        self, tiny_net, tiny_calib_feats, bits
+    ):
+        # an int8 model holds grids of 8 bits or fewer; the first freeze
+        # refuses the grid before it changes the layer, and the float net is
+        # never changed
+        before = [l.weight.tobytes() for l in tiny_net.layers]
+        first = quantizable_layers(tiny_net)[0]
+        with pytest.raises(network.NetworkError, match=f"{first}: an int8 layer holds at most 8"):
+            run_baseline_calibration(tiny_net, tiny_calib_feats, "maxmin", bits=bits)
+        assert [l.weight.tobytes() for l in tiny_net.layers] == before
+        assert all(l.precision == "fp" for l in tiny_net.layers)
 
     def test_empty_calibration_set_rejected(self, tiny_net):
         with pytest.raises(PipelineError, match="empty"):

@@ -99,13 +99,6 @@ class TestQuantizeDequantize:
         with pytest.raises(QuantError):
             fake_quant(np.array([np.inf]), p)
 
-    def test_code_dtype_is_the_narrowest_that_holds_the_range(self):
-        widths = {bits: QuantParams(1.0, bits).code_dtype for bits in (2, 8, 9, 16, 17, 32, 33)}
-        assert widths == {
-            2: np.int8, 8: np.int8, 9: np.int16, 16: np.int16,
-            17: np.int32, 32: np.int32, 33: np.int64,
-        }
-
 
 # -- scale derivation ----------------------------------------------------------------
 
