@@ -1,10 +1,10 @@
 """Reverse-mode tape over numpy arrays.
 
 Covers exactly the ops the detector and the quantization losses need:
-elementwise arithmetic, relu/sigmoid/log/abs/clip, a sum reduction, 2-D
-convolution (im2col + BLAS matmul), and a fake-quantization node with
-straight-through gradients for the input, the scale, and the per-weight
-rounding offsets.
+elementwise arithmetic, relu/sigmoid/log/abs/clip, a sum reduction, a
+quadratic form over a Gram matrix (`quad_form`), 2-D convolution (im2col +
+BLAS matmul), and a fake-quantization node with straight-through gradients
+for the input, the scale, and the per-weight rounding offsets.
 
 A vjp may return None for a parent that needs no gradient (`requires_grad`
 False); `Tensor.backward` skips it. `conv2d`, `mul`, `add` and
@@ -309,6 +309,20 @@ def tsum(a) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return Tensor._from_op(out, (a,), vjp)
+
+
+def quad_form(d, gram: np.ndarray) -> Tensor:
+    """sum_c d_c' G d_c in float64, d_c the rows of d as (Cout, K): for G = P P'
+    of a conv's patch matrix, the squared norm of the conv of d. The vjp,
+    2g (d @ G) in d's shape and dtype, is the gradient only for a symmetric G."""
+    d = as_tensor(d)
+    dg = d.data.reshape(len(d.data), -1) @ gram.astype(np.float64, copy=False)
+    out = np.asarray((dg * d.data.reshape(dg.shape)).sum())
+
+    def vjp(g):
+        return ((dg * (2.0 * float(g))).astype(d.data.dtype).reshape(d.data.shape),)
+
+    return Tensor._from_op(out, (d,), vjp)
 
 
 # -- convolution -------------------------------------------------------------------

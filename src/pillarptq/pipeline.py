@@ -7,7 +7,11 @@ grid-search initialization and an optimization of its activation/weight
 scales and rounding offsets, with a keep-best-iterate rule that guarantees
 the layer's reconstruction error never ends above its initialization value.
 Keep-best tests admissibility first: a snapshot's task term runs through the
-float tail and heads only once its local term (one conv) admits it.
+float tail and heads only once its local term admits it. That term, AdaRound's
+weight-only ||conv(x, w_hat) - conv(x, w)||^2 = ||conv(x, d)||^2, d = w_hat - w,
+runs no conv: it is sum_c d_c' G d_c, G the batch's input-patch Gram matrix
+(GPTQ's layer Hessian), the float64 sum of per-frame P_f P_f', each built once
+per layer when a batch first draws the frame.
 
 Every arm ends a layer with `network.freeze`, which replaces its float
 weight by integer codes. The offsets exist only while they are optimized:
@@ -18,6 +22,7 @@ what these passes return.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -37,7 +42,7 @@ from .detector import (
     quantizable_layers,
 )
 from .evalharness import evaluate_model
-from .losses import PseudoLabels, make_pseudo_labels, pseudo_label_loss, pow2, render_targets
+from .losses import PseudoLabels, make_pseudo_labels, pseudo_label_loss, render_targets
 from .network import LayerSpec, Network
 from .optim import Adam
 from .quant import EPS_SCALE, QuantParams
@@ -290,14 +295,12 @@ def run_baseline_calibration(
 # -- the full pipeline -------------------------------------------------------------------
 
 
-def _conv_refs(layer, inputs: List[np.ndarray]) -> List[np.ndarray]:
-    """Float conv responses (no bias, no activation) of the recorded inputs."""
-    w = Tensor(layer.weight)
-
-    def conv(c):
-        return ad.conv2d(Tensor(c), w, None, layer.stride, layer.padding).data
-
-    return _chunked(conv, inputs)
+def _gram(layer, frame: np.ndarray) -> np.ndarray:
+    """P P' of one (C, H, W) input frame's (K, Ho*Wo) `_im2col` patch matrix
+    for the layer: K x K, in the frame's (the engine) dtype, and symmetric."""
+    kh, kw = layer.weight.shape[2:]
+    patches, _, _ = ad._im2col(frame[None], kh, kw, layer.stride, layer.padding)
+    return patches @ patches.T
 
 
 def _w_hat(layer, params: Dict[str, Tensor], cfg: PipelineConfig) -> Tensor:
@@ -307,11 +310,11 @@ def _w_hat(layer, params: Dict[str, Tensor], cfg: PipelineConfig) -> Tensor:
     )
 
 
-def _local_loss(layer, params: Dict[str, Tensor], x: Tensor, ref: np.ndarray, cfg) -> Tensor:
-    """The layer's conv reconstruction term: the squared error of its conv
-    with the fake-quantized weight against the float conv, per frame."""
-    q = ad.conv2d(x, _w_hat(layer, params, cfg), None, layer.stride, layer.padding)
-    return ad.tsum(pow2(q - ref)) * (1.0 / ref.shape[0])
+def _local_loss(layer, params: Dict[str, Tensor], gram: np.ndarray, n: int, cfg) -> Tensor:
+    """The squared error of the layer's conv with the fake-quantized weight
+    w_hat against the float conv, per frame of a batch of n: with `gram` the
+    float64 sum of the frames' `_gram`s, it is quad_form(w_hat - w, gram) / n."""
+    return ad.quad_form(_w_hat(layer, params, cfg) - layer.weight, gram) * (1.0 / n)
 
 
 def _task_loss(qnet: Network, layer, params, x: Tensor, labels, cfg) -> Tensor:
@@ -331,15 +334,15 @@ def _layer_losses(
     layer,
     params: Dict[str, Tensor],
     x: Tensor,
-    ref: np.ndarray,
+    gram: np.ndarray,
     labels: List[PseudoLabels],
     cfg: PipelineConfig,
 ):
-    """Tape forward for one batch: the local term plus `cfg.lambda2` times the
-    task term. The local term has no weight of its own: Adam's step is
-    invariant to a positive rescaling of the loss, so (w, lambda2) would run
-    (1, lambda2/w)."""
-    local = _local_loss(layer, params, x, ref, cfg)
+    """Tape forward for one batch (frames `x`, their summed `gram`): the local
+    term plus `cfg.lambda2` times the task term. The local term has no weight
+    of its own: Adam's step is invariant to a positive rescaling of the loss,
+    so (w, lambda2) would run (1, lambda2/w)."""
+    local = _local_loss(layer, params, gram, len(x.data), cfg)
     task = _task_loss(qnet, layer, params, x, labels, cfg)
     return local, task, local + task * cfg.lambda2
 
@@ -382,15 +385,16 @@ def run_lidar_ptq(
 
     for layer, inputs in _layer_inputs(qnet, calib_feats):
         name = layer.name
-        refs = _conv_refs(layer, inputs)
+        frame_gram = functools.cache(lambda i: _gram(layer, inputs[i]))
 
         def batch(idx):
-            x = Tensor(np.stack([inputs[i] for i in idx]))
-            return x, np.stack([refs[i] for i in idx]), [labels[i] for i in idx]
+            gram = sum(frame_gram(i).astype(np.float64) for i in idx)
+            return Tensor(np.stack([inputs[i] for i in idx])), gram, [labels[i] for i in idx]
 
         w_init = grid_search_detail(layer.weight, cfg.bits_w, cfg.search).params.scale
-        pooled = np.concatenate(inputs, axis=None, dtype=np.float64)
-        a_init = grid_search_detail(pooled, cfg.bits_a, cfg.search).params.scale
+        a_init = grid_search_detail(  # the pooled float64 copy dies with the call
+            np.concatenate(inputs, axis=None, dtype=np.float64), cfg.bits_a, cfg.search
+        ).params.scale
         params = {
             "s_w": Tensor(np.asarray(w_init), requires_grad=True),
             "s_a": Tensor(np.asarray(a_init), requires_grad=True),
@@ -401,13 +405,13 @@ def run_lidar_ptq(
             params, lr={k: cfg.lr_theta if k == "theta" else cfg.lr_scale for k in params}
         )
 
-        x_s, ref_s, labels_s = batch(score_idx)
+        x_s, gram_s, labels_s = batch(score_idx)
 
         def frozen():
             return {k: Tensor(p.data) for k, p in params.items()}
 
         init_local, init_task, init_total = (
-            float(v.data) for v in _layer_losses(qnet, layer, frozen(), x_s, ref_s, labels_s, cfg)
+            float(v.data) for v in _layer_losses(qnet, layer, frozen(), x_s, gram_s, labels_s, cfg)
         )
         best_params = {k: p.data.copy() for k, p in params.items()}
         best_local, best_total = init_local, init_total
@@ -441,7 +445,7 @@ def run_lidar_ptq(
             if it % cfg.snapshot_every == 0 or it == cfg.iters_T:
                 # Admissibility first: no task forward for a rejected snapshot.
                 snap = frozen()
-                local = _local_loss(layer, snap, x_s, ref_s, cfg)
+                local = _local_loss(layer, snap, gram_s, len(score_idx), cfg)
                 if float(local.data) <= init_local:
                     task = _task_loss(qnet, layer, snap, x_s, labels_s, cfg)
                     total_s = float((local + task * cfg.lambda2).data)
@@ -455,6 +459,7 @@ def run_lidar_ptq(
             QuantParams(float(best_params["s_a"]), cfg.bits_a),
             best_params.get("theta"),
         )
+        frame_gram.cache_clear()  # before the generator builds the next layer's inputs
         log.layer_stats[name] = {
             "pre_mse": init_local,
             "post_mse": best_local,

@@ -271,6 +271,13 @@ class TestGradientsAgainstFiniteDifferences:
         x = np.array([-2.0, -0.4, 0.3, 1.8])
         check_op(lambda a: ad.tsum(ad.clip(a, -1.0, 1.0)), [x])
 
+    def test_quad_form(self, rng):
+        # the vjp 2g (d @ G) is the gradient for a symmetric G, as P @ P.T is
+        p = rng.normal(size=(6, 20))
+        gram = p @ p.T
+        assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+        check_op(lambda d: ad.quad_form(d, gram), [rng.normal(size=(2, 3, 1, 2))])
+
     def test_sigmoid_saturates_without_overflow(self):
         x = Tensor(np.array([-1000.0, 1000.0]))
         with np.errstate(over="raise"):

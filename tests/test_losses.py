@@ -1,6 +1,7 @@
 """Loss-function tests: focal/L1 against plain-numpy references, target rendering,
 and the per-layer objective of LiDAR-PTQ (`pipeline._layer_losses`): the local
-reconstruction term plus lambda2 times the task loss."""
+reconstruction term plus lambda2 times the task loss. The local term, computed
+from Gram matrices, is checked against the conv form it replaces."""
 
 import math
 
@@ -18,10 +19,12 @@ from pillarptq.losses import (
     gaussian_radius,
     l1_reg_loss,
     make_pseudo_labels,
+    pow2,
     pseudo_label_loss,
     render_targets,
 )
-from pillarptq.pipeline import _conv_refs, _layer_inputs, _layer_losses
+from pillarptq.network import LayerSpec
+from pillarptq.pipeline import _gram, _layer_inputs, _layer_losses, _local_loss, _w_hat
 
 
 def numpy_focal(pred: np.ndarray, target: np.ndarray) -> float:
@@ -225,9 +228,23 @@ def layer_losses(net, layer, inputs, cfg=PipelineConfig(), s_w=None):
     s_w = maxmin_scale(layer.weight) if s_w is None else s_w
     params = {"s_w": Tensor(s_w, requires_grad=True), "s_a": Tensor(0.05, requires_grad=True)}
     x = Tensor(np.stack(inputs))
-    ref = np.stack(_conv_refs(layer, inputs))
+    gram = batch_gram(layer, inputs)
     labels = [render_targets([], GridConfig()) for _ in inputs]
-    return params, _layer_losses(net, layer, params, x, ref, labels, cfg)
+    return params, _layer_losses(net, layer, params, x, gram, labels, cfg)
+
+
+def batch_gram(layer, inputs):
+    """The batch form of the local term's input: the float64 sum of its
+    frames' Gram matrices."""
+    return sum(_gram(layer, a).astype(np.float64) for a in inputs)
+
+
+def conv_local_loss(layer, params, x, cfg):
+    """The brute-force local term: the fake-quantized weight's conv against
+    the float conv, squared and summed, per frame."""
+    ref = ad.conv2d(x, Tensor(layer.weight), None, layer.stride, layer.padding).data
+    q = ad.conv2d(x, _w_hat(layer, params, cfg), None, layer.stride, layer.padding)
+    return ad.tsum(pow2(q - ref)) * (1.0 / len(x.data))
 
 
 class TestLocalReconLoss:
@@ -264,6 +281,65 @@ class TestLocalReconLoss:
         wrong = [np.zeros((layer.in_ch + 1, *inputs[0].shape[1:]), np.float32)] * 2
         with pytest.raises(ValueError):
             layer_losses(net, layer, wrong)
+
+
+class TestLocalTermAgainstConvForm:
+    """`_local_loss` from the batch's Gram matrix against `conv_local_loss`."""
+
+    @staticmethod
+    def params(rng, layer, grad=True):
+        s_w = maxmin_scale(layer.weight)
+        theta = rng.uniform(0.0, s_w, size=layer.weight.shape)
+        values = {"s_w": s_w, "s_a": 0.05, "theta": theta}
+        return {k: Tensor(v, requires_grad=grad) for k, v in values.items()}
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize(
+        "batch,cin", [(1, 1), (2, 2), (3, 3), (4, 4), (1, 5), (2, 6), (3, 7), (4, 8)]
+    )
+    def test_loss_and_gradients_match_in_float64(self, rng, stride, padding, batch, cin):
+        weight = rng.normal(size=(3, cin, 3, 3))
+        layer = LayerSpec("conv", weight, np.zeros(3), stride=stride, padding=padding)
+        frames = list(rng.normal(size=(batch, cin, 9, 8)))
+        cfg = PipelineConfig()
+        with ad.using_dtype(np.float64):
+            results = []
+            for form in ("gram", "conv"):
+                params = self.params(np.random.default_rng(batch), layer)
+                if form == "gram":
+                    loss = _local_loss(layer, params, batch_gram(layer, frames), batch, cfg)
+                else:
+                    loss = conv_local_loss(layer, params, Tensor(np.stack(frames)), cfg)
+                loss.backward()
+                results.append((loss.data, params["s_w"].grad, params["theta"].grad))
+        (got, got_sw, got_theta), (want, want_sw, want_theta) = results
+        assert float(got) > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+        np.testing.assert_allclose(got_sw, want_sw, rtol=1e-10)
+        # an offset's gradient is a sum with cancellation; its rounding is
+        # relative to the largest entry
+        scale = np.abs(want_theta).max()
+        np.testing.assert_allclose(got_theta, want_theta, rtol=1e-10, atol=1e-10 * scale)
+
+    def test_frame_grams_are_exactly_symmetric(self, tiny_net, tiny_calib_feats):
+        # quad_form's vjp is the gradient only for a symmetric G; numpy's
+        # P @ P.T (BLAS syrk) makes it so bitwise
+        for layer, inputs in _layer_inputs(tiny_net.copy(), tiny_calib_feats):
+            for frame in inputs[:2]:
+                g = _gram(layer, frame)
+                assert g.dtype == np.float32
+                assert g.tobytes() == np.ascontiguousarray(g.T).tobytes()
+
+    def test_loss_matches_in_float32_at_every_quantizable_layer(self, tiny_net, tiny_calib_feats):
+        net, rng, seen = tiny_net.copy(), np.random.default_rng(0), 0
+        for layer, inputs in _layer_inputs(net, tiny_calib_feats):
+            params = self.params(rng, layer, grad=False)
+            got = _local_loss(layer, params, batch_gram(layer, inputs[:4]), 4, PipelineConfig())
+            want = conv_local_loss(layer, params, Tensor(np.stack(inputs[:4])), PipelineConfig())
+            assert got.data.dtype == want.data.dtype == np.float32
+            assert float(got.data) == pytest.approx(float(want.data), rel=1e-5)
+            seen += 1
+        assert seen == 3
 
 
 def test_layer_loss_backward_copies_only_a_gradient_two_parents_share(first_layer):

@@ -5,6 +5,7 @@ whole module runs in seconds; each check holds at any job size.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pillarptq.pipeline import (
     FORWARD_CHUNK,
     PipelineError,
     RunLog,
-    _conv_refs,
+    _gram,
     _pack,
     _unpack,
     fp_final_outputs,
@@ -130,6 +131,11 @@ class TestLidarPTQ:
             run_lidar_ptq(qnet, tiny_calib_feats, SMALL, grid_cfg)
 
 
+def _batch_gram(grams):
+    """A batch's Gram matrix: the float64 sum of its frames' in batch order."""
+    return sum(g.astype(np.float64) for g in grams)
+
+
 def _keep_best_scoring_every_term(fp_net, feats, cfg, grid_cfg):
     """Brute-force keep-best: `run_lidar_ptq`'s initialization and steps (with
     offsets, as SMALL runs), but every snapshot runs the whole `_layer_losses`
@@ -143,11 +149,11 @@ def _keep_best_scoring_every_term(fp_net, feats, cfg, grid_cfg):
     n, admitted = len(feats), []
     score_idx = np.arange(min(cfg.score_frames, n))
     for layer, inputs in _layer_inputs(qnet, feats):
-        refs = _conv_refs(layer, inputs)
+        grams = [_gram(layer, a) for a in inputs]
 
         def batch(idx):
             x = Tensor(np.stack([inputs[i] for i in idx]))
-            return x, np.stack([refs[i] for i in idx]), [labels[i] for i in idx]
+            return x, _batch_gram([grams[i] for i in idx]), [labels[i] for i in idx]
 
         pooled = np.concatenate([a.ravel() for a in inputs], dtype=np.float64)
         params = {
@@ -268,6 +274,52 @@ def test_a_snapshot_rejected_by_its_local_term_runs_no_task_loss(
         assert tied == len(quantizable_layers(tiny_net)) * cfg.iters_T
 
 
+@pytest.mark.parametrize("iters_T", [0, 4])
+def test_each_frame_gets_at_most_one_gram_per_layer(
+    tiny_net, tiny_calib_feats, grid_cfg, monkeypatch, iters_T
+):
+    # A frame's Gram is built the first time a batch draws it and kept for the
+    # layer; with no steps only the score batch draws frames.
+    built = []
+
+    def recording(layer, frame):
+        built.append((layer.name, frame.tobytes()))
+        return gram(layer, frame)
+
+    gram = pipeline._gram
+    monkeypatch.setattr(pipeline, "_gram", recording)
+    _run(tiny_net, tiny_calib_feats, grid_cfg, iters_T=iters_T)
+    assert len(set(built)) == len(built)
+    names = quantizable_layers(tiny_net)
+    per_layer = [sum(name == n for name, _ in built) for n in names]
+    if iters_T == 0:
+        assert per_layer == [SMALL.score_frames] * len(names)
+    else:
+        assert all(SMALL.score_frames <= k <= len(tiny_calib_feats) for k in per_layer)
+
+
+def test_no_conv_runs_for_the_local_term(tiny_net, tiny_calib_feats, grid_cfg, monkeypatch):
+    # Every conv of a job captures a layer's inputs, runs the task path or
+    # computes the float outputs that the pseudo-labels come from.
+    callers = []
+    conv2d = ad.conv2d
+
+    def recording(*args, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "conv2d", recording)
+    _run(tiny_net, tiny_calib_feats, grid_cfg)
+    roles = {"_layer_inputs", "_task_loss", "fp_final_outputs"}
+    assert callers and all(len(names & roles) == 1 for names in callers)
+    assert not any("_local_loss" in names for names in callers)
+    assert {role for names in callers for role in names & roles} == roles
+
+
 def test_training_caches_rebuild_features_and_targets_bitwise(tiny_dataset, grid_cfg):
     # train_fp_baseline keeps float16 features at occupied pillars only and
     # the regression target at its mask's cells; the dense arrays it rebuilds
@@ -319,9 +371,9 @@ def test_task_loss_is_the_deployed_layers_loss(tiny_net, tiny_calib_feats, grid_
         cal = calibrate_layer(inputs, layer.weight, method="maxmin")
         s_w, s_a = cal.w_params.scale, cal.a_params.scale
         x = Tensor(np.stack(inputs[:4]))
-        ref = np.stack(_conv_refs(layer, inputs[:4]))
+        gram = _batch_gram([_gram(layer, a) for a in inputs[:4]])
         params = {"s_w": Tensor(s_w), "s_a": Tensor(s_a)}
-        _, task, _ = _layer_losses(qnet, layer, params, x, ref, labels, SMALL)
+        _, task, _ = _layer_losses(qnet, layer, params, x, gram, labels, SMALL)
         network.freeze(layer, QuantParams(s_w, SMALL.bits_w), QuantParams(s_a, SMALL.bits_a))
         out = network.run(qnet, x, qnet.layer_index(layer.name), heads=True)
         deployed = pseudo_label_loss(DetectorOutput(*out), labels)
