@@ -1,12 +1,19 @@
-"""Command-line surface: one verb per experiment step.
+"""Command-line surface: four verbs, one per experiment step.
 
-Each quantization method takes one route in `calibrate` and `quantize`. The
-calibration arms (`calib.METHODS`; one bit-width for weights and activations)
-run through `pipeline.run_baseline_calibration`, and lidar-ptq (`quantize`
-only) through `pipeline.run_lidar_ptq`. Both return the RunLog the verbs write.
+`gen-data` makes a synthetic dataset, `train-fp` the float baseline,
+`quantize` an int8 model and `compare` an AP table. The first three build a
+config from `--config FILE` and `key=value` arguments (`config.py`; the
+arguments win over the file, and a key given twice in either is an error);
+`compare` reads no config and takes neither.
 
-`evaluate` scores one model and `compare` several, each with its AP drops
-against the first model named. JSON output is strict: NaN is written null.
+`quantize` takes one route per quantization method. The calibration arms
+(`calib.METHODS`; one bit-width for weights and activations) run through
+`pipeline.run_baseline_calibration`, and lidar-ptq through
+`pipeline.run_lidar_ptq`. Both return the RunLog written to runlog.csv and
+summary.json, whose `layers` hold each layer's scales and MSEs.
+
+`compare` scores one or more models, each with its AP drops against the
+first model named. JSON output is strict: NaN is written null.
 
 Exit codes: 0 success, 2 configuration problem (bad flags, unknown config
 keys, missing inputs, refusing to overwrite), 3 runtime failure. Errors go
@@ -20,19 +27,19 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 from . import calib
 from .config import (
-    QUANT_METHODS,
     ConfigError,
     GenConfig,
     PipelineConfig,
     TrainConfig,
     build_config,
     parse_kv_file,
+    parse_kv_text,
 )
 from .dataset import Dataset, DatasetError, generate_dataset
 from .detector import GridConfig, pillarize
@@ -52,23 +59,16 @@ from .quant import QuantError
 GRID = GridConfig()
 
 
-def _parse_overrides(pairs: List[str]) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for tok in pairs or []:
-        if "=" not in tok:
-            raise ConfigError(f"override {tok!r} is not key=value")
-        k, v = tok.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
-
-
 def _load_cfg(cls, args):
+    """`cls` from `--config`'s file, then the key=value tokens (which win), each
+    read as one line of such a file: a blank token or a '#' comment is refused."""
     mapping: Dict[str, str] = {}
     if args.config:
         mapping.update(parse_kv_file(args.config))
-    mapping.update(_parse_overrides(args.overrides))
-    if args.seed is not None:
-        mapping["seed"] = str(args.seed)
+    for tok in args.overrides:
+        if not tok.strip() or "#" in tok or "\n" in tok:
+            raise ConfigError(f"override {tok!r} is not one key=value line")
+    mapping.update(parse_kv_text("\n".join(args.overrides), "<command line>"))
     return build_config(cls, mapping)
 
 
@@ -170,38 +170,35 @@ def _require_shared_bits(cfg: PipelineConfig) -> None:
         )
 
 
-def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
-    """Run the config's method (one of `methods`) on the calibration frames,
-    after guarding the `outputs` file names; fail if a label file was read.
+def cmd_quantize(args) -> None:
+    """Run the config's method on the calibration frames and write the
+    quantized model, its run log and summary; fail if a label file was read.
     lidar-ptq also writes the float net's outputs on those frames, computed
     once and passed to `run_lidar_ptq` for its pseudo-labels, to
-    fp_outputs.npz, guarded with the others and written after the audit.
-    Returns the quantized net, its RunLog with the run's settings and read
-    audit in `meta`, and the `outputs` paths."""
+    fp_outputs.npz, guarded with the others and written after the audit."""
     cfg = _load_cfg(PipelineConfig, args)
-    if cfg.method not in methods:
-        raise ConfigError(f"{args.verb} expects method in {{{', '.join(methods)}}}")
-    if cfg.method in calib.METHODS:
+    lidar_ptq = cfg.method == "lidar-ptq"
+    if not lidar_ptq:
         _require_shared_bits(cfg)
     ds = _open_dataset(args)
     net = load_model(_require_file(args.model, "model"))
     ids = sample_calibration_set(ds, cfg.calib_frames, cfg.seed)
     feats = pillar_features(ds, ids, GRID)
     out = _out_dir(args)
-    lidar_ptq = cfg.method == "lidar-ptq"
+    outputs = ["quantized.ptqf", "runlog.csv", "summary.json"]
     if lidar_ptq:
-        outputs = [*outputs, "fp_outputs.npz"]
-    paths = [_guard(out / name, args.force) for name in outputs]
+        outputs.append("fp_outputs.npz")
+    model_path, csv_path, summary_path, *fp_path = (_guard(out / n, args.force) for n in outputs)
     if lidar_ptq:
         fp_outs = fp_final_outputs(net, feats)
         qnet, log = run_lidar_ptq(net, feats, cfg, GRID, fp_outs)
     else:
         qnet, log = run_baseline_calibration(net, feats, cfg.method, cfg.bits_a, cfg.search)
     if ds.audit.label_reads:
-        raise PipelineError(f"label files were read during {args.verb}: {ds.audit.summary()}")
+        raise PipelineError(f"label files were read during quantize: {ds.audit.summary()}")
     if lidar_ptq:
         heatmap, regression = zip(*fp_outs)
-        np.savez(paths.pop(), heatmap=np.stack(heatmap), regression=np.stack(regression))
+        np.savez(fp_path[0], heatmap=np.stack(heatmap), regression=np.stack(regression))
     log.meta.update(
         {
             "bits_w": cfg.bits_w,
@@ -211,42 +208,10 @@ def _run_method(args, methods: Sequence[str], outputs: Sequence[str]):
             "audit": ds.audit.summary(),
         }
     )
-    return qnet, log, paths
-
-
-def cmd_calibrate(args) -> None:
-    _, log, (report_path,) = _run_method(args, calib.METHODS, ["calibration_report.txt"])
-    method = log.meta["method"]
-    report_path.write_text(
-        "\n".join(
-            f"layer={name} method={method} w_scale={s['w_scale']:.10g} "
-            f"a_scale={s['a_scale']:.10g} pre_mse={s['pre_mse']:.10g} "
-            f"post_mse={s['post_mse']:.10g} entropy_fallback={s['entropy_fallback']}"
-            for name, s in log.layer_stats.items()
-        )
-        + "\n"
-    )
-    reads = log.meta["audit"]["label_reads"]
-    print(f"calibration report -> {report_path} (label reads: {reads})")
-
-
-def cmd_quantize(args) -> None:
-    outputs = ["quantized.ptqf", "runlog.csv", "summary.json"]
-    qnet, log, (model_path, csv_path, summary_path) = _run_method(args, QUANT_METHODS, outputs)
     save_model(model_path, qnet)
     csv_path.write_text(log.to_csv())
     _write_json(summary_path, log.summary())
     print(f"quantized model -> {model_path} (label reads: {log.meta['audit']['label_reads']})")
-
-
-def cmd_evaluate(args) -> None:
-    ds = _open_dataset(args)
-    net = load_model(_require_file(args.model, "model"))
-    out = _out_dir(args)
-    path = _guard(out / "eval_report.json", args.force)
-    report = evaluate_model(net, ds, GRID, split=args.split)
-    _write_json(path, report.as_dict())
-    print(f"mean AP {report.mean_ap:.4f} -> {path}")
 
 
 def _parse_models(pairs: List[str]) -> Dict[str, Path]:
@@ -260,8 +225,6 @@ def _parse_models(pairs: List[str]) -> Dict[str, Path]:
         if name in models:
             raise ConfigError(f"--models names {name!r} twice")
         models[name] = _require_file(path, f"model {name!r}")
-    if len(models) < 2:
-        raise ConfigError("need at least 2 models to compare")
     return models
 
 
@@ -270,7 +233,8 @@ def _rel_drop(base: float, value: float) -> float:
 
 
 def cmd_compare(args) -> None:
-    """Score every --models entry; drops are relative to the first one."""
+    """Score every --models entry; drops are relative to the first one (a
+    lone model's are against itself)."""
     ds = _open_dataset(args)
     models = _parse_models(args.models)
     out = _out_dir(args)
@@ -308,46 +272,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, data=False, model=False, models=False, split=False):
-        sp.add_argument("--config", default=None, help="flat key=value config file")
+    def verb(name, text, config=True, data=True):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
         if data:
             sp.add_argument("--data", required=True, help="dataset directory")
-        if model:
-            sp.add_argument("--model", required=True, help="PTQF model path")
-        if models:
-            sp.add_argument("--models", nargs="+", required=True, metavar="NAME=PATH")
-        if split:
-            sp.add_argument("--split", default="val", choices=["train", "val"])
-        sp.add_argument("overrides", nargs="*", metavar="key=value")
+        if config:
+            sp.add_argument("--config", default=None, help="flat key=value config file")
+            sp.add_argument("overrides", nargs="*", metavar="key=value")
+        return sp
 
-    common(sub.add_parser("gen-data", help="generate a synthetic dataset"))
-    common(sub.add_parser("train-fp", help="train the float baseline"), data=True)
-    common(sub.add_parser("calibrate", help="emit a calibration report"), data=True, model=True)
-    common(sub.add_parser("quantize", help="produce a quantized model"), data=True, model=True)
-    common(
-        sub.add_parser("evaluate", help="evaluate one model"),
-        data=True,
-        model=True,
-        split=True,
+    verb("gen-data", "generate a synthetic dataset", data=False)
+    verb("train-fp", "train the float baseline")
+    quantize = verb("quantize", "produce a quantized model")
+    quantize.add_argument("--model", required=True, help="PTQF model path")
+    compare = verb(
+        "compare", "AP and range-bucket AP table, drops vs the first model", config=False
     )
-    common(
-        sub.add_parser("compare", help="AP and range-bucket AP table, drops vs the first model"),
-        data=True,
-        models=True,
-        split=True,
-    )
+    compare.add_argument("--models", nargs="+", required=True, metavar="NAME=PATH")
+    compare.add_argument("--split", default="val", choices=["train", "val"])
     return p
 
 
 HANDLERS = {
     "gen-data": cmd_gen_data,
     "train-fp": cmd_train_fp,
-    "calibrate": cmd_calibrate,
     "quantize": cmd_quantize,
-    "evaluate": cmd_evaluate,
     "compare": cmd_compare,
 }
 

@@ -1,5 +1,6 @@
 """The CLI verbs end to end on the tiny dataset."""
 
+import argparse
 import io
 import json
 import math
@@ -9,11 +10,11 @@ import zipfile
 import numpy as np
 import pytest
 
-from pillarptq import cli, pipeline
+from pillarptq import calib, cli, pipeline
 from pillarptq.cli import GRID, _rel_drop, _write_json, main
 from pillarptq.config import PipelineConfig
 from pillarptq.detector import Box3D, quantizable_layers
-from pillarptq.evalharness import EvalReport, evaluate
+from pillarptq.evalharness import EvalReport, evaluate, evaluate_model
 from pillarptq.modelio import load_model, save_model
 
 SMALL = [
@@ -37,14 +38,13 @@ def _run(verb, tiny_dataset, model_path, out, *overrides):
 def test_calibrate_writes_one_row_per_layer(
     tiny_dataset, tiny_net, model_path, tmp_path, capsys, method
 ):
-    assert _run("calibrate", tiny_dataset, model_path, tmp_path, f"method={method}") == 0
+    # each calibration arm's summary holds one row per layer, in the net's order
+    assert _run("quantize", tiny_dataset, model_path, tmp_path, f"method={method}") == 0
     assert "(label reads: 0)" in capsys.readouterr().out
-    rows = (tmp_path / "calibration_report.txt").read_text().splitlines()
-    assert [r.split()[0] for r in rows] == [f"layer={n}" for n in quantizable_layers(tiny_net)]
-    for r in rows:
-        fields = dict(kv.split("=", 1) for kv in r.split())
-        assert fields["method"] == method
-        assert float(fields["post_mse"]) >= 0.0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["meta"]["method"] == method
+    assert list(summary["layers"]) == quantizable_layers(tiny_net)
+    assert all(s["post_mse"] >= 0.0 for s in summary["layers"].values())
 
 
 @pytest.mark.parametrize("method", ["maxmin", "entropy", "maxmin_grid", "lidar-ptq"])
@@ -107,8 +107,6 @@ def test_removed_config_keys_are_unknown(tiny_dataset, model_path, tmp_path, cap
 
 
 @pytest.mark.parametrize("verb,method", [
-    ("calibrate", "maxmin"),
-    ("calibrate", "maxmin_grid"),
     ("quantize", "maxmin"),
     ("quantize", "entropy"),
     ("quantize", "maxmin_grid"),
@@ -125,9 +123,6 @@ def test_calibration_arms_reject_mixed_bit_widths(
 
 
 @pytest.mark.parametrize("verb,method", [
-    ("calibrate", "maxmin"),
-    ("calibrate", "entropy"),
-    ("calibrate", "maxmin_grid"),
     ("quantize", "maxmin"),
     ("quantize", "entropy"),
     ("quantize", "maxmin_grid"),
@@ -147,7 +142,7 @@ def test_bit_widths_outside_2_to_8_fail_before_any_output(
             assert not out.exists()
 
 
-@pytest.mark.parametrize("verb,method", [("calibrate", "maxmin"), ("quantize", "lidar-ptq")])
+@pytest.mark.parametrize("verb,method", [("quantize", "maxmin"), ("quantize", "lidar-ptq")])
 @pytest.mark.parametrize("key", ["search_alpha", "search_beta"])
 def test_grid_span_is_not_a_config_key(
     tiny_dataset, model_path, tmp_path, capsys, verb, method, key
@@ -161,25 +156,20 @@ def test_grid_span_is_not_a_config_key(
 def test_maxmin_grid_report_shows_the_quantized_scales(
     tiny_dataset, tiny_net, model_path, tmp_path
 ):
-    # Each calibration arm takes one route in both verbs: the calibrate
-    # report states the scales of the model quantize saves, and the same
-    # per-layer stats as its summary.
-    for method in ("maxmin", "entropy", "maxmin_grid"):
-        report, quantized = tmp_path / f"calibrate-{method}", tmp_path / f"quantize-{method}"
-        assert _run("calibrate", tiny_dataset, model_path, report, f"method={method}") == 0
-        assert _run("quantize", tiny_dataset, model_path, quantized, f"method={method}") == 0
-        qnet = load_model(quantized / "quantized.ptqf")
-        stats = json.loads((quantized / "summary.json").read_text())["layers"]
-        rows = (report / "calibration_report.txt").read_text().splitlines()
-        assert len(rows) == len(quantizable_layers(tiny_net)) == len(stats)
-        for r in rows:
-            fields = dict(kv.split("=", 1) for kv in r.split())
-            layer, s = qnet.layer(fields["layer"]), stats[fields["layer"]]
-            assert fields["w_scale"] == f"{layer.w_quant.scale:.10g}", method
-            assert fields["a_scale"] == f"{layer.a_quant.scale:.10g}", method
-            assert fields["pre_mse"] == f"{s['pre_mse']:.10g}", method
-            assert fields["post_mse"] == f"{s['post_mse']:.10g}", method
-            assert fields["entropy_fallback"] == str(s["entropy_fallback"]), method
+    # For each calibration arm, quantize's summary states the scales of the
+    # model it saves, with each layer's pre- and post-MSE and entropy fallback.
+    for method in calib.METHODS:
+        out = tmp_path / method
+        assert _run("quantize", tiny_dataset, model_path, out, f"method={method}") == 0
+        qnet = load_model(out / "quantized.ptqf")
+        stats = json.loads((out / "summary.json").read_text())["layers"]
+        assert list(stats) == quantizable_layers(tiny_net)
+        for name, s in stats.items():
+            layer = qnet.layer(name)
+            assert s["w_scale"] == layer.w_quant.scale, method
+            assert s["a_scale"] == layer.a_quant.scale, method
+            assert s["pre_mse"] >= 0.0 and s["post_mse"] >= 0.0, method
+            assert isinstance(s["entropy_fallback"], bool), method
 
 
 def test_point_cloud_with_trailing_bytes_exits_3(tiny_dataset, model_path, tmp_path, capsys):
@@ -194,7 +184,7 @@ def test_point_cloud_with_trailing_bytes_exits_3(tiny_dataset, model_path, tmp_p
     ds = Dataset(root)
     pcl = root / ds.entries[ds.frames("val")[0]].pcl_path
     pcl.write_bytes(pcl.read_bytes() + b"\x00" * 16)
-    argv = ["evaluate", "--data", str(root), "--model", str(model_path)]
+    argv = ["compare", "--data", str(root), "--models", f"fp={model_path}"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "after the last" in capsys.readouterr().err
 
@@ -207,7 +197,7 @@ def test_corrupt_layer_record_exits_3(tiny_dataset, model_path, tmp_path, capsys
     raw[16 + name_len + field] = value
     bad = tmp_path / "bad.ptqf"
     bad.write_bytes(bytes(raw))
-    argv = ["evaluate", "--data", str(tiny_dataset.root), "--model", str(bad)]
+    argv = ["compare", "--data", str(tiny_dataset.root), "--models", f"bad={bad}"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "error[runtime]" in capsys.readouterr().err
 
@@ -224,12 +214,17 @@ def _compare(tiny_dataset, out, *models):
     return main(argv + list(models))
 
 
+def _eval_report(tiny_dataset, path, tmp_path):
+    """`evaluate_model`'s report on the model at `path`, as JSON holds it."""
+    report = evaluate_model(load_model(path), tiny_dataset, GRID)
+    _write_json(tmp_path / "report.json", report.as_dict())
+    return _strict_json(tmp_path / "report.json")
+
+
 def test_compare_rows_are_eval_reports_with_drops_against_the_first_model(
     tiny_dataset, model_path, tmp_path
 ):
-    argv = ["evaluate", "--data", str(tiny_dataset.root), "--model", str(model_path)]
-    assert main(argv + ["--out", str(tmp_path / "eval")]) == 0
-    report = _strict_json(tmp_path / "eval" / "eval_report.json")
+    report = _eval_report(tiny_dataset, model_path, tmp_path)
     # "b" is named first, so it is the reference although "a" sorts first
     assert _compare(tiny_dataset, tmp_path / "cmp", f"b={model_path}", f"a={model_path}") == 0
     table = _strict_json(tmp_path / "cmp" / "compare.json")
@@ -277,10 +272,9 @@ def test_compare_drops_against_a_reference_with_positive_ap(
 
 
 @pytest.mark.parametrize("names,message", [
-    (["a"], "need at least 2 models"),
     (["a", "a", "b"], "--models names 'a' twice"),
     (["a", "", "b"], "has an empty name"),
-], ids=["one", "duplicate", "empty"])
+], ids=["duplicate", "empty"])
 def test_compare_rejects_bad_model_names(
     tiny_dataset, model_path, tmp_path, capsys, names, message
 ):
@@ -289,6 +283,21 @@ def test_compare_rejects_bad_model_names(
     err = capsys.readouterr().err
     assert "error[config]" in err and message in err
     assert not out.exists()
+
+
+def test_compare_scores_one_model(tiny_dataset, model_path, tmp_path):
+    # a lone model is its own reference: its row is evaluate_model's report,
+    # and as tiny_net scores AP 0.0 every drop is null
+    report = _eval_report(tiny_dataset, model_path, tmp_path)
+    assert report["mean_ap"] == 0.0
+    assert _compare(tiny_dataset, tmp_path / "cmp", f"fp={model_path}") == 0
+    table = _strict_json(tmp_path / "cmp" / "compare.json")
+    assert table["baseline"] == "fp"
+    (row,) = table["rows"]
+    assert list(row) == ["model", *report, "mean_ap_rel_drop", "bucket_rel_drop"]
+    assert row["model"] == "fp" and {k: row[k] for k in report} == report
+    assert row["mean_ap_rel_drop"] is None
+    assert row["bucket_rel_drop"] == {k: None for k in report["bucket_ap"]}
 
 
 def test_ablate_range_is_gone(tiny_dataset, model_path, tmp_path, capsys):
@@ -308,7 +317,7 @@ POLICY_KEYS = ["score_floor=0.1", "top_k=500", "nms_iou=0.2", "alpha_reg=0.25", 
     pytest.param("train-fp", "eval_iou=0.3", id="eval_iou=0.3"),
     pytest.param("train-fp", "score_floor=0.1", id="score_floor=0.1"),
     *(pytest.param("train-fp", k, id=f"train-fp-{k}") for k in POLICY_KEYS[1:]),
-    *(pytest.param(v, k, id=f"{v}-{k}") for v in ("quantize", "calibrate") for k in POLICY_KEYS),
+    *(pytest.param("quantize", k, id=f"quantize-{k}") for k in POLICY_KEYS),
 ])
 def test_train_fp_takes_no_scoring_keys(tiny_dataset, model_path, tmp_path, capsys, verb, key):
     out = tmp_path / "out"
@@ -326,8 +335,8 @@ def test_train_fp_takes_no_scoring_keys(tiny_dataset, model_path, tmp_path, caps
     ("gen-data", ["n_objects_min=5", "n_objects_max=2"]),
     ("quantize", ["search_T=0"]),
     ("quantize", ["iters_T=-1"]),
-    ("calibrate", ["method=maxmin", "search_T=0"]),
-    ("calibrate", ["method=entropy", "calib_frames=2"]),
+    ("quantize", ["method=maxmin", "search_T=0"]),
+    ("quantize", ["method=entropy", "calib_frames=2"]),
     ("quantize", ["lambda2=-1"]),
     ("quantize", ["lr_scale=-1"]),
     ("quantize", ["lr_theta=-1"]),
@@ -371,13 +380,78 @@ def test_every_verb_writes_strict_json(tiny_dataset, model_path, tmp_path):
     argv = ["train-fp", "--data", str(ds), "--out", str(fp.parent)]
     assert main(argv + ["epochs=1", "batch=2", "ap_floor=0"]) == 0
     assert _run("quantize", tiny_dataset, model_path, tmp_path / "q", "method=maxmin") == 0
-    argv = ["evaluate", "--data", str(ds), "--model", str(fp), "--out", str(tmp_path / "eval")]
+    argv = ["compare", "--data", str(ds), "--models", f"new={fp}", "--out", str(tmp_path / "one")]
     assert main(argv) == 0
     assert _compare(tiny_dataset, tmp_path / "cmp", f"fp={model_path}", f"new={fp}") == 0
     written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json"))
     assert written == [
-        "cmp/compare.json", "ds/summary.json", "eval/eval_report.json", "q/summary.json",
+        "cmp/compare.json", "ds/summary.json", "one/compare.json", "q/summary.json",
         "train/train_report.json",
     ]
     for name in written:
         _strict_json(tmp_path / name)
+
+
+# -- the argument surface -----------------------------------------------------------
+
+
+def test_parser_verbs_are_the_handlers_and_only_config_loaders_take_a_config():
+    # a verb takes --config and key=value exactly when its handler builds a
+    # config from them, so no verb accepts a config and then ignores it
+    (verbs,) = (a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(verbs.choices) == list(cli.HANDLERS)
+    assert list(cli.HANDLERS) == ["gen-data", "train-fp", "quantize", "compare"]
+    loaders = {v for v, handler in cli.HANDLERS.items() if "_load_cfg" in handler.__code__.co_names}
+    assert loaders == {"gen-data", "train-fp", "quantize"}
+    for verb, sp in verbs.choices.items():
+        dests = {a.dest for a in sp._actions}
+        assert ("config" in dests) == ("overrides" in dests) == (verb in loaders), verb
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--model", "{model}", "method=maxmin"],
+    ["evaluate", "--model", "{model}", "--config", "does_not_exist.cfg", "--seed", "7", "bitz=9"],
+    ["quantize", "--model", "{model}", "--seed", "3"],
+    ["train-fp", "--seed", "3"],
+    ["compare", "--config", "nope.cfg", "typo_key=1", "--models", "fp={model}", "q={model}"],
+    ["compare", "typo_key=1", "--models", "fp={model}", "q={model}"],
+    ["compare", "--models", "fp={model}", "q={model}", "typo_key=1"],
+    ["compare", "--seed", "7", "--models", "fp={model}", "q={model}"],
+], ids=[
+    "calibrate", "evaluate", "quantize-seed", "train-fp-seed", "compare-config",
+    "compare-key-first", "compare-key-last", "compare-seed",
+])
+def test_retired_verbs_and_unread_arguments_exit_2(
+    tiny_dataset, model_path, tmp_path, capsys, argv
+):
+    # a verb that is gone, --seed (seed=N sets the field), and a config or
+    # key=value given to compare, which reads no config, are all refused
+    out = tmp_path / "out"
+    argv = [a.format(model=model_path) for a in argv]
+    code = main(argv + ["--data", str(tiny_dataset.root), "--out", str(out)])
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_given_twice_on_the_command_line_is_refused(tmp_path, capsys):
+    # the command line is parsed as a config file is
+    out = tmp_path / "out"
+    assert main(["gen-data", "--out", str(out), "n_val=1", "n_train=2", "n_train=3"]) == 2
+    assert "<command line>:3: duplicate key 'n_train'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("n_train=2\nn_train=3\n")
+    assert main(["gen-data", "--out", str(out), "--config", str(cfg)]) == 2
+    assert "dup.cfg:2: duplicate key 'n_train'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["n_train=2#9", "#n_val=5", "", " ", "n_train=2\nn_val=1"])
+def test_a_token_that_is_not_one_key_value_line_is_refused(tmp_path, capsys, token):
+    # read as a config file's line, these would lose a '#' comment or a whole token
+    out = tmp_path / "out"
+    assert main(["gen-data", "--out", str(out), "n_val=1", token]) == 2
+    assert "is not one key=value line" in capsys.readouterr().err
+    assert not out.exists()

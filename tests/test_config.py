@@ -88,18 +88,18 @@ class TestBuildConfig:
         assert cfg.seed == 3
         assert cfg.bits_w == PipelineConfig().bits_w
 
-    # The CLI loads a config file, then applies key=value overrides and --seed.
+    # The CLI loads a config file, then applies key=value overrides.
 
     def test_load_config_overrides_beat_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("iters_T=50\nbatch=2\n")
-        args = Namespace(config=str(p), overrides=["iters_T=9"], seed=None)
+        args = Namespace(config=str(p), overrides=["iters_T=9"])
         cfg = _load_cfg(PipelineConfig, args)
         assert cfg.iters_T == 9
         assert cfg.batch == 2
 
     def test_load_config_without_file(self):
-        cfg = _load_cfg(TrainConfig, Namespace(config=None, overrides=["epochs=3"], seed=4))
+        cfg = _load_cfg(TrainConfig, Namespace(config=None, overrides=["epochs=3", "seed=4"]))
         assert cfg.epochs == 3
         assert cfg.seed == 4
 

@@ -169,7 +169,7 @@ class TestCorruption:
         p.write_bytes(bytes(raw))
         with pytest.raises(ModelIOError, match="unsupported version 1"):
             load_model(p)
-        argv = ["evaluate", "--data", str(tiny_dataset.root), "--model", str(p)]
+        argv = ["compare", "--data", str(tiny_dataset.root), "--models", f"v1={p}"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 3
         assert "unsupported version 1" in capsys.readouterr().err
 
