@@ -20,27 +20,34 @@ only through a C-order copy, so no later sum changes order. Leaves keep their
 own layout.
 
 A tape is single-use: once every gradient is in, `Tensor.backward` unlinks
-the nodes it walked, freeing interior tensors and their vjps' arrays; a conv
-vjp frees its patch matrix as soon as its weight gradient is computed.
+the nodes it walked, freeing interior tensors and their vjps' arrays. A conv
+keeps no patch matrix on the tape at all (below).
 
-Convolution builds its patch matrix in one copy: the strided windows are
-viewed as (C, kh, kw, B, Ho, Wo) and reshaped straight into the (C*kh*kw,
-B*Ho*Wo) GEMM operand; the bias is added in place. The adjoint adds w.T @ g
-tap by tap into zeros laid out as the input is, (C, B, H, W) for the
-channel-major conv outputs, with no padded buffer or crop copy (w.T @ g is
-that buffer for a 1x1 stride-1 conv); `Tensor.backward` adopts it. Outputs and
-gradients are bitwise those of a per-sample (B, C*kh*kw, Ho*Wo) im2col (the
-reference in tests/test_autodiff.py): the GEMMs read the same operands in the
-same layout, and every input cell receives its patch gradients in the same
-(i, j) order. The weight gradient is (patches @ gout.T).T, the reference's
-gout @ flat.T with the operands swapped: the same sums over the same B*Ho*Wo
-axis, in 0.6-0.8x the time at the detector's shapes, and bitwise equal under
-OpenBLAS on 1 or 2 threads at every detector conv and B = 1 to 16. The
-reference keeps gout @ flat.T, so the detector-shape and per-sample conv
-tests fail on a BLAS that sums the two in another order. The exception is a 1x1
-output map, where the per-sample patch matrix is a column-major view and BLAS
-may sum in another order; the two agree to rounding there, and the detector
-has no such layer.
+Convolution trades a rebuild for memory (Chen et al., arXiv 1604.06174). Its
+forward builds one frame's (C*kh*kw, Ho*Wo) patch matrix at a time, and that
+frame's GEMM writes its columns of the channel-major (Cout, B, Ho*Wo) output;
+the bias is added in place. Only the weight gradient holds the whole-batch
+(C*kh*kw, B*Ho*Wo) patch matrix, rebuilt from the input the tape keeps
+anyway, in one copy: the strided windows are viewed as (C, kh, kw, B, Ho, Wo)
+and reshaped straight into the GEMM operand. The vjp frees it before the
+input gradient's GEMM. The adjoint adds w.T @ g tap by tap into zeros laid
+out as the input is, (C, B, H, W) for the channel-major conv outputs, with no
+padded buffer or crop copy (w.T @ g is that buffer for a 1x1 stride-1 conv);
+`Tensor.backward` adopts it. Outputs and gradients are bitwise those of a
+per-sample (B, C*kh*kw, Ho*Wo) im2col (the reference in
+tests/test_autodiff.py): the GEMMs read the same operands in the same layout,
+and every input cell receives its patch gradients in the same (i, j) order.
+At every detector conv the per-frame GEMMs also give the whole-batch GEMM's
+columns bitwise (pinned for B = 1, 2, 4 and 8); a one-row GEMM need not, as
+BLAS hands it to GEMV. The weight gradient is (patches @ gout.T).T, the
+reference's gout @ flat.T with the operands swapped: the same sums over the
+same B*Ho*Wo axis, in 0.6-0.8x the time at the detector's shapes, and bitwise
+equal under OpenBLAS on 1 or 2 threads at every detector conv and B = 1 to
+16. The reference keeps gout @ flat.T, so the detector-shape and per-sample
+conv tests fail on a BLAS that sums the two in another order. The exception
+is a 1x1 output map, where the reference's whole-batch patch matrix is a
+column-major view and BLAS may sum in another order; the gradients agree to
+rounding there, and the detector has no such layer.
 
 Engine math runs in `current_dtype()` (float32 by default; tests switch to
 float64 via `using_dtype`).
@@ -381,13 +388,14 @@ def _col2im(cols: np.ndarray, x: np.ndarray, kh: int, kw: int, stride: int, pad:
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched 2-D cross-correlation: (B,Cin,H,W) x (Cout,Cin,kh,kw) -> (B,Cout,Ho,Wo).
 
-    One BLAS call, (Cout, K) @ (K, B*P) with K = Cin*kh*kw and P = Ho*Wo, on
-    the patch matrix `_im2col` builds in its single copy, plus the bias in
-    place. The vjp returns None for each of x, weight and bias that needs no
-    gradient, keeps the patch matrix only until the weight gradient, which it
-    takes as (patches @ gout.T).T in C order, and needs no padded buffer or
-    crop copy for the input's. Outputs and gradients are bitwise the
-    per-sample im2col's (see the module docstring).
+    One BLAS call per frame, (Cout, K) @ (K, P) with K = Cin*kh*kw and P =
+    Ho*Wo, on that frame's `_im2col` patch matrix, into its columns of the
+    channel-major output, plus the bias in place. The tape keeps no patch
+    matrix. The vjp returns None for each of x, weight and bias that needs no
+    gradient; for the weight's it rebuilds the whole-batch patch matrix from
+    x, takes (patches @ gout.T).T in C order and frees the matrix, and it
+    needs no padded buffer or crop copy for the input's. Outputs and
+    gradients are bitwise the per-sample im2col's (see the module docstring).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if bias is not None:
@@ -401,24 +409,23 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             f"channel mismatch: input {x.data.shape} vs weight {weight.data.shape}"
         )
     cout, cin, kh, kw = weight.data.shape
-    flat, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     w2 = weight.data.reshape(cout, cin * kh * kw)
-    bsz = x.data.shape[0]
-    out = (w2 @ flat).reshape(cout, bsz, ho * wo).transpose(1, 0, 2)
-    out = out.reshape(bsz, cout, ho, wo)
+    bsz, _, h, w = x.data.shape
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    out = np.empty((cout, bsz, ho * wo), np.result_type(w2, x.data))
+    for f in range(bsz):  # one frame's patch matrix at a time, into its columns
+        np.matmul(w2, _im2col(x.data[f : f + 1], kh, kw, stride, padding)[0], out=out[:, f])
+    out = out.transpose(1, 0, 2).reshape(bsz, cout, ho, wo)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1)
-    # The patch matrix is needed again only for the weight gradient.
-    patches = flat if weight.requires_grad else None
 
     def vjp(g):
-        nonlocal patches
         gflat = g.reshape(bsz, cout, ho * wo)
         gout = gflat.transpose(1, 0, 2).reshape(cout, bsz * ho * wo)
         gx = gw = gb = None
-        if patches is not None:
-            gw = np.ascontiguousarray((patches @ gout.T).T).reshape(weight.data.shape)
-            patches = None  # freed before w2.T @ gout allocates its own matrix
+        if weight.requires_grad:  # the rebuilt patches are freed before w2.T @ gout
+            gw = _im2col(x.data, kh, kw, stride, padding)[0] @ gout.T
+            gw = np.ascontiguousarray(gw.T).reshape(weight.data.shape)
         if x.requires_grad:
             gx = _col2im(w2.T @ gout, x.data, kh, kw, stride, padding)
         if bias is not None and bias.requires_grad:

@@ -272,11 +272,8 @@ def entropy_threshold(h: Histogram, bits: int = 8) -> EntropyResult:
 def candidate_thresholds(t_max: float, cfg: SearchConfig) -> np.ndarray:
     """Ascending clipping-threshold candidates: T points spanning
     [alpha*t_max, beta*t_max], plus t_max itself so the max-min scale is
-    always in the set."""
-    if cfg.T == 1:
-        grid = np.asarray([cfg.alpha * t_max], dtype=np.float64)
-    else:
-        grid = np.linspace(cfg.alpha * t_max, cfg.beta * t_max, cfg.T)
+    always in the set. At T=1 the one point is alpha*t_max."""
+    grid = np.linspace(cfg.alpha * t_max, cfg.beta * t_max, cfg.T)
     grid = np.append(grid, t_max)
     return np.unique(grid)
 

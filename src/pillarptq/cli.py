@@ -23,6 +23,7 @@ to stderr prefixed with "error[config]:" or "error[runtime]:".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -214,6 +215,13 @@ def cmd_quantize(args) -> None:
     print(f"quantized model -> {model_path} (label reads: {log.meta['audit']['label_reads']})")
 
 
+# every config key and `split`: a --models token so named, with no such
+# file, is a stray setting, not a missing model
+_SETTINGS = {"split"} | {
+    f.name for cls in (GenConfig, TrainConfig, PipelineConfig) for f in dataclasses.fields(cls)
+}
+
+
 def _parse_models(pairs: List[str]) -> Dict[str, Path]:
     models: Dict[str, Path] = {}
     for tok in pairs:
@@ -224,6 +232,8 @@ def _parse_models(pairs: List[str]) -> Dict[str, Path]:
             raise ConfigError(f"--models entry {tok!r} has an empty name")
         if name in models:
             raise ConfigError(f"--models names {name!r} twice")
+        if name in _SETTINGS and not Path(path).is_file():
+            raise ConfigError(f"compare reads no setting such as {tok!r}; --models takes name=path")
         models[name] = _require_file(path, f"model {name!r}")
     return models
 

@@ -26,25 +26,18 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = BETA1,
-    beta2: float = BETA2,
-    eps: float = EPS,
-) -> np.ndarray:
-    """One bias-corrected Adam update; mutates `state`, returns the new value."""
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
+    """One bias-corrected Adam update at BETA1, BETA2 and EPS; mutates
+    `state`, returns the new value."""
     grad = np.asarray(grad, dtype=param.dtype)
     if grad.shape != np.shape(param):
         raise ValueError(f"grad shape {grad.shape} != param shape {np.shape(param)}")
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1**state.t)
+    v_hat = state.v / (1.0 - BETA2**state.t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass

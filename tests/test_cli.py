@@ -416,11 +416,12 @@ def test_parser_verbs_are_the_handlers_and_only_config_loaders_take_a_config():
     ["train-fp", "--seed", "3"],
     ["compare", "--config", "nope.cfg", "typo_key=1", "--models", "fp={model}", "q={model}"],
     ["compare", "typo_key=1", "--models", "fp={model}", "q={model}"],
-    ["compare", "--models", "fp={model}", "q={model}", "typo_key=1"],
+    ["compare", "--models", "fp={model}", "q={model}", "seed=7"],
+    ["compare", "--models", "fp={model}", "q={model}", "split=train"],
     ["compare", "--seed", "7", "--models", "fp={model}", "q={model}"],
 ], ids=[
     "calibrate", "evaluate", "quantize-seed", "train-fp-seed", "compare-config",
-    "compare-key-first", "compare-key-last", "compare-seed",
+    "compare-key-first", "compare-key-last", "compare-split-last", "compare-seed",
 ])
 def test_retired_verbs_and_unread_arguments_exit_2(
     tiny_dataset, model_path, tmp_path, capsys, argv
@@ -431,7 +432,11 @@ def test_retired_verbs_and_unread_arguments_exit_2(
     argv = [a.format(model=model_path) for a in argv]
     code = main(argv + ["--data", str(tiny_dataset.root), "--out", str(out)])
     assert code == 2
-    assert "error[config]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    if argv[-1] in ("seed=7", "split=train"):
+        # a setting's name after --models is reported as a setting, not a model
+        assert f"compare reads no setting such as {argv[-1]!r}" in err
     assert not out.exists()
 
 
